@@ -210,10 +210,6 @@ func benchEngineRun(b *testing.B, loop cluster.LoopMode) {
 // benchmark the CI gate holds against BENCH_BASELINE.json.
 func BenchmarkEngineEventCore(b *testing.B) { benchEngineRun(b, cluster.LoopAuto) }
 
-// BenchmarkEngineSlotForward is the slot-stepping loop with the idle-slot
-// fast-forward — what Mantri/LATE run on, measured on the same workload.
-func BenchmarkEngineSlotForward(b *testing.B) { benchEngineRun(b, cluster.LoopSlots) }
-
 // BenchmarkEngineNaiveLoop is the naive slot-by-slot reference loop, kept
 // as the baseline the event core is measured against in-run (the gate
 // asserts the naive/event ratio, which cancels out machine speed).
@@ -350,7 +346,8 @@ func BenchmarkAblationEpsilon(b *testing.B) {
 }
 
 // BenchmarkAblationSchedulers measures every registered scheduler on the
-// same workload — the simulator-throughput comparison.
+// same workload — the simulator-throughput comparison. The CI gate holds
+// each sub-benchmark against BENCH_BASELINE.json.
 func BenchmarkAblationSchedulers(b *testing.B) {
 	for _, name := range SchedulerNames() {
 		b.Run(name, func(b *testing.B) {

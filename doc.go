@@ -68,17 +68,19 @@
 // # The engine
 //
 // The cluster simulator is a discrete-event engine with slot-exact
-// semantics. For the paper's event-driven schedulers (SRPTMS+C, SCA, Fair,
-// SRPT, offline, Dolly) time advances through a priority-heap calendar of
-// job arrivals and earliest copy completions — empty slots are never
-// visited; the slot-stepped baselines (Mantri, LATE) keep per-slot
-// progress inspection but skip provably idle stretches in one jump.
-// Workload draws are batched per launch and the per-copy bookkeeping is
-// pointer-free pooled memory, so the hot path does not allocate. All three
-// loops (naive, slot-stepping, event core) produce identical Results bit
-// for bit — pinned for every registered scheduler by the equivalence
-// harness in internal/cluster — and a CI benchmark gate (cmd/benchgate
-// against BENCH_BASELINE.json) holds the engine's cost per cell.
+// semantics. Time advances through a priority-heap calendar of job
+// arrivals and earliest copy completions — empty slots are never visited.
+// The paper's event-driven schedulers (SRPTMS+C, SCA, Fair, SRPT, offline,
+// Dolly) are invoked only at events; the detection baselines (Mantri, LATE)
+// poll progress on their own clock, and report the next slot at which a
+// backup could launch with SchedulerContext.WakeAt, worked out from the
+// linear progress model. Workload draws are batched per launch and the
+// per-copy bookkeeping is pointer-free pooled memory, so the hot path does
+// not allocate. The production loop and the naive slot-by-slot reference
+// loop produce identical Results bit for bit — pinned for every registered
+// scheduler by the equivalence harness in internal/cluster — and a CI
+// benchmark gate (cmd/benchgate against BENCH_BASELINE.json) holds the cost
+// per cell of every registered scheduler.
 //
 // # Quick start
 //

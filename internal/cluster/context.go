@@ -59,13 +59,31 @@ func (c *Context) Launch(j *job.Job, t *job.Task, n int, gated bool) (int, error
 
 // Rand returns a deterministic random stream for scheduler tie-breaking
 // (for example, "choose one unscheduled task at random"). Accessing the
-// stream marks the slot as randomized, which disables the engine's
-// idle-slot acceleration for the slot: skipping invocations that consume
-// randomness would shift every later draw. Schedulers must obtain the
-// stream through this method each slot rather than caching it.
+// stream marks the slot as randomized, so the engine invokes the scheduler
+// again on the next slot: skipping invocations that consume randomness would
+// shift every later draw. Schedulers must obtain the stream through this
+// method each slot rather than caching it.
 func (c *Context) Rand() *rng.Source {
 	c.engine.randUsed = true
 	return c.engine.schedRand
+}
+
+// WakeAt lets a scheduler skip the slots on which it would do nothing. A
+// Schedule call that launches nothing and draws no randomness may call it to
+// promise that, unless an arrival or a completion comes first, Schedule would
+// launch nothing and draw no randomness on any slot before slot, and that
+// skipping those calls changes none of its later decisions; math.MaxInt64
+// means never. The production loop then invokes the scheduler next at the
+// earlier of the next event and slot.
+//
+// The earliest of several calls counts, and the hint is ignored on a call
+// that launched or drew randomness. A scheduler that is not EventDriven and
+// never calls WakeAt is invoked again on the next slot.
+func (c *Context) WakeAt(slot int64) {
+	e := c.engine
+	if !e.hinted || slot < e.wake {
+		e.wake, e.hinted = slot, true
+	}
 }
 
 // CopyProgress describes one live copy of a task as a progress-reporting
@@ -75,6 +93,9 @@ type CopyProgress struct {
 	Elapsed  int64   // slots since the countdown started
 	Fraction float64 // completed fraction in [0, 1)
 	Gated    bool
+	// Tied is set by BestProgress only: another live copy of the task will
+	// finish on the same slot as the reported one.
+	Tied bool
 }
 
 // Progress returns progress reports for the live copies of t, oldest first.
@@ -109,12 +130,20 @@ func (c *Context) Progress(t *job.Task) []CopyProgress {
 // elapsed*(1-f)/f — the copy expected to finish first. Copies with zero
 // reported progress are returned only when no copy has made progress. ok is
 // false when t has no observable live copy.
+//
+// Reported progress is linear in time, so the estimate equals the copy's
+// true remaining slots. Copies that will finish on the same slot therefore
+// have equal estimates in exact arithmetic, and floating-point rounding picks
+// among them: the reported Elapsed and Fraction can switch between such
+// copies from one slot to the next with no event in between. The report sets
+// Tied whenever another live copy has exactly the same remaining slots.
 func (c *Context) BestProgress(t *job.Task) (best CopyProgress, ok bool) {
 	tr, _ := t.Runtime.(*taskRun)
 	if tr == nil {
 		return CopyProgress{}, false
 	}
 	bestRem := 0.0
+	var bestFinish int64
 	for _, cp := range tr.copies {
 		if cp.gated {
 			continue
@@ -131,16 +160,25 @@ func (c *Context) BestProgress(t *job.Task) (best CopyProgress, ok bool) {
 		p := CopyProgress{Elapsed: elapsed, Fraction: frac}
 		switch {
 		case !ok:
-			best, ok = p, true
+			best, ok, bestFinish = p, true, cp.finish
 			if frac > 0 {
 				bestRem = float64(elapsed) * (1 - frac) / frac
 			}
 		case frac > 0:
 			rem := float64(elapsed) * (1 - frac) / frac
 			if best.Fraction == 0 || rem < bestRem {
-				best, bestRem = p, rem
+				best, bestRem, bestFinish = p, rem, cp.finish
 			}
 		}
+	}
+	if ok && len(tr.copies) > 1 {
+		n := 0
+		for _, cp := range tr.copies {
+			if !cp.gated && cp.finish == bestFinish {
+				n++
+			}
+		}
+		best.Tied = n > 1
 	}
 	return best, ok
 }

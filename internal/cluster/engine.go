@@ -10,22 +10,25 @@
 //
 // # Execution loops
 //
-// The engine has two execution loops over the same event machinery (a
-// priority-heap calendar of copy completions plus an arrival cursor):
+// The engine has one production loop, driven by a priority-heap calendar of
+// copy completions plus an arrival cursor. Between an arrival and the next
+// completion the observable state cannot change, so the loop visits only the
+// slots at which the scheduler might act and accounts the occupancy of the
+// slots in between in bulk; quiet stretches cost O(1) regardless of length.
+// After each visit it moves to:
 //
-//   - The event loop (EventDriven schedulers, the default) advances directly
-//     from event to event. Between an arrival and the next completion the
-//     observable state cannot change, so the scheduler is invoked only when
-//     an event just fired or launchable unscheduled work remains; quiet
-//     stretches cost O(1) regardless of length.
-//   - The slot loop (Mantri, LATE, and any scheduler with time-based
-//     triggers) steps slot by slot so progress-polling rules observe every
-//     tick, with the idle-slot fast-forward of earlier revisions jumping
-//     stretches where the scheduler provably cannot act.
+//   - the next slot, when the scheduler launched a copy or drew randomness;
+//   - otherwise the next arrival or completion, or the earlier slot the
+//     scheduler asked for with Context.WakeAt. Mantri and LATE work out that
+//     slot from the progress reports they already scan. A scheduler that is
+//     neither EventDriven nor calls WakeAt is visited on the next slot, so
+//     time-based rules observe every tick.
 //
-// Both loops produce results slot-for-slot identical to the naive
-// slot-by-slot reference loop (Config.Loop = LoopNaive); the equivalence
-// harness in equivalence_test.go pins this for every registered scheduler.
+// An EventDriven scheduler is not invoked at all while no launchable work
+// remains. The naive slot-by-slot reference loop (Config.Loop = LoopNaive)
+// invokes the scheduler on every slot and ignores both EventDriven and
+// WakeAt; the equivalence harness in equivalence_test.go pins that the two
+// loops produce identical results for every registered scheduler.
 package cluster
 
 import (
@@ -57,16 +60,16 @@ type Scheduler interface {
 //
 // Implementations therefore promise, in addition to state-purity:
 //
-//   - Schedule launches copies of *unscheduled* tasks only (every scheduler
-//     in internal/sched does: speculative backups in Mantri/LATE are the
-//     counterexample, and those schedulers are not event-driven);
+//   - Schedule launches copies of *unscheduled* tasks only;
 //   - Schedule draws from ctx.Rand() only on invocations that launch at
 //     least one copy (randomness is used to pick among launch candidates).
 //
 // Schedulers with time-based triggers — polling cadences keyed on Now(),
 // progress-age thresholds as in Mantri or LATE, or any internal mutable
 // state — must NOT implement this interface (or must return false): they can
-// legitimately launch a copy on a slot where nothing else happened.
+// legitimately launch a copy on a slot where nothing else happened. They
+// may instead report their next trigger with Context.WakeAt, as Mantri and
+// LATE do for their speculative backups.
 type EventDriven interface {
 	// EventDriven reports whether event-calendar execution is safe.
 	EventDriven() bool
@@ -87,13 +90,9 @@ type GatedLauncher interface {
 type LoopMode int
 
 const (
-	// LoopAuto (the default) runs EventDriven schedulers on the event
-	// calendar and everything else on the slot loop with the idle-slot
-	// fast-forward.
+	// LoopAuto (the default) is the production loop: the event calendar
+	// plus the scheduler's wake hints.
 	LoopAuto LoopMode = iota
-	// LoopSlots forces slot stepping with the idle-slot fast-forward, even
-	// for EventDriven schedulers. Used by the equivalence tests.
-	LoopSlots
 	// LoopNaive forces the naive slot-by-slot reference loop with no
 	// acceleration at all.
 	LoopNaive
@@ -104,8 +103,6 @@ func (m LoopMode) String() string {
 	switch m {
 	case LoopAuto:
 		return "auto"
-	case LoopSlots:
-		return "slots"
 	case LoopNaive:
 		return "naive"
 	default:
@@ -128,14 +125,9 @@ type Config struct {
 	// tie-breaking). Runs with equal seeds and schedulers are identical.
 	Seed int64
 	// Loop selects the execution loop; LoopAuto is correct for production
-	// runs. The slower modes exist so tests and validation runs can compare
-	// the loops pairwise.
+	// runs. LoopNaive exists so tests and validation runs can compare the
+	// production loop against the reference.
 	Loop LoopMode
-	// DisableFastForward is the pre-LoopMode spelling of Loop = LoopNaive,
-	// honored when Loop is LoopAuto.
-	//
-	// Deprecated: set Loop instead.
-	DisableFastForward bool
 }
 
 const defaultMaxSlots = 50_000_000
@@ -211,7 +203,6 @@ type Engine struct {
 	sched         Scheduler
 	eventDriven   bool // sched implements EventDriven and opted in
 	gatedLaunches bool // sched implements GatedLauncher and opted in
-	useEvents     bool // resolved loop: event calendar vs slot stepping
 
 	slot    int64
 	free    int
@@ -245,6 +236,10 @@ type Engine struct {
 	durations *rng.Source // stream for copy workload sampling
 	schedRand *rng.Source // stream handed to the scheduler
 	randUsed  bool        // scheduler touched schedRand this slot
+
+	// Wake hint of the current Schedule call (see Context.WakeAt).
+	wake   int64
+	hinted bool
 
 	ctx Context // reused scheduler view (avoids a per-slot allocation)
 	err error   // first fatal error raised inside a scheduler callback
@@ -311,69 +306,68 @@ func New(cfg Config, sched Scheduler, specs []job.Spec) (*Engine, error) {
 		durations:     root.Split("durations"),
 		schedRand:     root.Split("scheduler"),
 	}
-	mode := cfg.Loop
-	if mode == LoopAuto && cfg.DisableFastForward {
-		mode = LoopNaive
-	}
-	e.useEvents = mode == LoopAuto && e.eventDriven
 	e.ctx = Context{engine: e}
 	return e, nil
 }
 
 // Run executes the simulation to completion and returns the result. The
-// execution loop is selected by Config.Loop (see the package comment); every
-// loop produces the identical Result for a given scheduler, seed, and spec
+// execution loop is selected by Config.Loop (see the package comment); both
+// loops produce the identical Result for a given scheduler, seed, and spec
 // set.
 func (e *Engine) Run() (*Result, error) {
-	if e.useEvents {
-		return e.runEvents()
+	if e.cfg.Loop == LoopNaive {
+		return e.runNaive()
 	}
-	mode := e.cfg.Loop
-	if mode == LoopAuto && e.cfg.DisableFastForward {
-		mode = LoopNaive
-	}
-	return e.runSlots(mode != LoopNaive)
+	return e.runEvents()
 }
 
-// runEvents is the discrete-event loop: the calendar of copy completions and
-// the arrival cursor define the only slots at which the observable state can
-// change, and the scheduler is invoked only when it might act — an event
-// just fired, or launchable unscheduled work remains from a slot on which it
-// launched something. All intervening slots are accounted in bulk.
+// runEvents is the production loop: the calendar of copy completions and the
+// arrival cursor give the next slot at which the observable state changes,
+// the scheduler's wake hint the next slot at which it might act on its own.
+// The loop visits only those slots, plus the slot after any invocation that
+// launched or drew randomness, and accounts all intervening slots in bulk.
 func (e *Engine) runEvents() (*Result, error) {
 	total := len(e.pending)
 	for e.finishedJobs < total {
 		if e.slot > e.cfg.MaxSlots {
-			return nil, fmt.Errorf("%w: slot %d, %d/%d jobs finished",
-				ErrSlotOverflow, e.slot, e.finishedJobs, total)
+			return nil, e.overflow()
 		}
 		e.admitArrivals()
 		e.processCompletions()
-		quiet := true
-		if e.free > 0 && e.aliveCount > 0 && e.launchableWork() {
+		wake := int64(math.MaxInt64) // nothing to do before the next event
+		if e.free > 0 && e.aliveCount > 0 && (!e.eventDriven || e.launchableWork()) {
 			launchedBefore := e.totalCopies
-			e.randUsed = false
+			e.randUsed, e.hinted = false, false
 			e.sched.Schedule(&e.ctx)
 			if e.err != nil {
 				return nil, e.err
 			}
-			quiet = e.totalCopies == launchedBefore && !e.randUsed
+			switch {
+			case e.totalCopies != launchedBefore || e.randUsed:
+				wake = e.slot + 1
+			case e.hinted:
+				wake = max(e.wake, e.slot+1)
+			case !e.eventDriven:
+				wake = e.slot + 1 // time-based rules without a hint see every slot
+			}
 		}
 		e.busy += int64(e.cfg.Machines - e.free)
 		next := e.slot + 1
-		if e.finishedJobs < total && quiet {
-			if t, ok := e.nextEventSlot(); !ok {
-				// No future arrival or completion can ever occur while jobs
-				// remain unfinished: the run is starved (for example, only
-				// gated copies are left). Jump past MaxSlots so the overflow
-				// guard reports it immediately.
+		if e.finishedJobs < total && wake > next {
+			if t, ok := e.nextEventSlot(); ok && t < wake {
+				wake = t
+			}
+			switch {
+			case wake > e.cfg.MaxSlots:
+				// Nothing can happen within the horizon — for example only
+				// gated copies are left — so let the overflow guard report
+				// the run now instead of stepping to it.
 				next = e.cfg.MaxSlots + 1
-			} else if t > next {
-				// Slots next..t-1 are eventless; account their occupancy in
-				// bulk (the busy level cannot change between events) and
-				// land exactly on the next event.
-				e.busy += int64(e.cfg.Machines-e.free) * (t - next)
-				next = t
+			case wake > next:
+				// Slots next..wake-1 are quiet and the busy level cannot
+				// change between events: account their occupancy in bulk.
+				e.busy += int64(e.cfg.Machines-e.free) * (wake - next)
+				next = wake
 			}
 		}
 		e.slot = next
@@ -381,32 +375,17 @@ func (e *Engine) runEvents() (*Result, error) {
 	return e.result(), nil
 }
 
-// launchableWork reports whether any alive job has an unscheduled task the
-// scheduler is permitted to launch right now.
-func (e *Engine) launchableWork() bool {
-	return e.unschedMap > 0 || e.unschedOpen > 0 ||
-		(e.gatedLaunches && e.unschedGated > 0)
-}
-
-// runSlots is the slot-stepping loop: the scheduler is invoked on every slot
-// with a free machine and an alive job, so time-based rules (progress
-// polling, check intervals) observe each tick. With fastForward, slots on
-// which provably nothing can happen are skipped in one jump to min(next
-// arrival, next completion): a slot is skippable when no machine is free,
-// when no job is alive, or when an EventDriven scheduler was invoked but
-// launched nothing and drew no randomness — by the EventDriven contract it
-// would keep deciding the same until the state changes.
-func (e *Engine) runSlots(fastForward bool) (*Result, error) {
+// runNaive is the reference loop: it steps every slot and invokes the
+// scheduler on each one with a free machine and an alive job, ignoring
+// EventDriven and wake hints. Tests compare the production loop against it.
+func (e *Engine) runNaive() (*Result, error) {
 	total := len(e.pending)
 	for e.finishedJobs < total {
 		if e.slot > e.cfg.MaxSlots {
-			return nil, fmt.Errorf("%w: slot %d, %d/%d jobs finished",
-				ErrSlotOverflow, e.slot, e.finishedJobs, total)
+			return nil, e.overflow()
 		}
 		e.admitArrivals()
 		e.processCompletions()
-		launchedBefore := e.totalCopies
-		e.randUsed = false
 		if e.free > 0 && e.aliveCount > 0 {
 			e.sched.Schedule(&e.ctx)
 			if e.err != nil {
@@ -414,22 +393,22 @@ func (e *Engine) runSlots(fastForward bool) (*Result, error) {
 			}
 		}
 		e.busy += int64(e.cfg.Machines - e.free)
-		next := e.slot + 1
-		if e.finishedJobs < total && fastForward {
-			idle := e.free == 0 || e.aliveCount == 0 ||
-				(e.eventDriven && e.totalCopies == launchedBefore && !e.randUsed)
-			if idle {
-				if t, ok := e.nextEventSlot(); !ok {
-					next = e.cfg.MaxSlots + 1 // starved: report via the guard
-				} else if t > next {
-					e.busy += int64(e.cfg.Machines-e.free) * (t - next)
-					next = t
-				}
-			}
-		}
-		e.slot = next
+		e.slot++
 	}
 	return e.result(), nil
+}
+
+// overflow reports a run that passed MaxSlots with jobs unfinished.
+func (e *Engine) overflow() error {
+	return fmt.Errorf("%w: slot %d, %d/%d jobs finished",
+		ErrSlotOverflow, e.slot, e.finishedJobs, len(e.pending))
+}
+
+// launchableWork reports whether any alive job has an unscheduled task the
+// scheduler is permitted to launch right now.
+func (e *Engine) launchableWork() bool {
+	return e.unschedMap > 0 || e.unschedOpen > 0 ||
+		(e.gatedLaunches && e.unschedGated > 0)
 }
 
 // nextEventSlot returns the earliest future slot at which the cluster state

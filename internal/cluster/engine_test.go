@@ -425,7 +425,7 @@ func TestResultSlotsIsLastFinish(t *testing.T) {
 		simpleSpec(t, 0, 0, 1, 0, 5, 0),
 		simpleSpec(t, 1, 100, 1, 0, 10, 0), // idle gap, then finishes at 110
 	}
-	for _, loop := range []LoopMode{LoopNaive, LoopSlots, LoopAuto} {
+	for _, loop := range []LoopMode{LoopNaive, LoopAuto} {
 		res := mustRun(t, Config{Machines: 1, Seed: 1, Loop: loop}, greedyScheduler{}, specs)
 		var finMax int64
 		for _, j := range res.Jobs {
@@ -512,19 +512,54 @@ func (gatedOnlyScheduler) Schedule(ctx *Context) {
 }
 
 // TestGatedStarvationDetectedImmediately pins the starvation path: when only
-// gated copies remain (no future arrival, nothing in the calendar), every
-// loop must report ErrSlotOverflow right away instead of stepping silently
-// through the MaxSlots horizon. The default 50M-slot horizon doubles as the
-// proof of immediacy — walking it slot by slot would time the test out.
+// gated copies remain (no future arrival, nothing in the calendar), the
+// production loop must report ErrSlotOverflow right away instead of stepping
+// silently through the MaxSlots horizon. The default 50M-slot horizon
+// doubles as the proof of immediacy — walking it slot by slot would time the
+// test out.
 func TestGatedStarvationDetectedImmediately(t *testing.T) {
 	specs := []job.Spec{simpleSpec(t, 0, 0, 1, 1, 10, 5)}
-	for _, loop := range []LoopMode{LoopSlots, LoopAuto} {
-		eng, err := New(Config{Machines: 2, Seed: 1, Loop: loop}, gatedOnlyScheduler{}, specs)
-		if err != nil {
-			t.Fatal(err)
+	eng, err := New(Config{Machines: 2, Seed: 1}, gatedOnlyScheduler{}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); !errors.Is(err, ErrSlotOverflow) {
+		t.Errorf("want ErrSlotOverflow, got %v", err)
+	}
+}
+
+// TestWakeAtSkipsQuietSlots pins how the production loop uses the wake hint:
+// a time-driven scheduler that launches at slot 100 and says so is invoked
+// only on the arrival slot and on slot 100; without the hint it is invoked
+// on every slot, as by the naive loop. All runs produce the same result.
+func TestWakeAtSkipsQuietSlots(t *testing.T) {
+	specs := []job.Spec{simpleSpec(t, 0, 0, 1, 0, 10, 0)}
+	for _, tc := range []struct {
+		hint      bool
+		loop      LoopMode
+		wantCalls int
+	}{
+		{true, LoopAuto, 2},
+		{false, LoopAuto, 101},
+		{true, LoopNaive, 101},
+	} {
+		calls := 0
+		res := mustRun(t, Config{Machines: 1, Seed: 1, Loop: tc.loop}, schedulerFunc(func(ctx *Context) {
+			calls++
+			if ctx.Now() < 100 {
+				if tc.hint {
+					ctx.WakeAt(100)
+				}
+				return
+			}
+			greedyScheduler{}.Schedule(ctx)
+		}), specs)
+		if calls != tc.wantCalls {
+			t.Errorf("hint=%v loop=%v: %d Schedule calls, want %d", tc.hint, tc.loop, calls, tc.wantCalls)
 		}
-		if _, err := eng.Run(); !errors.Is(err, ErrSlotOverflow) {
-			t.Errorf("loop %v: want ErrSlotOverflow, got %v", loop, err)
+		if res.Jobs[0].Finish != 110 || res.MachineSlots != 10 {
+			t.Errorf("hint=%v loop=%v: finish %d, busy %d; want 110, 10",
+				tc.hint, tc.loop, res.Jobs[0].Finish, res.MachineSlots)
 		}
 	}
 }

@@ -1,25 +1,29 @@
 package cluster_test
 
-// Equivalence harness for the engine's three execution loops. For every
+// Equivalence harness for the engine's two execution loops. For every
 // registered scheduler — event-driven (SRPTMS+C, SCA, Fair, SRPT, Offline,
-// Dolly) and time-driven (Mantri, LATE) alike — the event calendar
-// (LoopAuto), the slot loop with idle fast-forward (LoopSlots), and the
-// naive slot-by-slot reference (LoopNaive) must produce Results identical
-// field-for-field: per-job finish slots, busy integral, copy counts,
-// wasted workload, final slot.
+// Dolly) and time-driven with wake hints (Mantri, LATE) alike — the
+// production loop (LoopAuto) and the naive slot-by-slot reference
+// (LoopNaive) must produce Results identical field-for-field: per-job finish
+// slots, busy integral, copy counts, wasted workload, final slot.
 //
-// On top of pairwise loop agreement, TestPinnedAggregates pins the absolute
-// values these workloads produced before the discrete-event core landed
-// (captured from the per-slot engine of the previous revision), so a change
-// that breaks all loops identically — or perturbs the sampling stream —
-// still fails.
+// On top of loop agreement, TestPinnedAggregates pins the absolute values
+// these workloads produced before the discrete-event core landed (captured
+// from the per-slot engine of the previous revision), so a change that
+// breaks both loops identically — or perturbs the sampling stream — still
+// fails.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"mrclone/internal/cluster"
+	"mrclone/internal/job"
+	"mrclone/internal/rng"
 	"mrclone/internal/sched"
+	"mrclone/internal/sched/late"
+	"mrclone/internal/sched/mantri"
 	"mrclone/internal/trace"
 )
 
@@ -43,8 +47,20 @@ func mixedTrace(t *testing.T, jobs int) *trace.Trace {
 	return tr
 }
 
-func runLoop(t *testing.T, name string, loop cluster.LoopMode, machines int, seed int64,
-	tr *trace.Trace) *cluster.Result {
+// paperTrace is the benchmark's workload shape: 300 Table II jobs from the
+// given trace seed, meant for 600 machines.
+func paperTrace(t *testing.T, seed int64) *trace.Trace {
+	t.Helper()
+	p := trace.GoogleParams()
+	p.Jobs, p.Seed = 300, seed
+	tr, err := trace.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func buildSched(t *testing.T, name string) cluster.Scheduler {
 	t.Helper()
 	s, err := sched.Build(name, sched.Params{
 		Epsilon:         0.9,
@@ -54,10 +70,12 @@ func runLoop(t *testing.T, name string, loop cluster.LoopMode, machines int, see
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs, err := tr.Specs()
-	if err != nil {
-		t.Fatal(err)
-	}
+	return s
+}
+
+func runSpecs(t *testing.T, s cluster.Scheduler, loop cluster.LoopMode, machines int, seed int64,
+	specs []job.Spec) *cluster.Result {
+	t.Helper()
 	eng, err := cluster.New(cluster.Config{
 		Machines: machines,
 		Seed:     seed,
@@ -73,13 +91,28 @@ func runLoop(t *testing.T, name string, loop cluster.LoopMode, machines int, see
 	return res
 }
 
+func runWith(t *testing.T, s cluster.Scheduler, loop cluster.LoopMode, machines int, seed int64,
+	tr *trace.Trace) *cluster.Result {
+	t.Helper()
+	specs, err := tr.Specs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runSpecs(t, s, loop, machines, seed, specs)
+}
+
+func runLoop(t *testing.T, name string, loop cluster.LoopMode, machines int, seed int64,
+	tr *trace.Trace) *cluster.Result {
+	t.Helper()
+	return runWith(t, buildSched(t, name), loop, machines, seed, tr)
+}
+
 // loopModes is every execution loop, reference first.
 var loopModes = []struct {
 	name string
 	mode cluster.LoopMode
 }{
 	{"naive", cluster.LoopNaive},
-	{"slots", cluster.LoopSlots},
 	{"events", cluster.LoopAuto},
 }
 
@@ -113,7 +146,7 @@ func TestLoopEquivalence(t *testing.T) {
 // between arrivals.
 func TestLoopEquivalenceUnderload(t *testing.T) {
 	tr := mixedTrace(t, 12)
-	for _, name := range []string{"srptms+c", "mantri"} {
+	for _, name := range []string{"srptms+c", "mantri", "late"} {
 		ref := runLoop(t, name, cluster.LoopNaive, 2000, 3, tr)
 		for _, lm := range loopModes[1:] {
 			got := runLoop(t, name, lm.mode, 2000, 3, tr)
@@ -204,5 +237,127 @@ func TestPinnedAggregates(t *testing.T) {
 	for name, want := range pinnedUnderload {
 		got := aggregateOf(runLoop(t, name, cluster.LoopAuto, 2000, 3, tr12))
 		assertAggregate(t, "underload/"+name, got, want)
+	}
+}
+
+// TestWakePromisesHold runs the schedulers that use Context.WakeAt on the
+// naive loop under a wake audit: no Schedule call may launch before a slot a
+// quiet call promised, unless an arrival or a completion came first. The
+// 300x600 trace seeds include 16, 22 and 25, on which a LATE wake that
+// ignores tied copies breaks its promise.
+func TestWakePromisesHold(t *testing.T) {
+	type workload struct {
+		name     string
+		tr       *trace.Trace
+		machines int
+		seed     int64
+	}
+	workloads := []workload{{"mixed40x100", mixedTrace(t, 40), 100, 7}}
+	if !testing.Short() {
+		for _, ts := range []int64{7, 13, 14, 16, 18, 22, 25} {
+			workloads = append(workloads,
+				workload{fmt.Sprintf("300x600/trace%d", ts), paperTrace(t, ts), 600, 1})
+		}
+	}
+	for _, name := range []string{"mantri", "late"} {
+		for _, w := range workloads {
+			audit := cluster.NewWakeAudit(buildSched(t, name))
+			ref := runWith(t, audit, cluster.LoopNaive, w.machines, w.seed, w.tr)
+			if err := audit.Err(); err != nil {
+				t.Errorf("%s on %s, seed %d: %v", name, w.name, w.seed, err)
+			}
+			got := runLoop(t, name, cluster.LoopAuto, w.machines, w.seed, w.tr)
+			if !reflect.DeepEqual(ref, got) {
+				t.Errorf("%s on %s, seed %d: naive and production results differ", name, w.name, w.seed)
+			}
+		}
+	}
+}
+
+// seqDist samples a fixed sequence of workloads, then repeats the last one;
+// schedulers see the given mean and zero deviation.
+type seqDist struct {
+	w    []float64
+	next int
+	mean float64
+}
+
+func (d *seqDist) Sample(*rng.Source) float64 {
+	v := d.w[min(d.next, len(d.w)-1)]
+	d.next++
+	return v
+}
+func (d *seqDist) Mean() float64   { return d.mean }
+func (d *seqDist) StdDev() float64 { return 0 }
+
+// tieProbe records whether BestProgress ever reported a tied running task
+// after the wrapped scheduler's calls.
+type tieProbe struct {
+	cluster.Scheduler
+	tied bool
+}
+
+func (p *tieProbe) Schedule(ctx *cluster.Context) {
+	p.Scheduler.Schedule(ctx)
+	for _, j := range ctx.AliveJobs() {
+		for _, t := range j.AppendRunning(nil, job.PhaseMap) {
+			if pr, ok := ctx.BestProgress(t); ok && pr.Tied {
+				p.tied = true
+			}
+		}
+	}
+}
+
+// TestTiedCopies builds a job whose slow task (workload 100) gets a backup
+// that finishes on exactly the same slot as the original, then the same job
+// with a backup that finishes first, and with no backup at all. BestProgress
+// must flag only the first as tied, and the naive and production loops must
+// agree on all three under both detection baselines.
+func TestTiedCopies(t *testing.T) {
+	for _, sc := range []struct {
+		name     string
+		build    func() (cluster.Scheduler, error)
+		backupAt int64 // slot at which the slow task's backup launches
+	}{
+		{"mantri", func() (cluster.Scheduler, error) { return mantri.New(mantri.Config{}) }, 10},
+		{"late", func() (cluster.Scheduler, error) { return late.New(late.Config{}) }, 8},
+	} {
+		tiedBackup := float64(100 - sc.backupAt)
+		for _, tc := range []struct {
+			name      string
+			workloads []float64 // slow task, fast task, then backups
+			tied      bool
+			backups   bool
+		}{
+			{"tied", []float64{100, 10, tiedBackup}, true, true},
+			{"distinct", []float64{100, 10, tiedBackup - 30}, false, true},
+			{"single", []float64{15, 10}, false, false},
+		} {
+			var results [2]*cluster.Result
+			var probe *tieProbe
+			for i, loop := range []cluster.LoopMode{cluster.LoopNaive, cluster.LoopAuto} {
+				s, err := sc.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				spec := job.Spec{ID: 0, Weight: 1, MapTasks: 2,
+					MapDist: &seqDist{w: tc.workloads, mean: 10}}
+				p := &tieProbe{Scheduler: s}
+				if loop == cluster.LoopNaive {
+					probe = p
+				}
+				results[i] = runSpecs(t, p, loop, 20, 1, []job.Spec{spec})
+			}
+			id := sc.name + "/" + tc.name
+			if probe.tied != tc.tied {
+				t.Errorf("%s: BestProgress reported Tied = %v, want %v", id, probe.tied, tc.tied)
+			}
+			if got := results[0].CloneCopies > 0; got != tc.backups {
+				t.Errorf("%s: backups launched = %v, want %v", id, got, tc.backups)
+			}
+			if !reflect.DeepEqual(results[0], results[1]) {
+				t.Errorf("%s: results differ:\nnaive:  %+v\nevents: %+v", id, results[0], results[1])
+			}
+		}
 	}
 }

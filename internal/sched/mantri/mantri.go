@@ -18,15 +18,23 @@
 // Jobs are served in arrival (FIFO) order — Mantri mitigates stragglers
 // within jobs but does not prioritize across jobs, which is exactly the
 // weakness the paper's SRPT-based algorithms exploit.
+//
+// The scheduler runs on the engine's event calendar by reporting its next
+// possible backup with cluster.Context.WakeAt. Reported progress is linear
+// in time, so t_rem equals the copy's true remaining slots and falls by
+// exactly one per slot, and the relaunch rule is monotone in t_rem: a copy
+// that does not qualify once observed never will. So the only slot at which
+// a copy can newly qualify is the first check slot after its observation
+// window, and the scan that looks for candidates works that slot out.
 package mantri
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"mrclone/internal/cluster"
 	"mrclone/internal/job"
+	"mrclone/internal/sched/schedutil"
 )
 
 // Config parameterizes the Mantri baseline.
@@ -56,9 +64,19 @@ const (
 	DefaultCheckInterval  = 5
 )
 
-// Scheduler implements cluster.Scheduler.
+// wakeSlack widens an extrapolated remaining-time estimate by this fraction
+// of the copy's total duration, so floating-point rounding of the
+// extrapolation makes a wake early, never late.
+const wakeSlack = 1e-9
+
+// Scheduler implements cluster.Scheduler. It carries per-instance scratch
+// for the task snapshots and the candidate list, so a Scheduler must not be
+// shared by concurrently running engines.
 type Scheduler struct {
 	cfg Config
+
+	tasks []*job.Task
+	cands []schedutil.Straggler
 }
 
 var _ cluster.Scheduler = (*Scheduler)(nil)
@@ -101,74 +119,52 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 
 	// Pass 1: launch first copies of unscheduled tasks, FIFO across jobs,
 	// maps before reduces within a job.
-	for _, j := range alive {
-		if ctx.FreeMachines() == 0 {
-			return
-		}
-		for _, t := range j.UnscheduledTasks(job.PhaseMap) {
-			if ctx.FreeMachines() == 0 {
-				return
-			}
-			if _, err := ctx.Launch(j, t, 1, false); err != nil {
-				return
-			}
-		}
-		if !j.MapPhaseDone() {
-			continue
-		}
-		for _, t := range j.UnscheduledTasks(job.PhaseReduce) {
-			if ctx.FreeMachines() == 0 {
-				return
-			}
-			if _, err := ctx.Launch(j, t, 1, false); err != nil {
-				return
-			}
-		}
+	var free bool
+	if s.tasks, free = schedutil.LaunchFirstCopies(ctx, alive, s.tasks); !free {
+		return
 	}
 
 	// Pass 2: with leftover machines, launch backups for detected
 	// stragglers, worst (largest estimated remaining time) first. The scan
 	// runs on the configured polling cadence.
-	if ctx.FreeMachines() == 0 || ctx.Now()%s.cfg.CheckIntervalSlots != 0 {
+	now := ctx.Now()
+	if now%s.cfg.CheckIntervalSlots != 0 {
+		ctx.WakeAt(s.checkSlotFrom(now))
 		return
 	}
-	type candidate struct {
-		j    *job.Job
-		t    *job.Task
-		trem float64
-	}
-	var cands []candidate
+	wake := int64(math.MaxInt64)
+	cands := s.cands[:0]
 	for _, j := range alive {
-		for _, p := range []job.Phase{job.PhaseMap, job.PhaseReduce} {
+		for _, p := range [...]job.Phase{job.PhaseMap, job.PhaseReduce} {
 			stats := j.PhaseStats(p)
-			for _, t := range j.RunningTasks(p) {
+			s.tasks = j.AppendRunning(s.tasks[:0], p)
+			for _, t := range s.tasks {
 				if t.Copies >= 1+s.cfg.MaxBackupsPerTask {
 					continue
 				}
-				trem, ok := s.estimateRemaining(ctx, t)
+				pr, ok := ctx.BestProgress(t)
 				if !ok {
 					continue
 				}
-				if s.shouldBackup(trem, stats) {
-					cands = append(cands, candidate{j: j, t: t, trem: trem})
+				if trem, ok := s.estimateRemaining(pr); ok && s.shouldBackup(trem, stats) {
+					cands = append(cands, schedutil.Straggler{J: j, T: t, Rem: trem})
+				} else {
+					wake = min(wake, s.nextChance(now, pr, stats))
 				}
 			}
 		}
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].trem != cands[b].trem {
-			return cands[a].trem > cands[b].trem
-		}
-		if cands[a].j.Spec.ID != cands[b].j.Spec.ID {
-			return cands[a].j.Spec.ID < cands[b].j.Spec.ID
-		}
-		return cands[a].t.ID.Index < cands[b].t.ID.Index
-	})
+	s.cands = cands
+	if len(cands) == 0 {
+		ctx.WakeAt(wake)
+		return
+	}
+	schedutil.SortStragglers(cands)
 	for _, c := range cands {
 		if ctx.FreeMachines() == 0 {
 			return
 		}
-		if _, err := ctx.Launch(c.j, c.t, 1, false); err != nil {
+		if _, err := ctx.Launch(c.J, c.T, 1, false); err != nil {
 			return
 		}
 	}
@@ -177,16 +173,51 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 // estimateRemaining returns the progress-based remaining-time estimate of
 // the task's best copy (the task finishes when its best copy does), or
 // ok=false when no copy has been observed long enough.
-func (s *Scheduler) estimateRemaining(ctx *cluster.Context, t *job.Task) (float64, bool) {
-	p, ok := ctx.BestProgress(t)
-	if !ok || p.Elapsed < s.cfg.MinObservationSlots || p.Fraction <= 0 {
+func (s *Scheduler) estimateRemaining(p cluster.CopyProgress) (float64, bool) {
+	if p.Elapsed < s.cfg.MinObservationSlots || p.Fraction <= 0 {
 		return 0, false
 	}
 	return float64(p.Elapsed) * (1 - p.Fraction) / p.Fraction, true
 }
 
+// nextChance returns the first check slot after now at which a running task
+// that is no candidate now could become one if no arrival or completion
+// comes first; math.MaxInt64 means never. Only a copy still inside its
+// observation window can qualify later, on the first check slot after the
+// window, and only if the rule holds for its estimate extrapolated there.
+func (s *Scheduler) nextChance(now int64, p cluster.CopyProgress, stats job.Stats) int64 {
+	if p.Tied {
+		// The report can switch between tied copies with no event between.
+		return s.checkSlotFrom(now + 1)
+	}
+	wait := s.cfg.MinObservationSlots - p.Elapsed
+	if wait <= 0 {
+		return math.MaxInt64
+	}
+	due := s.checkSlotFrom(now + wait)
+	if p.Fraction <= 0 {
+		return due
+	}
+	total := float64(p.Elapsed) / p.Fraction
+	trem := total - float64(p.Elapsed+due-now)
+	if !s.shouldBackup(trem+wakeSlack*total, stats) {
+		return math.MaxInt64
+	}
+	return due
+}
+
+// checkSlotFrom returns the first check slot at or after t.
+func (s *Scheduler) checkSlotFrom(t int64) int64 {
+	every := s.cfg.CheckIntervalSlots
+	if r := t % every; r != 0 {
+		return t + every - r
+	}
+	return t
+}
+
 // shouldBackup applies the relaunch rule P(t_rem > 2 t_new) > delta using the
-// Cantelli bound over the phase's (E, sigma).
+// Cantelli bound over the phase's (E, sigma). It is monotone in t_rem: a
+// larger estimate never turns a backup down.
 func (s *Scheduler) shouldBackup(trem float64, stats job.Stats) bool {
 	if stats.Mean <= 0 {
 		return false

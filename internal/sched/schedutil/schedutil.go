@@ -1,18 +1,23 @@
 // Package schedutil provides helpers shared by the scheduler
-// implementations: priority ordering, random task picking, and the
+// implementations: priority ordering, random task picking, the
 // largest-remainder integer rounding used to convert fractional machine
-// shares into whole machines.
+// shares into whole machines, and the first-copy pass and straggler order
+// of the detection baselines.
 //
-// The package-level functions allocate per call. Schedulers invoked once per
-// engine event keep a Sorter and an Apportioner as scratch instead — same
-// results, no per-call allocation. Scratch values are not safe for
+// The package-level ordering and rounding functions allocate per call.
+// Schedulers invoked once per engine event keep a Sorter and an Apportioner
+// as scratch instead — same results, no per-call allocation; the
+// detection-baseline helpers take caller-owned buffers and do not allocate
+// in steady state. Scratch values are not safe for
 // concurrent use; each engine builds its own scheduler, so per-scheduler
 // scratch is single-threaded by construction.
 package schedutil
 
 import (
+	"cmp"
 	"slices"
 
+	"mrclone/internal/cluster"
 	"mrclone/internal/job"
 	"mrclone/internal/rng"
 )
@@ -222,6 +227,62 @@ func WithUnscheduledTasks(jobs []*job.Job) []*job.Job {
 	}
 	return out
 }
+
+// LaunchFirstCopies launches one copy of every unscheduled task it can, job
+// by job in the given order, maps before reduces, and a job's reduces only
+// once its map phase is done: the FIFO first pass of the detection
+// baselines. It stops when no machine is free or a launch fails, and reports
+// whether machines remain free. buf is scratch for the task snapshots and is
+// returned for reuse.
+func LaunchFirstCopies(ctx *cluster.Context, jobs []*job.Job, buf []*job.Task) ([]*job.Task, bool) {
+	for _, j := range jobs {
+		for _, p := range [...]job.Phase{job.PhaseMap, job.PhaseReduce} {
+			if ctx.FreeMachines() == 0 {
+				return buf, false
+			}
+			if p == job.PhaseReduce && !j.MapPhaseDone() {
+				break
+			}
+			buf = j.AppendUnscheduled(buf[:0], p)
+			for _, t := range buf {
+				if ctx.FreeMachines() == 0 {
+					return buf, false
+				}
+				if _, err := ctx.Launch(j, t, 1, false); err != nil {
+					return buf, false
+				}
+			}
+		}
+	}
+	return buf, ctx.FreeMachines() > 0
+}
+
+// Straggler is a running task a detection baseline wants to back up.
+type Straggler struct {
+	J   *job.Job
+	T   *job.Task
+	Rem float64 // estimated remaining time of the task's best copy
+}
+
+// compareStragglers orders the largest estimated remaining time first, ties
+// by ascending job ID, then task index.
+func compareStragglers(a, b Straggler) int {
+	switch {
+	case a.Rem > b.Rem:
+		return -1
+	case a.Rem < b.Rem:
+		return 1
+	case a.J.Spec.ID != b.J.Spec.ID:
+		return cmp.Compare(a.J.Spec.ID, b.J.Spec.ID)
+	default:
+		return cmp.Compare(a.T.ID.Index, b.T.ID.Index)
+	}
+}
+
+// SortStragglers orders stragglers worst first: largest estimated remaining
+// time, ties by ascending job ID, then task index. The sort is stable, so
+// a job's map and reduce tasks of equal index keep their scan order.
+func SortStragglers(s []Straggler) { slices.SortStableFunc(s, compareStragglers) }
 
 // TotalWeight sums job weights (W(l), Equation 5).
 func TotalWeight(jobs []*job.Job) float64 {

@@ -311,7 +311,8 @@ func TestBackgroundGCRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, s, st.ID, StateDone)
+	// The sweeper may drop the job before a poll sees it done, so wait for it
+	// to vanish and then read how it ended from the counters, which only grow.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if _, err := s.Get(st.ID); errors.Is(err, ErrUnknownJob) {
@@ -322,6 +323,10 @@ func TestBackgroundGCRuns(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(time.Millisecond)
+	}
+	if m := s.Metrics(); m.JobsDone != 1 || m.JobsFailed != 0 || m.JobsCancelled != 0 || m.JobsGCed < 1 {
+		t.Fatalf("done %d failed %d cancelled %d gced %d, want 1/0/0/>=1",
+			m.JobsDone, m.JobsFailed, m.JobsCancelled, m.JobsGCed)
 	}
 }
 

@@ -34,7 +34,9 @@ type (
 	// Scheduler is the per-slot scheduling interface.
 	Scheduler = cluster.Scheduler
 	// SchedulerContext is the per-slot view handed to a Scheduler; custom
-	// schedulers implement Schedule(*SchedulerContext).
+	// schedulers implement Schedule(*SchedulerContext). A scheduler with
+	// time-based rules is invoked on every slot unless it reports, with
+	// SchedulerContext.WakeAt, the next slot at which it could act.
 	SchedulerContext = cluster.Context
 	// Job is the runtime job state visible to schedulers.
 	Job = job.Job
