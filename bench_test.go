@@ -281,7 +281,7 @@ func BenchmarkRunnerMatrix(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §5 design choices)
+// Ablations: one cell of each scheduler on the bench workload
 // ---------------------------------------------------------------------------
 
 // benchScheduler measures one simulation of the bench workload under a

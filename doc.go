@@ -61,9 +61,7 @@
 //     dequeue policies that dogfood the paper's schedulers on the
 //     service's own queue — a weighted-fair lottery across tenant
 //     backlogs and shortest-remaining-work-first sized by uncached cells
-//     (exported as ParseTenants / QueuePolicy / SubmitToken);
-//   - a small real in-process MapReduce engine whose speculative-execution
-//     policy is pluggable with the same strategies.
+//     (exported as ParseTenants / QueuePolicy / SubmitToken).
 //
 // # The engine
 //
@@ -99,6 +97,6 @@
 //	// handle err
 //	fmt.Printf("weighted avg flowtime: %.1f s\n", summary.WeightedFlowtime)
 //
-// See the examples/ directory for runnable programs and EXPERIMENTS.md for
-// paper-versus-measured results.
+// See the examples/ directory for runnable programs; cmd/mrexperiments
+// regenerates each of the paper's tables and figures on this simulator.
 package mrclone

@@ -88,41 +88,13 @@ func (c *Context) WakeAt(slot int64) {
 
 // CopyProgress describes one live copy of a task as a progress-reporting
 // execution layer would: how long it has been running and what fraction of
-// its work is complete. Gated copies report zero progress.
+// its work is complete.
 type CopyProgress struct {
 	Elapsed  int64   // slots since the countdown started
 	Fraction float64 // completed fraction in [0, 1)
-	Gated    bool
-	// Tied is set by BestProgress only: another live copy of the task will
-	// finish on the same slot as the reported one.
+	// Tied is set when another live copy of the task will finish on the
+	// same slot as the reported one.
 	Tied bool
-}
-
-// Progress returns progress reports for the live copies of t, oldest first.
-// It returns nil for tasks with no live copies.
-func (c *Context) Progress(t *job.Task) []CopyProgress {
-	tr, _ := t.Runtime.(*taskRun)
-	if tr == nil || len(tr.copies) == 0 {
-		return nil
-	}
-	out := make([]CopyProgress, 0, len(tr.copies))
-	for _, cp := range tr.copies {
-		if cp.gated {
-			out = append(out, CopyProgress{Gated: true})
-			continue
-		}
-		elapsed := c.engine.slot - cp.started
-		total := float64(cp.finish - cp.started)
-		frac := 0.0
-		if total > 0 {
-			frac = float64(elapsed) / total
-		}
-		if frac > 1 {
-			frac = 1
-		}
-		out = append(out, CopyProgress{Elapsed: elapsed, Fraction: frac})
-	}
-	return out
 }
 
 // BestProgress returns, without allocating, the progress report of the live

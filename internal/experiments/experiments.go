@@ -4,7 +4,7 @@
 // result with text/CSV renderers, so command-line tools, tests, and
 // benchmarks share one implementation.
 //
-// Experiment index (see DESIGN.md §4):
+// Experiment index:
 //
 //	table2    Table II  — trace statistics
 //	fig1      Figure 1  — avg flowtime vs epsilon (r = 0)
@@ -34,7 +34,7 @@ import (
 // above, we choose..."). On the paper's Google trace the tuning selects
 // epsilon = 0.6, r = 3; on this repository's synthetic trace the Figure 1
 // sweep is flat beyond epsilon ~0.8 with its minimum near 0.9, so the
-// comparisons run at epsilon = 0.9, r = 3 (see EXPERIMENTS.md).
+// comparisons run at epsilon = 0.9, r = 3 (rerun fig1 to see the sweep).
 const (
 	TunedEpsilon         = 0.9
 	TunedDeviationFactor = 3

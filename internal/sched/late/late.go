@@ -126,7 +126,7 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 					specCopies += t.Copies - 1
 				}
 				pr, ok := ctx.BestProgress(t)
-				if !ok || pr.Gated {
+				if !ok {
 					continue
 				}
 				if pr.Tied {

@@ -11,7 +11,8 @@
 // constraint, so the exact optimizer of the discretized problem is greedy
 // marginal allocation ("water-filling"): repeatedly grant the next machine
 // to the task whose job gains the most weighted expected-duration reduction.
-// This substitution is documented in DESIGN.md §2.
+// This implementation uses that greedy allocation in place of a convex
+// solver.
 //
 // Crucially, SCA does not prioritize across jobs the way SRPT does — the
 // paper's stated limitation of the cloning baselines is that "it remains a

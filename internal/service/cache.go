@@ -3,37 +3,28 @@ package service
 import (
 	"container/list"
 	"time"
+
+	"mrclone/internal/store"
 )
 
 // CachedResult is one content-addressed cache entry: the artifact bytes of a
-// completed matrix, keyed by the spec's canonical hash. All fields are
-// immutable after insertion and may be served to any number of clients
-// concurrently; because the runner is deterministic, these bytes are exactly
-// what recomputing the spec would produce.
-type CachedResult struct {
-	// Hash is the spec content address the entry is stored under.
-	Hash string
-	// JSON is the full matrix artifact (runner.Result.WriteJSON).
-	JSON []byte
-	// CSV is the per-cell artifact (runner.Result.WriteCSV).
-	CSV []byte
-	// AggregateCSV is the replicate-averaged artifact
-	// (runner.Result.WriteAggregateCSV).
-	AggregateCSV []byte
-	// Cells is the matrix size, for metrics.
-	Cells int
-	// CreatedAt is when the matrix was computed. Entries loaded back from
-	// the disk store keep their original computation time, so TTL expiry
-	// is anchored to artifact age, not process uptime.
-	CreatedAt time.Time
-}
+// completed matrix (JSON, CSV and AggregateCSV renderings of runner.Result),
+// keyed by the spec's canonical hash, with the matrix size and computation
+// time. It is the disk store's entry type, so results move between the
+// memory cache, the disk store and peer shards without conversion. Entries
+// loaded back from disk keep their original CreatedAt, so TTL expiry is
+// anchored to artifact age, not process uptime. All fields are immutable
+// after insertion and may be served to any number of clients concurrently;
+// because the runner is deterministic, these bytes are exactly what
+// recomputing the spec would produce.
+type CachedResult = store.Artifacts
 
 // cacheEntryOverhead approximates the per-entry bookkeeping cost so even a
 // degenerate zero-byte artifact consumes budget.
 const cacheEntryOverhead = 256
 
-// size is the entry's charge against the cache byte budget.
-func (r *CachedResult) size() int64 {
+// entrySize is an entry's charge against the cache byte budget.
+func entrySize(r *CachedResult) int64 {
 	return int64(len(r.JSON)+len(r.CSV)+len(r.AggregateCSV)) + cacheEntryOverhead
 }
 
@@ -93,12 +84,12 @@ func (c *lruCache) add(res *CachedResult) {
 		return
 	}
 	if el, ok := c.entries[res.Hash]; ok {
-		c.bytes += res.size() - el.Value.(*CachedResult).size()
+		c.bytes += entrySize(res) - entrySize(el.Value.(*CachedResult))
 		c.order.MoveToFront(el)
 		el.Value = res
 	} else {
 		c.entries[res.Hash] = c.order.PushFront(res)
-		c.bytes += res.size()
+		c.bytes += entrySize(res)
 	}
 	for c.bytes > c.maxBytes && c.order.Len() > 1 {
 		c.remove(c.order.Back())
@@ -123,7 +114,7 @@ func (c *lruCache) expire() int {
 func (c *lruCache) remove(el *list.Element) {
 	c.order.Remove(el)
 	res := el.Value.(*CachedResult)
-	c.bytes -= res.size()
+	c.bytes -= entrySize(res)
 	delete(c.entries, res.Hash)
 }
 

@@ -3,7 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
+	"fmt"
 	"time"
 
 	"mrclone/internal/runner"
@@ -30,36 +30,15 @@ type storeCellCache struct {
 
 // Lookup resolves cell (si, pi, run) from the cells tier.
 func (c *storeCellCache) Lookup(si, pi, run int) (runner.CellPayload, bool) {
-	hash, err := c.hasher.Hash(si, pi, run)
+	p, err := readCell(c.st, c.hasher, si, pi, run)
+	c.svc.mu.Lock()
+	defer c.svc.mu.Unlock()
 	if err != nil {
-		// Unreachable for a flight built from a validated spec; count the
-		// miss and recompute rather than guess.
-		c.svc.countCellLookup(false, false, false)
-		return runner.CellPayload{}, false
+		c.svc.m.CellMisses++
+		c.svc.countStoreErr(err)
+		return p, false
 	}
-	cell, err := c.st.GetCell(hash)
-	switch {
-	case err == nil:
-	case errors.Is(err, store.ErrCorrupt):
-		c.svc.countCellLookup(false, true, false)
-		return runner.CellPayload{}, false
-	case errors.Is(err, store.ErrNotFound):
-		c.svc.countCellLookup(false, false, false)
-		return runner.CellPayload{}, false
-	default:
-		c.svc.countCellLookup(false, false, true)
-		return runner.CellPayload{}, false
-	}
-	var p runner.CellPayload
-	if err := json.Unmarshal(cell.Payload, &p); err != nil {
-		// The record's envelope checksum held but the payload is not a cell
-		// payload — a foreign or damaged write. Drop it so it cannot miss
-		// again and recompute.
-		_ = c.st.DeleteCell(hash)
-		c.svc.countCellLookup(false, false, true)
-		return runner.CellPayload{}, false
-	}
-	c.svc.countCellLookup(true, false, false)
+	c.svc.m.CellHits++
 	return p, true
 }
 
@@ -73,43 +52,40 @@ func (c *storeCellCache) Publish(si, pi, run int, p runner.CellPayload) {
 	if err != nil {
 		return
 	}
-	if err := c.st.PutCell(store.Cell{
+	err = c.st.PutCell(store.Cell{
 		Hash:      hash,
 		Payload:   payload,
 		CreatedAt: time.Now(),
-	}); err != nil {
-		c.svc.countCellPublish(0, true)
+	})
+	c.svc.mu.Lock()
+	defer c.svc.mu.Unlock()
+	if err != nil {
+		c.svc.countStoreErr(err)
 		return
 	}
-	c.svc.countCellPublish(int64(len(payload)), false)
+	c.svc.m.CellBytes += int64(len(payload))
 }
 
-// countCellLookup records one cell-cache lookup outcome.
-func (s *Service) countCellLookup(hit, corrupt, ioErr bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if hit {
-		s.cellHits++
-		return
+// readCell loads and decodes cell (si, pi, run) from the cells tier. A
+// coordinate that cannot be hashed (unreachable for a flight built from a
+// validated spec) reads as a miss. A record whose envelope checksum held
+// but whose payload is not a cell payload — a foreign or damaged write — is
+// dropped so it cannot miss again, and reported as a store error.
+func readCell(st *store.Store, h *spec.CellHasher, si, pi, run int) (runner.CellPayload, error) {
+	var p runner.CellPayload
+	hash, err := h.Hash(si, pi, run)
+	if err != nil {
+		return p, fmt.Errorf("%w: %v", store.ErrNotFound, err)
 	}
-	s.cellMisses++
-	if corrupt {
-		s.quarantined++
+	cell, err := st.GetCell(hash)
+	if err != nil {
+		return p, err
 	}
-	if ioErr {
-		s.storeErrors++
+	if err := json.Unmarshal(cell.Payload, &p); err != nil {
+		_ = st.DeleteCell(hash)
+		return p, fmt.Errorf("service: cell %.12s: %w", hash, err)
 	}
-}
-
-// countCellPublish records one cell-cache publish outcome.
-func (s *Service) countCellPublish(bytes int64, failed bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if failed {
-		s.storeErrors++
-		return
-	}
-	s.cellBytes += bytes
+	return p, nil
 }
 
 // cellCacheEnabled reports whether this service persists and reuses
@@ -181,29 +157,18 @@ func (c *peerCellCache) Publish(si, pi, run int, p runner.CellPayload) {
 	c.local.Publish(si, pi, run, p)
 }
 
-// probeCellCache is the read-only cousin of storeCellCache used by the
-// assembly fast path: lookups are silent (a probe that aborts on its first
-// miss would otherwise skew the hit-rate counters) and Publish is a no-op —
-// every cell it reads is already persisted.
+// probeCellCache is the silent cousin of storeCellCache used by the
+// assembly fast path: lookups leave the hit-rate counters alone (a probe
+// that aborts on its first miss would otherwise skew them) and Publish is a
+// no-op — every cell it reads is already persisted.
 type probeCellCache struct {
 	st     *store.Store
 	hasher *spec.CellHasher
 }
 
 func (c *probeCellCache) Lookup(si, pi, run int) (runner.CellPayload, bool) {
-	hash, err := c.hasher.Hash(si, pi, run)
-	if err != nil {
-		return runner.CellPayload{}, false
-	}
-	cell, err := c.st.GetCell(hash)
-	if err != nil {
-		return runner.CellPayload{}, false
-	}
-	var p runner.CellPayload
-	if err := json.Unmarshal(cell.Payload, &p); err != nil {
-		return runner.CellPayload{}, false
-	}
-	return p, true
+	p, err := readCell(c.st, c.hasher, si, pi, run)
+	return p, err == nil
 }
 
 func (c *probeCellCache) Publish(si, pi, run int, p runner.CellPayload) {}
@@ -240,50 +205,25 @@ func (s *Service) tryAssemble(fl *flight, j *jobState) (JobStatus, bool) {
 	}
 	// Same persist-before-announce rule as runFlight: once a client sees
 	// done, a crash must not lose the artifact it was promised.
-	persistFailed := s.storeHandle.PutArtifacts(store.Artifacts{
-		Hash:         cached.Hash,
-		JSON:         cached.JSON,
-		CSV:          cached.CSV,
-		AggregateCSV: cached.AggregateCSV,
-		Cells:        cached.Cells,
-		CreatedAt:    cached.CreatedAt,
-	}) != nil
+	putErr := s.storeHandle.PutArtifacts(*cached)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if persistFailed {
-		s.storeErrors++
-	}
+	s.countStoreErr(putErr)
 	s.reserved--
 	if fl.cancelled {
-		// Cancel already detached every job and removed the flight; the
+		// Cancel already detached every job and settled the flight; the
 		// assembled artifact stays persisted for the next submission.
 		return j.status(), true
 	}
-	if s.inflight[fl.hash] == fl {
-		delete(s.inflight, fl.hash)
-	}
-	fl.cancel()
-	s.cache.add(cached)
-	s.assembled++
-	total := int64(fl.total)
-	s.cellsDone += total
-	s.cellHits += total
-	jobs := fl.jobs
-	fl.jobs = nil
-	for _, jb := range jobs {
-		s.tenantAcctTerminal(jb, StateQueued)
-		jb.state = StateDone
+	s.m.Assembled++
+	s.m.CellsDone += int64(fl.total)
+	s.m.CellHits += int64(fl.total)
+	for _, jb := range fl.jobs {
 		jb.cached = true
-		jb.result = cached
 		jb.done, jb.cachedCells = jb.total, jb.total
-		jb.flight = nil
-		jb.terminalAt = time.Now()
-		s.jobsDone++
 		jb.emit(Event{Type: EventCells, Done: jb.total, CachedCells: jb.total, Total: jb.total})
-		jb.emit(Event{Type: EventDone, Done: jb.done, Total: jb.total, Cached: true})
-		s.persistJob(jb)
-		s.obsv.log.Info("job done", append(jobAttrs(jb), "cached", true, "source", "cells")...)
 	}
+	s.settle(fl, cached, nil, "cached", true, "source", "cells")
 	return j.status(), true
 }

@@ -103,7 +103,7 @@ func (s *Service) authorize(w http.ResponseWriter, r *http.Request) (string, boo
 	t, err := reg.Authenticate(tenant.BearerToken(r))
 	if err != nil {
 		s.mu.Lock()
-		s.unauthorized++
+		s.m.Unauthorized++
 		s.mu.Unlock()
 		writeAuthError(w, err)
 		return "", false

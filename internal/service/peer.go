@@ -98,9 +98,6 @@ func sha256Hex(data []byte) string {
 }
 
 // handlePeerArtifacts serves one stored artifact entry to a peer shard.
-// Misses and quarantined entries are both 404 — the fetching side falls back
-// to recomputation either way, and a corrupt entry has already been moved
-// aside by the store.
 func (s *Service) handlePeerArtifacts(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	if s.storeHandle == nil {
@@ -108,19 +105,8 @@ func (s *Service) handlePeerArtifacts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	art, err := s.storeHandle.GetArtifacts(hash)
-	switch {
-	case err == nil:
-	case errors.Is(err, store.ErrCorrupt):
-		s.mu.Lock()
-		s.quarantined++
-		s.mu.Unlock()
-		writeError(w, http.StatusNotFound, err)
-		return
-	case errors.Is(err, store.ErrNotFound):
-		writeError(w, http.StatusNotFound, err)
-		return
-	default:
-		writeError(w, http.StatusNotFound, err)
+	if err != nil {
+		s.peerReadFailed(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, peerArtifactsWire{
@@ -151,12 +137,7 @@ func (s *Service) handlePeerCells(w http.ResponseWriter, r *http.Request) {
 	}
 	cell, err := s.storeHandle.GetCell(hash)
 	if err != nil {
-		if errors.Is(err, store.ErrCorrupt) {
-			s.mu.Lock()
-			s.quarantined++
-			s.mu.Unlock()
-		}
-		writeError(w, http.StatusNotFound, err)
+		s.peerReadFailed(w, err)
 		return
 	}
 	payload := cell.Payload
@@ -171,6 +152,17 @@ func (s *Service) handlePeerCells(w http.ResponseWriter, r *http.Request) {
 		SHA256:      sha256Hex(payload),
 		Payload:     json.RawMessage(payload),
 	})
+}
+
+// peerReadFailed answers a peer route whose store read failed. Misses,
+// corrupt entries (already moved aside by the store) and I/O errors are all
+// 404 — the fetching side falls back to recomputation either way — but the
+// latter two are counted.
+func (s *Service) peerReadFailed(w http.ResponseWriter, err error) {
+	s.mu.Lock()
+	s.countStoreErr(err)
+	s.mu.Unlock()
+	writeError(w, http.StatusNotFound, err)
 }
 
 // writeJSONCompact writes a peer response without re-indentation: embedded
@@ -313,9 +305,9 @@ func (s *Service) countPeerFetch(hit bool, bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if hit {
-		s.peerFetchHits++
-		s.peerFetchBytes += bytes
+		s.m.PeerFetchHits++
+		s.m.PeerFetchBytes += bytes
 		return
 	}
-	s.peerFetchMisses++
+	s.m.PeerFetchMisses++
 }

@@ -44,6 +44,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -226,7 +227,7 @@ type jobState struct {
 	id          string
 	hash        string
 	tenant      string // submitting tenant; "" in anonymous mode
-	state       State
+	state       State  // "" until the first setState; changed only there
 	cached      bool
 	errMsg      string
 	done        int
@@ -297,15 +298,10 @@ func (j *jobState) emit(e Event) {
 	}
 }
 
-// terminalEvent synthesizes the event matching the job's terminal state,
-// used to rebuild replay history for jobs recovered from the job log.
+// terminalEvent builds the event announcing the job's terminal state; emit
+// stamps the job, tenant and lifecycle timestamps.
 func (j *jobState) terminalEvent() Event {
-	e := Event{
-		Job: j.id, Done: j.done, Total: j.total,
-		SubmittedAt: rfc3339(j.submittedAt),
-		StartedAt:   rfc3339(j.startedAt),
-		FinishedAt:  rfc3339(j.terminalAt),
-	}
+	e := Event{Done: j.done, Total: j.total}
 	switch j.state {
 	case StateDone:
 		e.Type = EventDone
@@ -379,32 +375,9 @@ type Service struct {
 	inflight map[string]*flight
 	cache    *lruCache
 
-	submissions   int64
-	cacheHits     int64
-	diskHits      int64
-	dedupHits     int64
-	flightsRun    int64
-	jobsDone      int64
-	jobsFailed    int64
-	jobsCancelled int64
-	jobsGCed      int64
-	artifactsGCed int64
-	quarantined   int64
-	storeErrors   int64
-	cellsDone     int64
-	cellHits      int64
-	cellMisses    int64
-	cellBytes     int64
-	cellsGCed     int64
-	assembled     int64 // matrices completed from cells without a worker slot
-	unauthorized  int64 // requests rejected for missing/unknown/disabled tokens
-
-	// Peer-fetch counters: hashes relocated by a pool membership change
-	// whose artifacts or cells were adopted from the previous ring owner
-	// (hits, with payload bytes) or fell back to recomputation (misses).
-	peerFetchHits   int64
-	peerFetchMisses int64
-	peerFetchBytes  int64
+	// m holds the process-lifetime counters; Metrics copies it and fills in
+	// the gauges.
+	m Metrics
 
 	// tenantAccts is the per-tenant counter and gauge table, lazily created
 	// per named tenant; anonymous submissions ("") are never entered.
@@ -419,17 +392,13 @@ type Service struct {
 	tenants atomic.Pointer[tenant.Registry]
 }
 
-// tenantAcct is one tenant's accounting row. The queued/running/cells
-// fields are gauges maintained on every job state transition — cells (the
-// live total across the tenant's queued and running jobs) is the basis of
-// the MaxCells quota — and the rest are process-lifetime counters.
+// tenantAcct is one tenant's accounting row. Queued, Running and cells are
+// gauges kept by setState — cells (the live total across the tenant's
+// queued and running jobs) is the basis of the MaxCells quota — and the
+// rest are process-lifetime counters.
 type tenantAcct struct {
-	submitted   int64
-	rejected    int64 // quota, queue-full, and rate-limit rejections
-	queued      int64
-	running     int64
-	cells       int64
-	cellSeconds float64 // wall-clock seconds of matrix execution
+	TenantMetrics
+	cells int64
 }
 
 // New starts a service with cfg defaults filled and its worker pool running.
@@ -517,20 +486,22 @@ func (s *Service) ReloadTenants(reg *tenant.Registry) error {
 
 // recoverJobs rebuilds the job table from the store's job log: the latest
 // record per job wins and the ID sequence resumes past the highest recovered
-// ID. A job that was queued or running at crash time is requeued when its
-// canonical spec survived in the specs/ tier — its new flight refills from
-// the cells the dead process persisted, recomputing only the remainder — and
-// failed otherwise (the pre-cell-cache behavior, and the only option with
-// cell caching off). Recovered jobs do not count into this process's
-// submission counters; requeued flights count as flights because they run
-// here. Called from New before any worker starts.
+// ID. Terminal records are replayed as they are. A job that was queued or
+// running at crash time is reset and decided afresh by this process: it is
+// requeued when its canonical spec survived in the specs/ tier — its new
+// flight refills from the cells the dead process persisted, recomputing
+// only the remainder — and failed otherwise (the only option with cell
+// caching off). Both verdicts go through setState, so they are persisted,
+// counted and logged like any transition of this process; recovered jobs do
+// not count as submissions, but requeued flights count as flights because
+// they run here. Called from New before any worker starts.
 func (s *Service) recoverJobs() {
 	recs, err := s.storeHandle.ReplayJobs()
 	if err != nil {
-		s.storeErrors++
+		s.countStoreErr(err)
 		return
 	}
-	var interrupted []*jobState
+	interrupted, requeued := 0, 0
 	for _, r := range recs {
 		j := &jobState{
 			id:          r.ID,
@@ -548,117 +519,70 @@ func (s *Service) recoverJobs() {
 		if r.FinishedAtMs != 0 {
 			j.terminalAt = time.UnixMilli(r.FinishedAtMs)
 		}
-		if !j.state.Terminal() {
-			if s.requeueRecovered(j) {
-				// The previous process's run never finished, so its start
-				// time is meaningless for the rerun; this process stamps a
-				// fresh one when a worker picks the flight up.
-				j.startedAt = time.Time{}
-				j.history = []Event{{Type: EventQueued, Job: j.id, Total: j.total}}
-				interrupted = append(interrupted, j)
-				s.jobs[j.id] = j
-				if n, ok := parseJobSeq(j.id); ok && n > s.seq {
-					s.seq = n
-				}
-				continue
-			}
-			j.state = StateFailed
-			j.errMsg = restartErrMsg
-			j.terminalAt = time.Now()
-			interrupted = append(interrupted, j)
-		}
-		j.history = []Event{
-			{Type: EventQueued, Job: j.id, Total: j.total},
-			j.terminalEvent(),
-		}
 		s.jobs[j.id] = j
 		if n, ok := parseJobSeq(j.id); ok && n > s.seq {
 			s.seq = n
 		}
-	}
-	// Record the recovery verdicts — failed-by-restart or back-to-queued —
-	// so the next restart replays them instead of re-deciding.
-	requeued := 0
-	for _, j := range interrupted {
-		if !j.state.Terminal() {
-			requeued++
+		if j.state.Terminal() {
+			j.emit(Event{Type: EventQueued, Total: j.total})
+			j.emit(j.terminalEvent())
+			continue
 		}
-		s.persistJob(j)
+		interrupted++
+		j.state = ""
+		if fl := s.recoveredFlight(j); fl != nil {
+			// The previous process's run never finished, so its start time
+			// is meaningless for the rerun; this process stamps a fresh one
+			// when a worker picks the flight up.
+			j.startedAt = time.Time{}
+			s.attach(fl, j)
+			requeued++
+			continue
+		}
+		j.errMsg = restartErrMsg
+		s.setState(j, StateFailed)
 	}
 	if len(recs) > 0 {
 		s.obsv.log.Info("job log recovered",
-			"jobs", len(recs), "interrupted", len(interrupted), "requeued", requeued)
+			"jobs", len(recs), "interrupted", interrupted, "requeued", requeued)
 	}
 }
 
-// requeueRecovered rebuilds the flight of an interrupted job from its
-// persisted spec record, reporting success. On success the job is queued on
-// the flight (shared with other interrupted jobs of the same hash); any
-// failure — cell cache off, record missing or corrupt, spec no longer
-// parseable — leaves the job for the caller to fail. Runs single-threaded
-// from New, before any worker starts.
-func (s *Service) requeueRecovered(j *jobState) bool {
+// recoveredFlight returns the flight an interrupted job is requeued on: the
+// one an earlier interrupted job of the same matrix rebuilt, or a new one
+// built from the persisted spec record and pushed on the queue. It returns
+// nil — the caller then fails the job — when cell caching is off or the
+// record is missing, corrupt, or no longer parses.
+func (s *Service) recoveredFlight(j *jobState) *flight {
 	if !s.cellCacheEnabled() {
-		return false
+		return nil
 	}
 	if fl, ok := s.inflight[j.hash]; ok {
-		// An earlier interrupted job of the same matrix already rebuilt the
-		// flight; share it.
-		j.state = StateQueued
-		j.done, j.cachedCells, j.total = 0, 0, fl.total
-		j.flight = fl
-		fl.jobs = append(fl.jobs, j)
-		s.tenantAcctAdmit(j)
-		return true
+		return fl
 	}
 	canon, err := s.storeHandle.GetSpec(j.hash)
-	switch {
-	case err == nil:
-	case errors.Is(err, store.ErrCorrupt):
-		s.quarantined++
-		return false
-	case errors.Is(err, store.ErrNotFound):
-		return false
-	default:
-		s.storeErrors++
-		return false
+	if err != nil {
+		s.countStoreErr(err)
+		return nil
 	}
 	sp, err := spec.Parse(canon)
 	if err != nil {
-		return false
+		return nil
 	}
 	norm := sp.Normalize()
 	rspec, err := norm.Runner()
 	if err != nil {
-		return false
+		return nil
 	}
-	fctx, fcancel := context.WithCancel(s.baseCtx)
-	fl := &flight{
-		hash:   j.hash,
-		tenant: j.tenant,
-		rspec:  rspec,
-		sp:     norm,
-		ctx:    fctx,
-		cancel: fcancel,
-		state:  StateQueued,
-		total:  len(norm.Schedulers) * len(norm.Points) * norm.Runs,
-	}
-	fl.size = s.jobSize(norm, fl.total)
-	s.inflight[j.hash] = fl
-	s.queue.Push(fl.tenant, fl.size, fl)
-	s.flightsRun++
-	j.state = StateQueued
-	j.done, j.cachedCells, j.total = 0, 0, fl.total
-	j.flight = fl
-	fl.jobs = append(fl.jobs, j)
-	s.tenantAcctAdmit(j)
-	return true
+	fl := s.newFlight(j.hash, j.tenant, "", "", norm)
+	s.enqueue(fl, rspec, s.jobSize(norm, fl.total))
+	return fl
 }
 
 // acct returns (creating if needed) a named tenant's accounting row.
-// Anonymous submissions are never entered: every tenant helper below
-// no-ops on an empty name, which is what keeps anonymous single-tenant
-// mode behaviorally identical to the pre-tenant service. Caller holds mu.
+// Anonymous submissions are never entered: callers skip an empty name,
+// which is what keeps anonymous single-tenant mode behaviorally identical
+// to the pre-tenant service. Caller holds mu.
 func (s *Service) acct(name string) *tenantAcct {
 	ta, ok := s.tenantAccts[name]
 	if !ok {
@@ -668,48 +592,76 @@ func (s *Service) acct(name string) *tenantAcct {
 	return ta
 }
 
-// tenantAcctAdmit records a live (non-terminal) job entering the tenant's
-// books: the gauge of its current state and its matrix cells. Caller holds
-// mu (or runs single-threaded from New).
-func (s *Service) tenantAcctAdmit(j *jobState) {
-	if j.tenant == "" {
-		return
+// setState is the only place a job's state changes. A new job starts from
+// the zero state "", and every transition keeps the rest of the service in
+// step with it:
+//   - the tenant's gauges: live cells from the first transition until a
+//     terminal one, the queued and running counts by state;
+//   - the event stream: the first transition emits the queued frame (so a
+//     cache hit that goes straight to done still replays queued first),
+//     entering running emits running, entering a terminal state emits the
+//     terminal frame and closes every subscription;
+//   - timestamps and counters: running stamps startedAt and observes the
+//     queue wait, a terminal state stamps terminalAt, detaches the flight
+//     and bumps JobsDone, JobsFailed or JobsCancelled;
+//   - the job log (persistJob) and the lifecycle log line. extra carries
+//     attributes for the job done line (cached, source).
+//
+// Caller holds mu (or runs single-threaded from New).
+func (s *Service) setState(j *jobState, to State, extra ...any) {
+	from := j.state
+	j.state = to
+	now := time.Now()
+	if j.tenant != "" {
+		ta := s.acct(j.tenant)
+		switch from {
+		case "":
+			ta.cells += int64(j.total)
+		case StateQueued:
+			ta.Queued--
+		case StateRunning:
+			ta.Running--
+		}
+		switch to {
+		case StateQueued:
+			ta.Queued++
+		case StateRunning:
+			ta.Running++
+		default:
+			ta.cells -= int64(j.total)
+		}
 	}
-	ta := s.acct(j.tenant)
-	switch j.state {
-	case StateQueued:
-		ta.queued++
+	if from == "" {
+		j.emit(Event{Type: EventQueued, Total: j.total})
+	}
+	switch to {
 	case StateRunning:
-		ta.running++
+		j.startedAt = now
+		s.obsv.observeQueueWait(j.submittedAt, now)
+		j.emit(Event{Type: EventRunning, Done: j.done, Total: j.total})
+	case StateDone:
+		s.m.JobsDone++
+	case StateFailed:
+		s.m.JobsFailed++
+	case StateCancelled:
+		s.m.JobsCancelled++
 	}
-	ta.cells += int64(j.total)
-}
-
-// tenantAcctRun moves one job from the queued to the running gauge.
-// Caller holds mu.
-func (s *Service) tenantAcctRun(j *jobState) {
-	if j.tenant == "" {
-		return
+	if to.Terminal() {
+		j.flight = nil
+		j.terminalAt = now
+		j.emit(j.terminalEvent())
 	}
-	ta := s.acct(j.tenant)
-	ta.queued--
-	ta.running++
-}
-
-// tenantAcctTerminal removes a job that was live in state `from` from the
-// tenant's gauges. Caller holds mu.
-func (s *Service) tenantAcctTerminal(j *jobState, from State) {
-	if j.tenant == "" {
-		return
+	s.persistJob(j)
+	switch {
+	case from == "" && !to.Terminal():
+		s.obsv.log.Info("job queued", append(jobAttrs(j), "cells", j.total)...)
+	case to == StateDone:
+		s.obsv.log.Info("job done", append(jobAttrs(j), extra...)...)
+	case to == StateFailed:
+		s.obsv.log.Warn("job failed", append(jobAttrs(j), "error", j.errMsg)...)
+	case to == StateCancelled:
+		s.obsv.log.Info("job cancelled", jobAttrs(j)...)
 	}
-	ta := s.acct(j.tenant)
-	switch from {
-	case StateQueued:
-		ta.queued--
-	case StateRunning:
-		ta.running--
-	}
-	ta.cells -= int64(j.total)
 }
 
 // checkQuota enforces a tenant's admission quotas for a job that would
@@ -728,9 +680,9 @@ func (s *Service) checkQuota(tn string, state State, total int) error {
 		return nil
 	}
 	ta := s.acct(tn)
-	if t.MaxQueued > 0 && state == StateQueued && ta.queued >= int64(t.MaxQueued) {
+	if t.MaxQueued > 0 && state == StateQueued && ta.Queued >= int64(t.MaxQueued) {
 		return fmt.Errorf("%w: tenant %s has %d queued jobs (max %d)",
-			ErrTenantQuota, tn, ta.queued, t.MaxQueued)
+			ErrTenantQuota, tn, ta.Queued, t.MaxQueued)
 	}
 	if t.MaxCells > 0 && ta.cells+int64(total) > t.MaxCells {
 		return fmt.Errorf("%w: tenant %s would hold %d in-flight cells (max %d)",
@@ -843,9 +795,9 @@ func (s *Service) SubmitTokenContext(ctx context.Context, token string, sp spec.
 		s.mu.Lock()
 		var rl *tenant.RateLimitError
 		if errors.As(err, &rl) {
-			s.acct(rl.Tenant).rejected++
+			s.acct(rl.Tenant).Rejected++
 		} else {
-			s.unauthorized++
+			s.m.Unauthorized++
 		}
 		s.mu.Unlock()
 		s.obsv.log.Warn("submission rejected", "error", err.Error(),
@@ -867,13 +819,13 @@ func traceIDFrom(ctx context.Context) string {
 // submit registers a job for the spec on behalf of tenant tn ("" =
 // anonymous) and returns its initial status. The spec is validated and
 // content-hashed; a cache hit — from memory or, in persistent mode, from
-// the disk store — completes the job immediately, an equal in-flight spec
-// shares its computation, and otherwise the job is queued (failing fast
-// with ErrQueueFull when the queue is at capacity, or ErrTenantQuota when
-// the tenant is over its own limits). With the cell cache on, a matrix
-// whose every cell is already persisted is assembled from cells right here
-// — completing without ever occupying a worker slot. Only accepted
-// submissions count toward the submissions metric.
+// the disk store or a peer shard — completes the job immediately, an equal
+// in-flight spec shares its computation, and otherwise the job is queued
+// (failing fast with ErrQueueFull when the queue is at capacity, or
+// ErrTenantQuota when the tenant is over its own limits). With the cell
+// cache on, a matrix whose every cell is already persisted is assembled
+// from cells right here — completing without ever occupying a worker slot.
+// Only accepted submissions count toward the submissions metric.
 func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatus, error) {
 	trace := traceIDFrom(ctx)
 	hash, err := sp.Hash()
@@ -899,28 +851,7 @@ func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatu
 		// files); identical submissions racing the probe at worst read the
 		// same entry twice, which is idempotent.
 		s.mu.Unlock()
-		source := "disk"
-		art, derr := s.storeHandle.GetArtifacts(hash)
-		if errors.Is(derr, store.ErrNotFound) && peerFrom(ctx) != "" {
-			// Local miss on a hash the gateway says relocated here: adopt
-			// the previous ring owner's artifacts instead of recomputing.
-			// Fetched bytes are checksum-verified before the crash-atomic
-			// install; any failure falls through to the normal queue path.
-			peer := peerFrom(ctx)
-			part, perr := s.fetchPeerArtifacts(ctx, peer, hash)
-			if perr == nil {
-				perr = s.storeHandle.PutArtifacts(part)
-			}
-			if perr == nil {
-				art, derr = part, nil
-				source = "peer"
-				s.countPeerFetch(true, int64(len(part.JSON)+len(part.CSV)+len(part.AggregateCSV)))
-			} else {
-				s.countPeerFetch(false, 0)
-				s.obsv.log.Warn("peer fetch missed",
-					obs.KeySpec, obs.SpecPrefix(hash), "peer", peer, "error", perr.Error())
-			}
-		}
+		res, source, derr := s.probeStore(ctx, hash)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -930,41 +861,24 @@ func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatu
 			s.mu.Unlock()
 			return st, ferr
 		}
-		expired := derr == nil && s.cfg.CacheTTL > 0 && time.Since(art.CreatedAt) > s.cfg.CacheTTL
-		switch {
-		case derr == nil && !expired:
-			res := resultFromArtifacts(art)
+		// A corrupt entry was quarantined and I/O trouble reads as a miss:
+		// the recompute below repopulates either. Expired entries fall
+		// through too, and the recompute overwrites them with a fresh
+		// CreatedAt (byte-identical artifacts).
+		s.countStoreErr(derr)
+		if derr == nil && (s.cfg.CacheTTL <= 0 || time.Since(res.CreatedAt) <= s.cfg.CacheTTL) {
 			s.cache.add(res)
-			s.countSubmission(tn)
 			if source == "disk" {
-				s.diskHits++
+				s.m.DiskHits++
 			}
-			j := s.newJob(hash, tn, trace)
-			j.state = StateDone
-			j.cached = true
-			j.result = res
-			j.done, j.total = res.Cells, res.Cells
-			j.terminalAt = time.Now()
-			s.jobsDone++
-			j.emit(Event{Type: EventQueued, Total: j.total})
-			j.emit(Event{Type: EventDone, Done: j.done, Total: j.total, Cached: true})
-			s.persistJob(j)
-			st := j.status()
+			st := s.completeCached(tn, hash, trace, res, source)
 			s.mu.Unlock()
-			s.obsv.log.Info("job done", append(jobAttrs(j), "cached", true, "source", source)...)
 			return st, nil
-		case errors.Is(derr, store.ErrCorrupt):
-			// The entry was quarantined; recompute below repopulates it.
-			s.quarantined++
-		case derr != nil && !errors.Is(derr, store.ErrNotFound):
-			s.storeErrors++ // I/O trouble reads as a miss, not a failure
 		}
-		// Expired entries also fall through: the recompute overwrites the
-		// stale entry with a fresh CreatedAt (byte-identical artifacts).
 	}
 	if s.queue.Len()+s.reserved >= s.cfg.QueueDepth {
 		if tn != "" {
-			s.acct(tn).rejected++
+			s.acct(tn).Rejected++
 		}
 		s.mu.Unlock()
 		s.obsv.log.Warn("submission rejected", "error", "queue full",
@@ -972,7 +886,7 @@ func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatu
 		return JobStatus{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, s.cfg.QueueDepth)
 	}
 	if qerr := s.checkQuota(tn, StateQueued, total); qerr != nil {
-		s.acct(tn).rejected++
+		s.acct(tn).Rejected++
 		s.mu.Unlock()
 		s.obsv.log.Warn("submission rejected", "error", qerr.Error(),
 			obs.KeySpec, obs.SpecPrefix(hash), obs.KeyTenant, tn, obs.KeyTraceID, trace)
@@ -984,30 +898,12 @@ func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatu
 	// submissions attach to this flight instead of expanding the same
 	// trace again, and doomed-to-429 bursts are rejected before paying for
 	// an expansion.
-	fctx, fcancel := context.WithCancel(s.baseCtx)
-	fl := &flight{
-		hash:    hash,
-		sp:      norm,
-		ctx:     fctx,
-		cancel:  fcancel,
-		state:   StateQueued,
-		total:   total,
-		tenant:  tn,
-		traceID: trace,
-		peer:    peerFrom(ctx),
-	}
+	fl := s.newFlight(hash, tn, trace, peerFrom(ctx), norm)
 	s.reserved++
-	s.inflight[hash] = fl
 	s.countSubmission(tn)
 	j := s.newJob(hash, tn, trace)
-	j.total = total
-	j.flight = fl
-	fl.jobs = append(fl.jobs, j)
-	s.tenantAcctAdmit(j)
-	j.emit(Event{Type: EventQueued, Total: total})
-	s.persistJob(j)
+	s.attach(fl, j)
 	s.mu.Unlock()
-	s.obsv.log.Info("job queued", append(jobAttrs(j), "cells", total)...)
 
 	// A matrix whose every cell is already persisted needs no worker at
 	// all: stitch the artifact together from the cell tier and complete
@@ -1017,31 +913,29 @@ func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatu
 	}
 
 	rspec, rerr := norm.Runner()
-
 	// Persist the canonical spec under its matrix hash while the flight is
 	// alive: should this process die mid-matrix, the next one requeues the
 	// interrupted job from this record and refills from persisted cells
 	// instead of failing it. Best-effort — without the record, recovery
 	// degrades to the fail-on-restart behavior.
-	specPutFailed := false
-	if rerr == nil && s.cellCacheEnabled() {
-		if canon, cerr := norm.Canonical(); cerr == nil {
-			specPutFailed = s.storeHandle.PutSpec(hash, canon) != nil
-		}
-	}
+	var specErr error
+	var size float64
 	if rerr == nil {
-		fl.size = s.jobSize(norm, total)
+		if s.cellCacheEnabled() {
+			if canon, cerr := norm.Canonical(); cerr == nil {
+				specErr = s.storeHandle.PutSpec(hash, canon)
+			}
+		}
+		size = s.jobSize(norm, total)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if specPutFailed {
-		s.storeErrors++
-	}
+	s.countStoreErr(specErr)
 	s.reserved--
 	if fl.cancelled {
 		// Every attached job was cancelled while the workload expanded;
-		// Cancel already detached them and removed the flight.
+		// Cancel already detached them and settled the flight.
 		return j.status(), nil
 	}
 	if rerr == nil && s.closed {
@@ -1050,30 +944,37 @@ func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatu
 		rerr = ErrClosed
 	}
 	if rerr != nil {
-		if s.inflight[fl.hash] == fl {
-			delete(s.inflight, fl.hash)
-		}
-		fl.cancel()
-		jobs := fl.jobs
-		fl.jobs = nil
-		for _, jb := range jobs {
-			s.tenantAcctTerminal(jb, StateQueued)
-			jb.state = StateFailed
-			jb.errMsg = rerr.Error()
-			jb.flight = nil
-			jb.terminalAt = time.Now()
-			s.jobsFailed++
-			jb.emit(Event{Type: EventFailed, Total: jb.total, Error: jb.errMsg})
-			s.persistJob(jb)
-			s.obsv.log.Warn("job failed", append(jobAttrs(jb), "error", jb.errMsg)...)
-		}
+		s.settle(fl, nil, rerr)
 		return JobStatus{}, rerr
 	}
-	fl.rspec = rspec
-	s.queue.Push(fl.tenant, fl.size, fl)
-	s.flightsRun++
-	s.cond.Signal()
+	s.enqueue(fl, rspec, size)
 	return j.status(), nil
+}
+
+// probeStore reads a matrix's artifacts from the disk store, reporting
+// "disk" as their source. On a local miss for a hash the gateway says
+// relocated here, it adopts the previous ring owner's artifacts instead of
+// recomputing them (source "peer"): fetched bytes are checksum-verified
+// before the crash-atomic install, and any failure reads as the local
+// miss. Runs off the lock.
+func (s *Service) probeStore(ctx context.Context, hash string) (*CachedResult, string, error) {
+	art, err := s.storeHandle.GetArtifacts(hash)
+	peer := peerFrom(ctx)
+	if !errors.Is(err, store.ErrNotFound) || peer == "" {
+		return &art, "disk", err
+	}
+	part, perr := s.fetchPeerArtifacts(ctx, peer, hash)
+	if perr == nil {
+		perr = s.storeHandle.PutArtifacts(part)
+	}
+	if perr != nil {
+		s.countPeerFetch(false, 0)
+		s.obsv.log.Warn("peer fetch missed",
+			obs.KeySpec, obs.SpecPrefix(hash), "peer", peer, "error", perr.Error())
+		return &art, "disk", err
+	}
+	s.countPeerFetch(true, int64(len(part.JSON)+len(part.CSV)+len(part.AggregateCSV)))
+	return &part, "peer", nil
 }
 
 // fastPath serves a submission from the in-memory result cache or attaches
@@ -1082,74 +983,125 @@ func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatu
 // positively rejected (tenant quota) rather than missed.
 func (s *Service) fastPath(tn, hash, trace string) (JobStatus, bool, error) {
 	if res, ok := s.cache.get(hash); ok {
-		s.countSubmission(tn)
-		s.cacheHits++
-		j := s.newJob(hash, tn, trace)
-		j.state = StateDone
-		j.cached = true
+		s.m.CacheHits++
+		return s.completeCached(tn, hash, trace, res, "memory"), true, nil
+	}
+	fl, ok := s.inflight[hash]
+	if !ok || fl.cancelled {
+		return JobStatus{}, false, nil
+	}
+	// Attaching still charges the tenant's gauges (the job occupies their
+	// queued/cell budget even though the work is shared), so the quota
+	// check applies here too.
+	if qerr := s.checkQuota(tn, fl.state, fl.total); qerr != nil {
+		s.acct(tn).Rejected++
+		return JobStatus{}, false, qerr
+	}
+	s.countSubmission(tn)
+	s.m.DedupHits++
+	j := s.newJob(hash, tn, trace)
+	s.attach(fl, j)
+	return j.status(), true, nil
+}
+
+// completeCached completes a submission with a stored result: a memory,
+// disk or peer hit, named by source. Caller holds mu.
+func (s *Service) completeCached(tn, hash, trace string, res *CachedResult, source string) JobStatus {
+	s.countSubmission(tn)
+	j := s.newJob(hash, tn, trace)
+	j.cached = true
+	j.result = res
+	j.done, j.total = res.Cells, res.Cells
+	s.setState(j, StateDone, "cached", true, "source", source)
+	return j.status()
+}
+
+// attach joins a job to a queued or running flight: the job takes the
+// flight's state and cell counts. Caller holds mu.
+func (s *Service) attach(fl *flight, j *jobState) {
+	j.done, j.cachedCells, j.total = fl.done, fl.cached, fl.total
+	j.flight = fl
+	fl.jobs = append(fl.jobs, j)
+	s.setState(j, fl.state)
+	if fl.state == StateRunning && fl.done > 0 {
+		// Catch the late job up to the flight's cell counts so its replay
+		// buffer is consistent with jobs attached earlier.
+		j.emit(Event{Type: EventCells, Done: fl.done, CachedCells: fl.cached, Total: fl.total})
+	}
+}
+
+// newFlight registers a queued flight for the normalized spec in the
+// single-flight table. Caller holds mu (or runs single-threaded from New).
+func (s *Service) newFlight(hash, tn, trace, peer string, norm spec.Spec) *flight {
+	ctx, cancel := context.WithCancel(s.baseCtx)
+	fl := &flight{
+		hash:    hash,
+		tenant:  tn,
+		sp:      norm,
+		ctx:     ctx,
+		cancel:  cancel,
+		state:   StateQueued,
+		traceID: trace,
+		peer:    peer,
+		total:   len(norm.Schedulers) * len(norm.Points) * norm.Runs,
+	}
+	s.inflight[hash] = fl
+	return fl
+}
+
+// enqueue hands a flight with its expanded workload to the workers. Caller
+// holds mu (or runs single-threaded from New).
+func (s *Service) enqueue(fl *flight, rspec runner.Spec, size float64) {
+	fl.rspec, fl.size = rspec, size
+	s.queue.Push(fl.tenant, fl.size, fl)
+	s.m.Flights++
+	s.cond.Signal()
+}
+
+// settle is the only way a flight ends: it leaves the single-flight table,
+// its context is cancelled, and every attached job moves to done with res
+// or to failed with err. extra is passed on to the job done log lines. A
+// flight whose jobs were all cancelled settles with none left. Caller
+// holds mu.
+func (s *Service) settle(fl *flight, res *CachedResult, err error, extra ...any) {
+	if s.inflight[fl.hash] == fl {
+		delete(s.inflight, fl.hash)
+	}
+	fl.cancel()
+	if err == nil && res != nil {
+		s.cache.add(res)
+	}
+	jobs := fl.jobs
+	fl.jobs = nil
+	for _, j := range jobs {
+		if err != nil {
+			j.errMsg = err.Error()
+			s.setState(j, StateFailed)
+			continue
+		}
 		j.result = res
-		j.done, j.total = res.Cells, res.Cells
-		j.terminalAt = time.Now()
-		s.jobsDone++
-		j.emit(Event{Type: EventQueued, Total: j.total})
-		j.emit(Event{Type: EventDone, Done: j.done, Total: j.total, Cached: true})
-		s.persistJob(j)
-		s.obsv.log.Info("job done", append(jobAttrs(j), "cached", true, "source", "memory")...)
-		return j.status(), true, nil
+		j.done = j.total
+		s.setState(j, StateDone, extra...)
 	}
-	if fl, ok := s.inflight[hash]; ok && !fl.cancelled {
-		// Attaching still charges the tenant's gauges (the job occupies
-		// their queued/cell budget even though the work is shared), so the
-		// quota check applies here too.
-		if qerr := s.checkQuota(tn, fl.state, fl.total); qerr != nil {
-			s.acct(tn).rejected++
-			return JobStatus{}, false, qerr
-		}
-		s.countSubmission(tn)
-		s.dedupHits++
-		j := s.newJob(hash, tn, trace)
-		j.state = fl.state
-		j.done, j.total = fl.done, fl.total
-		j.cachedCells = fl.cached
-		j.flight = fl
-		fl.jobs = append(fl.jobs, j)
-		s.tenantAcctAdmit(j)
-		j.emit(Event{Type: EventQueued, Total: j.total})
-		if fl.state == StateRunning {
-			// The shared computation is already underway, so this job's
-			// queue wait is over the moment it attaches.
-			j.startedAt = time.Now()
-			s.obsv.observeQueueWait(j.submittedAt, j.startedAt)
-			j.emit(Event{Type: EventRunning, Done: j.done, Total: j.total})
-			if fl.done > 0 {
-				// Catch the late job up to the flight's cell counts so its
-				// replay buffer is consistent with jobs attached earlier.
-				j.emit(Event{Type: EventCells, Done: fl.done, CachedCells: fl.cached, Total: fl.total})
-			}
-		}
-		s.persistJob(j)
-		return j.status(), true, nil
-	}
-	return JobStatus{}, false, nil
 }
 
 // countSubmission counts one accepted submission, attributed to the tenant
 // when named. Caller holds mu.
 func (s *Service) countSubmission(tn string) {
-	s.submissions++
+	s.m.Submissions++
 	if tn != "" {
-		s.acct(tn).submitted++
+		s.acct(tn).Submitted++
 	}
 }
 
 // newJob allocates a job record stamped with its submission time and the
-// submitting request's trace ID. Caller holds mu.
+// submitting request's trace ID; its state stays "" until the caller's
+// first setState. Caller holds mu.
 func (s *Service) newJob(hash, tn, trace string) *jobState {
 	s.seq++
 	j := &jobState{
 		id:          fmt.Sprintf("m%06d", s.seq),
 		hash:        hash,
-		state:       StateQueued,
 		tenant:      tn,
 		traceID:     trace,
 		submittedAt: time.Now(),
@@ -1184,9 +1136,19 @@ func (s *Service) persistJob(j *jobState) {
 	if j.state.Terminal() {
 		rec.FinishedAtMs = unixMsOrZero(j.terminalAt)
 	}
-	err := s.storeHandle.AppendJob(rec, j.state.Terminal())
-	if err != nil {
-		s.storeErrors++
+	s.countStoreErr(s.storeHandle.AppendJob(rec, j.state.Terminal()))
+}
+
+// countStoreErr classifies a store error for the counters: ErrCorrupt means
+// the entry was quarantined, ErrNotFound is a plain miss, and anything else
+// is a store error. A nil error counts nothing. Caller holds mu.
+func (s *Service) countStoreErr(err error) {
+	switch {
+	case err == nil, errors.Is(err, store.ErrNotFound):
+	case errors.Is(err, store.ErrCorrupt):
+		s.m.Quarantined++
+	default:
+		s.m.StoreErrors++
 	}
 }
 
@@ -1200,12 +1162,7 @@ func (s *Service) runFlight(fl *flight) {
 	fl.state = StateRunning
 	fl.startedAt = time.Now()
 	for _, j := range fl.jobs {
-		s.tenantAcctRun(j)
-		j.state = StateRunning
-		j.startedAt = fl.startedAt
-		s.obsv.observeQueueWait(j.submittedAt, fl.startedAt)
-		j.emit(Event{Type: EventRunning, Total: j.total})
-		s.persistJob(j)
+		s.setState(j, StateRunning)
 	}
 	njobs := len(fl.jobs)
 	s.mu.Unlock()
@@ -1233,18 +1190,9 @@ func (s *Service) runFlight(fl *flight) {
 	}
 	// Persist before announcing completion (still off the lock): once a
 	// client sees done, a crash must not lose the artifact it was promised.
-	persistFailed := false
+	var putErr error
 	if err == nil && s.storeHandle != nil {
-		if perr := s.storeHandle.PutArtifacts(store.Artifacts{
-			Hash:         cached.Hash,
-			JSON:         cached.JSON,
-			CSV:          cached.CSV,
-			AggregateCSV: cached.AggregateCSV,
-			Cells:        cached.Cells,
-			CreatedAt:    cached.CreatedAt,
-		}); perr != nil {
-			persistFailed = true
-		}
+		putErr = s.storeHandle.PutArtifacts(*cached)
 	}
 	// The flight is over either way: its spec record has served its purpose
 	// (crash-resume needs it only while the matrix is in flight — on success
@@ -1256,52 +1204,25 @@ func (s *Service) runFlight(fl *flight) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if persistFailed {
-		s.storeErrors++
-	}
-	if s.inflight[fl.hash] == fl {
-		delete(s.inflight, fl.hash)
-	}
-	jobs := fl.jobs
-	fl.jobs = nil
-	if fl.tenant != "" && !fl.startedAt.IsZero() {
+	s.countStoreErr(putErr)
+	if fl.tenant != "" {
 		// Wall-clock worker time, charged whether or not the matrix landed:
 		// the slot was occupied either way.
-		s.acct(fl.tenant).cellSeconds += time.Since(fl.startedAt).Seconds()
+		s.acct(fl.tenant).CellSeconds += time.Since(fl.startedAt).Seconds()
 	}
+	njobs = len(fl.jobs)
+	s.settle(fl, cached, err)
 	if err != nil {
-		for _, j := range jobs {
-			s.tenantAcctTerminal(j, StateRunning)
-			j.state = StateFailed
-			j.errMsg = err.Error()
-			j.flight = nil
-			j.terminalAt = time.Now()
-			s.jobsFailed++
-			j.emit(Event{Type: EventFailed, Done: j.done, Total: j.total, Error: j.errMsg})
-			s.persistJob(j)
-		}
 		s.obsv.log.Warn("flight failed",
 			obs.KeySpec, obs.SpecPrefix(fl.hash), obs.KeyTraceID, fl.traceID,
 			obs.KeyDurationMs, float64(runDur)/float64(time.Millisecond),
-			"jobs", len(jobs), "error", err.Error())
+			"jobs", njobs, "error", err.Error())
 		return
-	}
-	s.cache.add(cached)
-	for _, j := range jobs {
-		s.tenantAcctTerminal(j, StateRunning)
-		j.state = StateDone
-		j.result = cached
-		j.done = j.total
-		j.flight = nil
-		j.terminalAt = time.Now()
-		s.jobsDone++
-		j.emit(Event{Type: EventDone, Done: j.done, Total: j.total})
-		s.persistJob(j)
 	}
 	s.obsv.log.Info("flight done",
 		obs.KeySpec, obs.SpecPrefix(fl.hash), obs.KeyTraceID, fl.traceID,
 		obs.KeyDurationMs, float64(runDur)/float64(time.Millisecond),
-		"cells", fl.total, "cached_cells", fl.cached, "jobs", len(jobs))
+		"cells", fl.total, "cached_cells", fl.cached, "jobs", njobs)
 }
 
 // flightProgress fans one runner progress callback out to every attached
@@ -1310,7 +1231,7 @@ func (s *Service) flightProgress(fl *flight, done, total int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	fl.done, fl.total = done, total
-	s.cellsDone += int64(done - fl.lastDone)
+	s.m.CellsDone += int64(done - fl.lastDone)
 	fl.lastDone = done
 	for _, j := range fl.jobs {
 		j.done, j.total = done, total
@@ -1352,18 +1273,6 @@ func encodeResult(hash string, res *runner.Result) (*CachedResult, error) {
 		Cells:        len(res.Cells),
 		CreatedAt:    time.Now(),
 	}, nil
-}
-
-// resultFromArtifacts converts a disk entry back into a cacheable result.
-func resultFromArtifacts(a store.Artifacts) *CachedResult {
-	return &CachedResult{
-		Hash:         a.Hash,
-		JSON:         a.JSON,
-		CSV:          a.CSV,
-		AggregateCSV: a.AggregateCSV,
-		Cells:        a.Cells,
-		CreatedAt:    a.CreatedAt,
-	}
 }
 
 // Get returns the status snapshot of a job.
@@ -1411,20 +1320,15 @@ func (s *Service) Result(id string) (*CachedResult, error) {
 		art, err := st.GetArtifacts(hash)
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		switch {
-		case err == nil:
-			res := resultFromArtifacts(art)
-			s.cache.add(res)
-			s.diskHits++
+		if err == nil {
+			s.cache.add(&art)
+			s.m.DiskHits++
 			if j2, ok := s.jobs[id]; ok && j2.state == StateDone {
-				j2.result = res
+				j2.result = &art
 			}
-			return res, nil
-		case errors.Is(err, store.ErrCorrupt):
-			s.quarantined++
-		case !errors.Is(err, store.ErrNotFound):
-			s.storeErrors++
+			return &art, nil
 		}
+		s.countStoreErr(err)
 		return nil, fmt.Errorf(
 			"service: job %s: result no longer available (expired or quarantined); resubmit the spec", id)
 	case StateFailed:
@@ -1473,33 +1377,18 @@ func (s *Service) Cancel(id string) (bool, error) {
 		return false, nil
 	}
 	fl := j.flight
-	j.flight = nil
-	s.tenantAcctTerminal(j, j.state)
-	j.state = StateCancelled
-	j.terminalAt = time.Now()
-	s.jobsCancelled++
-	j.emit(Event{Type: EventCancelled, Done: j.done, Total: j.total})
-	s.persistJob(j)
+	s.setState(j, StateCancelled)
 	if fl != nil {
-		for i, other := range fl.jobs {
-			if other == j {
-				fl.jobs = append(fl.jobs[:i], fl.jobs[i+1:]...)
-				break
-			}
-		}
+		fl.jobs = slices.DeleteFunc(fl.jobs, func(o *jobState) bool { return o == j })
 		if len(fl.jobs) == 0 {
-			fl.cancelled = true
-			fl.cancel()
-			if s.inflight[fl.hash] == fl {
-				delete(s.inflight, fl.hash)
-			}
 			// A fully-cancelled queued flight frees its queue slot right
 			// away instead of riding along as a tombstone until a worker
 			// would have skipped it.
+			fl.cancelled = true
 			s.queue.Remove(fl)
+			s.settle(fl, nil, nil)
 		}
 	}
-	s.obsv.log.Info("job cancelled", jobAttrs(j)...)
 	return true, nil
 }
 
@@ -1555,7 +1444,7 @@ func (s *Service) GC() (jobsRemoved, artifactsRemoved int) {
 		}
 	}
 	s.cache.expire()
-	s.jobsGCed += int64(jobsRemoved)
+	s.m.JobsGCed += int64(jobsRemoved)
 	st := s.storeHandle
 	ttl := s.cfg.CacheTTL
 	cellsOn := s.cellCacheEnabled()
@@ -1600,9 +1489,9 @@ func (s *Service) GC() (jobsRemoved, artifactsRemoved int) {
 		s.gcSpecs(st, now, inflightHashes, &storeErrs)
 	}
 	s.mu.Lock()
-	s.artifactsGCed += int64(artifactsRemoved)
-	s.cellsGCed += int64(cellsRemoved)
-	s.storeErrors += storeErrs
+	s.m.ArtifactsGCed += int64(artifactsRemoved)
+	s.m.CellsGCed += int64(cellsRemoved)
+	s.m.StoreErrors += storeErrs
 	s.mu.Unlock()
 	return jobsRemoved, artifactsRemoved
 }
@@ -1768,46 +1657,17 @@ type TenantMetrics struct {
 func (s *Service) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := Metrics{
-		Submissions:     s.submissions,
-		CacheHits:       s.cacheHits,
-		DiskHits:        s.diskHits,
-		DedupHits:       s.dedupHits,
-		Flights:         s.flightsRun,
-		JobsDone:        s.jobsDone,
-		JobsFailed:      s.jobsFailed,
-		JobsCancelled:   s.jobsCancelled,
-		JobsGCed:        s.jobsGCed,
-		ArtifactsGCed:   s.artifactsGCed,
-		Quarantined:     s.quarantined,
-		StoreErrors:     s.storeErrors,
-		QueueDepth:      s.queue.Len() + s.reserved,
-		QueueCapacity:   s.cfg.QueueDepth,
-		CacheEntries:    s.cache.len(),
-		CacheBytes:      s.cache.sizeBytes(),
-		JobsTracked:     len(s.jobs),
-		Persistent:      s.storeHandle != nil,
-		CellsDone:       s.cellsDone,
-		CellHits:        s.cellHits,
-		CellMisses:      s.cellMisses,
-		CellBytes:       s.cellBytes,
-		CellsGCed:       s.cellsGCed,
-		Assembled:       s.assembled,
-		Unauthorized:    s.unauthorized,
-		PeerFetchHits:   s.peerFetchHits,
-		PeerFetchMisses: s.peerFetchMisses,
-		PeerFetchBytes:  s.peerFetchBytes,
-	}
+	m := s.m
+	m.QueueDepth = s.queue.Len() + s.reserved
+	m.QueueCapacity = s.cfg.QueueDepth
+	m.CacheEntries = s.cache.len()
+	m.CacheBytes = s.cache.sizeBytes()
+	m.JobsTracked = len(s.jobs)
+	m.Persistent = s.storeHandle != nil
 	if len(s.tenantAccts) > 0 {
 		m.Tenants = make(map[string]TenantMetrics, len(s.tenantAccts))
 		for name, ta := range s.tenantAccts {
-			m.Tenants[name] = TenantMetrics{
-				Submitted:   ta.submitted,
-				Rejected:    ta.rejected,
-				Queued:      ta.queued,
-				Running:     ta.running,
-				CellSeconds: ta.cellSeconds,
-			}
+			m.Tenants[name] = ta.TenantMetrics
 		}
 	}
 	m.UptimeSeconds = time.Since(s.start).Seconds()

@@ -13,8 +13,7 @@
 // The paper consumes the real trace only through per-job task counts,
 // per-task duration statistics, arrival times, and priorities; the generator
 // reproduces those marginals (heavy-tailed task counts and durations) so the
-// schedulers exercise identical code paths. See DESIGN.md §2 for the
-// substitution argument.
+// schedulers exercise identical code paths.
 //
 // Each job's task durations follow Scaled(BoundedPareto(1, ratio, alpha)),
 // i.e. a bounded Pareto with per-job scale: heavy-tailed within-job
