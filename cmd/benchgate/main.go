@@ -215,6 +215,16 @@ func parseMetrics(rest string) (sample, bool) {
 // defaultCalibration must match the benchmark in bench_test.go.
 const defaultCalibration = "BenchmarkCalibrationSpin"
 
+// seededRatios are the in-run floors a capture emits when the run has both
+// benchmarks: the naive loop over the event core, and the SRPTMS+C cell over
+// the LATE and the Mantri cell, which caps what a detection baseline's cell
+// may cost relative to an SRPTMS+C cell.
+var seededRatios = []ratio{
+	{Slow: "BenchmarkEngineNaiveLoop", Fast: "BenchmarkEngineEventCore"},
+	{Slow: "BenchmarkAblationSchedulers/srptms+c", Fast: "BenchmarkAblationSchedulers/late"},
+	{Slow: "BenchmarkAblationSchedulers/srptms+c", Fast: "BenchmarkAblationSchedulers/mantri"},
+}
+
 // emitBaseline writes a fresh baseline JSON from the run's samples. Ratio
 // floors are seeded at 60% of the measured ratio — review before committing.
 func emitBaseline(out io.Writer, samples map[string]sample) error {
@@ -243,13 +253,12 @@ func emitBaseline(out io.Writer, samples map[string]sample) error {
 			AllocsPerOp: s.allocsPerOp,
 		}
 	}
-	if naive, ok := samples["BenchmarkEngineNaiveLoop"]; ok {
-		if event, ok := samples["BenchmarkEngineEventCore"]; ok {
-			base.MinRatios = append(base.MinRatios, ratio{
-				Slow: "BenchmarkEngineNaiveLoop",
-				Fast: "BenchmarkEngineEventCore",
-				Min:  round3(0.6 * naive.nsPerOp / event.nsPerOp),
-			})
+	for _, r := range seededRatios {
+		slow, okS := samples[r.Slow]
+		fast, okF := samples[r.Fast]
+		if okS && okF {
+			r.Min = round3(0.6 * slow.nsPerOp / fast.nsPerOp)
+			base.MinRatios = append(base.MinRatios, r)
 		}
 	}
 	enc := json.NewEncoder(out)

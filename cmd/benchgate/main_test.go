@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -140,5 +142,46 @@ func TestGateMissingBenchmark(t *testing.T) {
 	err := gate(&out, base, parsed(t))
 	if err == nil || !strings.Contains(err.Error(), "missing from run") {
 		t.Fatalf("want missing-benchmark failure, got %v", err)
+	}
+}
+
+func TestCaptureSeedsRatioFloors(t *testing.T) {
+	samples := map[string]sample{
+		"BenchmarkCalibrationSpin":             {nsPerOp: 20},
+		"BenchmarkEngineNaiveLoop":             {nsPerOp: 20},
+		"BenchmarkEngineEventCore":             {nsPerOp: 10},
+		"BenchmarkAblationSchedulers/srptms+c": {nsPerOp: 8},
+		"BenchmarkAblationSchedulers/late":     {nsPerOp: 32},
+		"BenchmarkAblationSchedulers/mantri":   {nsPerOp: 16},
+	}
+	var out strings.Builder
+	if err := emitBaseline(&out, samples); err != nil {
+		t.Fatal(err)
+	}
+	var base baseline
+	if err := json.Unmarshal([]byte(out.String()), &base); err != nil {
+		t.Fatal(err)
+	}
+	want := []ratio{
+		{Slow: "BenchmarkEngineNaiveLoop", Fast: "BenchmarkEngineEventCore", Min: 1.2},
+		{Slow: "BenchmarkAblationSchedulers/srptms+c", Fast: "BenchmarkAblationSchedulers/late", Min: 0.15},
+		{Slow: "BenchmarkAblationSchedulers/srptms+c", Fast: "BenchmarkAblationSchedulers/mantri", Min: 0.3},
+	}
+	if !reflect.DeepEqual(base.MinRatios, want) {
+		t.Fatalf("seeded ratios = %+v, want %+v", base.MinRatios, want)
+	}
+	// A run without the scheduler cells seeds only the loop floor.
+	delete(samples, "BenchmarkAblationSchedulers/late")
+	delete(samples, "BenchmarkAblationSchedulers/mantri")
+	out.Reset()
+	if err := emitBaseline(&out, samples); err != nil {
+		t.Fatal(err)
+	}
+	base = baseline{}
+	if err := json.Unmarshal([]byte(out.String()), &base); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(base.MinRatios, want[:1]) {
+		t.Fatalf("seeded ratios = %+v, want %+v", base.MinRatios, want[:1])
 	}
 }

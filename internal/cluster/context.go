@@ -48,6 +48,15 @@ func (c *Context) AliveJobs() []*job.Job {
 	return out
 }
 
+// SpeculativeCopies returns the live copies beyond the first of each
+// running task, the sum of Copies-1 over every running task, gated copies
+// included. It costs O(1): every live copy occupies a machine and every
+// running task has at least one.
+func (c *Context) SpeculativeCopies() int {
+	e := c.engine
+	return e.cfg.Machines - e.free - e.running
+}
+
 // Launch starts n copies of task t of job j this slot. Launching a reduce
 // task before the job's map phase has completed requires gated=true: the
 // copies occupy machines immediately but begin progress only when the map

@@ -20,8 +20,10 @@
 //   - the next slot, when the scheduler launched a copy or drew randomness;
 //   - otherwise the next arrival or completion, or the earlier slot the
 //     scheduler asked for with Context.WakeAt. Mantri and LATE work out that
-//     slot from the progress reports they already scan. A scheduler that is
-//     neither EventDriven nor calls WakeAt is visited on the next slot, so
+//     slot from the progress reports they scan, and keep each job phase's
+//     slot between visits, so a visit rescans only the phases whose job
+//     changed or whose slot came due. A scheduler that is neither
+//     EventDriven nor calls WakeAt is visited on the next slot, so
 //     time-based rules observe every tick.
 //
 // An EventDriven scheduler is not invoked at all while no launchable work
@@ -232,6 +234,8 @@ type Engine struct {
 	unschedMap   int // unscheduled map tasks
 	unschedOpen  int // unscheduled reduce tasks with the map gate open
 	unschedGated int // unscheduled reduce tasks behind a closed map gate
+
+	running int // tasks with at least one live copy (see SpeculativeCopies)
 
 	durations *rng.Source // stream for copy workload sampling
 	schedRand *rng.Source // stream handed to the scheduler
@@ -493,6 +497,7 @@ func (e *Engine) completeTask(tr *taskRun) {
 	t.Runtime = nil
 	e.releaseRun(tr)
 	owner.MarkDone(t, e.slot)
+	e.running--
 
 	if t.ID.Phase == job.PhaseMap && owner.MapPhaseDone() {
 		// The map gate just opened: pending unscheduled reduces become
@@ -658,6 +663,7 @@ func (e *Engine) launch(j *job.Job, t *job.Task, n int, gated bool) (int, error)
 		launched++
 	}
 	if wasUnscheduled && launched > 0 {
+		e.running++
 		switch {
 		case t.ID.Phase == job.PhaseMap:
 			e.unschedMap--

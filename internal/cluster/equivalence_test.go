@@ -240,35 +240,50 @@ func TestPinnedAggregates(t *testing.T) {
 	}
 }
 
+// wakeWorkload is a trace on a cluster of the given size at an engine seed.
+type wakeWorkload struct {
+	name     string
+	tr       *trace.Trace
+	machines int
+	seed     int64
+}
+
+// paperWorkloads are seven 300x600 trace seeds at engine seed 1, or none
+// under -short. They include 16, 22 and 25, on which a LATE wake that
+// ignores tied copies breaks its promise.
+func paperWorkloads(t *testing.T) []wakeWorkload {
+	t.Helper()
+	if testing.Short() {
+		return nil
+	}
+	var ws []wakeWorkload
+	for _, ts := range []int64{7, 13, 14, 16, 18, 22, 25} {
+		ws = append(ws, wakeWorkload{fmt.Sprintf("300x600/trace%d", ts), paperTrace(t, ts), 600, 1})
+	}
+	return ws
+}
+
 // TestWakePromisesHold runs the schedulers that use Context.WakeAt on the
 // naive loop under a wake audit: no Schedule call may launch before a slot a
-// quiet call promised, unless an arrival or a completion came first. The
-// 300x600 trace seeds include 16, 22 and 25, on which a LATE wake that
-// ignores tied copies breaks its promise.
+// quiet call promised, unless an arrival or a completion came first. Every
+// detection case runs on the mixed 40-job workload, and the defaults also
+// on the 300x600 trace seeds of paperWorkloads.
 func TestWakePromisesHold(t *testing.T) {
-	type workload struct {
-		name     string
-		tr       *trace.Trace
-		machines int
-		seed     int64
-	}
-	workloads := []workload{{"mixed40x100", mixedTrace(t, 40), 100, 7}}
-	if !testing.Short() {
-		for _, ts := range []int64{7, 13, 14, 16, 18, 22, 25} {
-			workloads = append(workloads,
-				workload{fmt.Sprintf("300x600/trace%d", ts), paperTrace(t, ts), 600, 1})
+	mixed := wakeWorkload{"mixed40x100", mixedTrace(t, 40), 100, 7}
+	for _, dc := range detectionCases() {
+		ws := []wakeWorkload{mixed}
+		if dc.name == "mantri" || dc.name == "late" {
+			ws = append(ws, paperWorkloads(t)...)
 		}
-	}
-	for _, name := range []string{"mantri", "late"} {
-		for _, w := range workloads {
-			audit := cluster.NewWakeAudit(buildSched(t, name))
+		for _, w := range ws {
+			audit := cluster.NewWakeAudit(dc.inc(t))
 			ref := runWith(t, audit, cluster.LoopNaive, w.machines, w.seed, w.tr)
 			if err := audit.Err(); err != nil {
-				t.Errorf("%s on %s, seed %d: %v", name, w.name, w.seed, err)
+				t.Errorf("%s on %s, seed %d: %v", dc.name, w.name, w.seed, err)
 			}
-			got := runLoop(t, name, cluster.LoopAuto, w.machines, w.seed, w.tr)
+			got := runWith(t, dc.inc(t), cluster.LoopAuto, w.machines, w.seed, w.tr)
 			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("%s on %s, seed %d: naive and production results differ", name, w.name, w.seed)
+				t.Errorf("%s on %s, seed %d: naive and production results differ", dc.name, w.name, w.seed)
 			}
 		}
 	}
@@ -359,5 +374,81 @@ func TestTiedCopies(t *testing.T) {
 				t.Errorf("%s: results differ:\nnaive:  %+v\nevents: %+v", id, results[0], results[1])
 			}
 		}
+	}
+}
+
+// speculativeProbe checks Context.SpeculativeCopies against the sum of
+// Copies-1 over every running task, before and after each call of the
+// wrapped scheduler.
+type speculativeProbe struct {
+	cluster.Scheduler
+	tasks   []*job.Task
+	maxSeen int  // largest sum seen
+	gated   bool // saw a running task whose copies are all gated
+	err     error
+}
+
+func (p *speculativeProbe) Schedule(ctx *cluster.Context) {
+	p.check(ctx)
+	p.Scheduler.Schedule(ctx)
+	p.check(ctx)
+}
+
+func (p *speculativeProbe) check(ctx *cluster.Context) {
+	var want int
+	for _, j := range ctx.AliveJobs() {
+		for _, ph := range [...]job.Phase{job.PhaseMap, job.PhaseReduce} {
+			p.tasks = j.AppendRunning(p.tasks[:0], ph)
+			for _, t := range p.tasks {
+				want += t.Copies - 1
+				if _, ok := ctx.BestProgress(t); !ok {
+					p.gated = true
+				}
+			}
+		}
+	}
+	p.maxSeen = max(p.maxSeen, want)
+	if got := ctx.SpeculativeCopies(); got != want && p.err == nil {
+		p.err = fmt.Errorf("slot %d: SpeculativeCopies = %d, running tasks hold %d copies beyond their first",
+			ctx.Now(), got, want)
+	}
+}
+
+// TestSpeculativeCopiesCounter runs every registered scheduler, and the
+// offline algorithm with gated reduces, on the naive loop and checks the
+// O(1) counter on every call. The cloning schedulers cover killed siblings,
+// gated offline covers copies that occupy machines before their gate opens.
+func TestSpeculativeCopiesCounter(t *testing.T) {
+	tr := mixedTrace(t, 40)
+	type run struct {
+		name   string
+		params sched.Params
+	}
+	var runs []run
+	for _, name := range sched.Names() {
+		runs = append(runs, run{name, sched.DefaultParams()})
+	}
+	gated := sched.DefaultParams()
+	gated.GateReduces = true
+	runs = append(runs, run{"offline", gated})
+	var clones bool
+	for _, r := range runs {
+		s, err := sched.Build(r.name, r.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &speculativeProbe{Scheduler: s}
+		runWith(t, p, cluster.LoopNaive, 100, 7, tr)
+		id := fmt.Sprintf("%s (gate reduces %v)", r.name, r.params.GateReduces)
+		if p.err != nil {
+			t.Errorf("%s: %v", id, p.err)
+		}
+		if r.params.GateReduces && !p.gated {
+			t.Errorf("%s: no task ever had only gated copies", id)
+		}
+		clones = clones || p.maxSeen > 0
+	}
+	if !clones {
+		t.Error("no scheduler ran a task with more than one live copy")
 	}
 }

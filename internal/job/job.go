@@ -183,6 +183,7 @@ type Job struct {
 	running    [2][]*Task // per-phase tasks with at least one live copy
 	unfinished [2]int     // per-phase count of not-Done tasks
 	stats      [2]Stats   // cached per-phase workload moments (hot path)
+	changes    uint64     // bumped by every copy launch, copy stop and task completion
 
 	RunningCopies int   // sigma_i(l): machines currently running this job's copies
 	FinishSlot    int64 // -1 until the job completes
@@ -367,6 +368,7 @@ func (j *Job) MarkLaunched(t *Task, slot int64) error {
 	t.Copies++
 	t.TotalCopies++
 	j.RunningCopies++
+	j.changes++
 	return nil
 }
 
@@ -379,6 +381,7 @@ func (j *Job) MarkCopyStopped(t *Task) {
 	if j.RunningCopies > 0 {
 		j.RunningCopies--
 	}
+	j.changes++
 }
 
 // MarkDone completes a task at the given slot. It is a no-op if already done.
@@ -397,7 +400,14 @@ func (j *Job) MarkDone(t *Task, slot int64) {
 	if j.Done() {
 		j.FinishSlot = slot
 	}
+	j.changes++
 }
+
+// Changes returns a count that grows on every MarkLaunched, MarkCopyStopped
+// and MarkDone of the job. Two equal reads mean that in between no copy of
+// the job launched or stopped and none of its tasks completed, so its
+// running tasks and their live copies are the same.
+func (j *Job) Changes() uint64 { return j.changes }
 
 // UnscheduledTasks returns the tasks of phase p still in the unscheduled
 // pool. The slice is freshly allocated (nil when empty); element order is an

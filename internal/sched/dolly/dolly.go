@@ -84,17 +84,7 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 	alive := ctx.AliveJobs() // FIFO
 
 	// Current clone budget: machines running copies beyond one per task.
-	cloneBudget := int(s.cfg.BudgetFraction * float64(ctx.Machines()))
-	for _, j := range alive {
-		for _, p := range []job.Phase{job.PhaseMap, job.PhaseReduce} {
-			s.tasks = j.AppendRunning(s.tasks[:0], p)
-			for _, t := range s.tasks {
-				if t.Copies > 1 {
-					cloneBudget -= t.Copies - 1
-				}
-			}
-		}
-	}
+	cloneBudget := int(s.cfg.BudgetFraction*float64(ctx.Machines())) - ctx.SpeculativeCopies()
 
 	for _, j := range alive {
 		if ctx.FreeMachines() == 0 {

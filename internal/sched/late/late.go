@@ -16,6 +16,14 @@
 // copy completes its observation window, itself a wake. A task's gap to the
 // slow cut is therefore linear too, and its root is the first slot at which
 // the task can become a candidate.
+//
+// The earliest of those slots in a phase, the ends of observation windows
+// included, stays put while the phase's job is unchanged, so a call
+// rescans only the job phases that changed since their last scan, whose
+// earliest slot has come, or whose last scan found candidates;
+// schedutil.ScanCache keeps each phase's result in between. The budget of
+// speculative copies comes from cluster.Context.SpeculativeCopies and is
+// checked before any scan.
 package late
 
 import (
@@ -53,14 +61,16 @@ const (
 const wakeSlack = 1e-9
 
 // Scheduler implements cluster.Scheduler. It carries per-instance scratch
-// for the task snapshots, the observed set and the candidate list, so a
-// Scheduler must not be shared by concurrently running engines.
+// for the task snapshots, the observed set and the candidate list, and the
+// scan cache, so a Scheduler must not be shared by concurrently running
+// engines.
 type Scheduler struct {
 	cfg Config
 
 	tasks []*job.Task
 	obs   []observed
 	cands []schedutil.Straggler
+	scans schedutil.ScanCache
 }
 
 var _ cluster.Scheduler = (*Scheduler)(nil)
@@ -109,79 +119,23 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 		return
 	}
 
-	// Pass 2: rank candidate stragglers by longest approximate time to end.
-	now := ctx.Now()
-	wake := int64(math.MaxInt64)
-	var specCopies int // currently running speculative copies
-	cands := s.cands[:0]
-	for _, j := range alive {
-		for _, p := range [...]job.Phase{job.PhaseMap, job.PhaseReduce} {
-			s.tasks = j.AppendRunning(s.tasks[:0], p)
-			// Phase-average progress across observed running tasks, and
-			// the average rate at which their fractions grow.
-			var sum, rates float64
-			obs := s.obs[:0]
-			for _, t := range s.tasks {
-				if t.Copies > 1 {
-					specCopies += t.Copies - 1
-				}
-				pr, ok := ctx.BestProgress(t)
-				if !ok {
-					continue
-				}
-				if pr.Tied {
-					// The report can switch between tied copies with no
-					// event between.
-					wake = min(wake, now+1)
-				}
-				if wait := s.cfg.MinObservationSlots - pr.Elapsed; wait > 0 {
-					// Joining the observed set moves the phase mean.
-					wake = min(wake, now+wait)
-					continue
-				}
-				rate := pr.Fraction / float64(pr.Elapsed)
-				sum += pr.Fraction
-				rates += rate
-				obs = append(obs, observed{t: t, prog: pr, rate: rate})
-			}
-			s.obs = obs
-			if len(obs) == 0 {
-				continue
-			}
-			mean := sum / float64(len(obs))
-			cut := mean - s.cfg.SlowTaskThreshold
-			meanRate := rates / float64(len(obs))
-			for _, o := range obs {
-				if o.t.Copies > 1 {
-					continue // one speculative copy per task
-				}
-				if o.prog.Fraction >= cut {
-					// Not slow enough relative to the phase, yet.
-					wake = min(wake, fallsBelow(now, o, cut, meanRate))
-					continue
-				}
-				if o.prog.Fraction <= 0 {
-					continue
-				}
-				tte := float64(o.prog.Elapsed) * (1 - o.prog.Fraction) / o.prog.Fraction
-				cands = append(cands, schedutil.Straggler{J: j, T: o.t, Rem: tte})
-			}
-		}
-	}
-	s.cands = cands
-	budget := int(s.cfg.SpeculativeCap*float64(ctx.Machines())) - specCopies
+	budget := int(s.cfg.SpeculativeCap*float64(ctx.Machines())) - ctx.SpeculativeCopies()
 	if budget <= 0 {
 		// The budget grows back only when a speculative copy stops, which
 		// takes a completion.
 		ctx.WakeAt(math.MaxInt64)
 		return
 	}
-	if len(cands) == 0 {
+
+	// Pass 2: rank candidate stragglers by longest approximate time to end.
+	s.cands = s.cands[:0]
+	wake := s.scans.Scan(ctx, alive, s.scanPhase)
+	if len(s.cands) == 0 {
 		ctx.WakeAt(wake)
 		return
 	}
-	schedutil.SortStragglers(cands) // longest approximate time to end first
-	for _, c := range cands {
+	schedutil.SortStragglers(s.cands) // longest approximate time to end first
+	for _, c := range s.cands {
 		if budget == 0 || ctx.FreeMachines() == 0 {
 			return
 		}
@@ -190,6 +144,62 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 		}
 		budget--
 	}
+}
+
+// scanPhase appends the phase's candidate stragglers to s.cands, in running
+// order, and reports the first slot at which another task could become one.
+func (s *Scheduler) scanPhase(ctx *cluster.Context, j *job.Job, p job.Phase, _ schedutil.PhaseScan) schedutil.PhaseScan {
+	now := ctx.Now()
+	scan := schedutil.PhaseScan{Wake: math.MaxInt64}
+	s.tasks = j.AppendRunning(s.tasks[:0], p)
+	// Phase-average progress across observed running tasks, and the average
+	// rate at which their fractions grow.
+	var sum, rates float64
+	obs := s.obs[:0]
+	for _, t := range s.tasks {
+		pr, ok := ctx.BestProgress(t)
+		if !ok {
+			continue
+		}
+		if pr.Tied {
+			// The report can switch between tied copies with no event
+			// between.
+			scan.Wake = min(scan.Wake, now+1)
+		}
+		if wait := s.cfg.MinObservationSlots - pr.Elapsed; wait > 0 {
+			// Joining the observed set moves the phase mean.
+			scan.Wake = min(scan.Wake, now+wait)
+			continue
+		}
+		rate := pr.Fraction / float64(pr.Elapsed)
+		sum += pr.Fraction
+		rates += rate
+		obs = append(obs, observed{t: t, prog: pr, rate: rate})
+	}
+	s.obs = obs
+	if len(obs) == 0 {
+		return scan
+	}
+	mean := sum / float64(len(obs))
+	cut := mean - s.cfg.SlowTaskThreshold
+	meanRate := rates / float64(len(obs))
+	for _, o := range obs {
+		if o.t.Copies > 1 {
+			continue // one speculative copy per task
+		}
+		if o.prog.Fraction >= cut {
+			// Not slow enough relative to the phase, yet.
+			scan.Wake = min(scan.Wake, fallsBelow(now, o, cut, meanRate))
+			continue
+		}
+		if o.prog.Fraction <= 0 {
+			continue
+		}
+		tte := float64(o.prog.Elapsed) * (1 - o.prog.Fraction) / o.prog.Fraction
+		s.cands = append(s.cands, schedutil.Straggler{J: j, T: o.t, Rem: tte})
+		scan.Again = true
+	}
+	return scan
 }
 
 // fallsBelow returns the first slot after now at which an observed task at

@@ -26,6 +26,12 @@
 // that does not qualify once observed never will. So the only slot at which
 // a copy can newly qualify is the first check slot after its observation
 // window, and the scan that looks for candidates works that slot out.
+//
+// That slot does not move while the task's job is unchanged, so a check
+// rescans only the job phases that changed since their last scan, whose
+// earliest such slot has come, or whose last scan found candidates or saw
+// a copy with no progress yet (its slot is provisional until the copy's
+// rate shows); schedutil.ScanCache keeps each phase's result in between.
 package mantri
 
 import (
@@ -70,13 +76,14 @@ const (
 const wakeSlack = 1e-9
 
 // Scheduler implements cluster.Scheduler. It carries per-instance scratch
-// for the task snapshots and the candidate list, so a Scheduler must not be
-// shared by concurrently running engines.
+// for the task snapshots and the candidate list, and the scan cache, so a
+// Scheduler must not be shared by concurrently running engines.
 type Scheduler struct {
 	cfg Config
 
 	tasks []*job.Task
 	cands []schedutil.Straggler
+	scans schedutil.ScanCache
 }
 
 var _ cluster.Scheduler = (*Scheduler)(nil)
@@ -132,35 +139,14 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 		ctx.WakeAt(s.checkSlotFrom(now))
 		return
 	}
-	wake := int64(math.MaxInt64)
-	cands := s.cands[:0]
-	for _, j := range alive {
-		for _, p := range [...]job.Phase{job.PhaseMap, job.PhaseReduce} {
-			stats := j.PhaseStats(p)
-			s.tasks = j.AppendRunning(s.tasks[:0], p)
-			for _, t := range s.tasks {
-				if t.Copies >= 1+s.cfg.MaxBackupsPerTask {
-					continue
-				}
-				pr, ok := ctx.BestProgress(t)
-				if !ok {
-					continue
-				}
-				if trem, ok := s.estimateRemaining(pr); ok && s.shouldBackup(trem, stats) {
-					cands = append(cands, schedutil.Straggler{J: j, T: t, Rem: trem})
-				} else {
-					wake = min(wake, s.nextChance(now, pr, stats))
-				}
-			}
-		}
-	}
-	s.cands = cands
-	if len(cands) == 0 {
+	s.cands = s.cands[:0]
+	wake := s.scans.Scan(ctx, alive, s.scanPhase)
+	if len(s.cands) == 0 {
 		ctx.WakeAt(wake)
 		return
 	}
-	schedutil.SortStragglers(cands)
-	for _, c := range cands {
+	schedutil.SortStragglers(s.cands)
+	for _, c := range s.cands {
 		if ctx.FreeMachines() == 0 {
 			return
 		}
@@ -168,6 +154,46 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 			return
 		}
 	}
+}
+
+// scanPhase appends the phase's running tasks that qualify for a backup to
+// s.cands, in running order, and reports the first check slot at which
+// another could qualify.
+//
+// If the phase's last scan found no candidates, it skips every task with
+// one copy ever that had been observed by then: that task qualified for no
+// backup at the last scan, its estimate has only shrunk since, so it
+// qualifies neither now nor later, and its nextChance is math.MaxInt64.
+// Mantri launches no gated copies, so a task's first copy started at its
+// LaunchSlot.
+func (s *Scheduler) scanPhase(ctx *cluster.Context, j *job.Job, p job.Phase, last schedutil.PhaseScan) schedutil.PhaseScan {
+	now := ctx.Now()
+	stats := j.PhaseStats(p)
+	settled := int64(-1) // a task with one copy ever launched by this slot is skipped
+	if !last.Again && last.At >= 0 {
+		settled = last.At - s.cfg.MinObservationSlots
+	}
+	scan := schedutil.PhaseScan{Wake: math.MaxInt64}
+	s.tasks = j.AppendRunning(s.tasks[:0], p)
+	for _, t := range s.tasks {
+		if t.Copies >= 1+s.cfg.MaxBackupsPerTask || (t.TotalCopies == 1 && t.LaunchSlot <= settled) {
+			continue
+		}
+		pr, ok := ctx.BestProgress(t)
+		if !ok {
+			continue
+		}
+		if trem, ok := s.estimateRemaining(pr); ok && s.shouldBackup(trem, stats) {
+			s.cands = append(s.cands, schedutil.Straggler{J: j, T: t, Rem: trem})
+			scan.Again = true
+		} else {
+			scan.Wake = min(scan.Wake, s.nextChance(now, pr, stats))
+			// With no progress yet nextChance cannot extrapolate; the next
+			// check sees the copy's rate and may rule the slot out.
+			scan.Again = scan.Again || pr.Fraction == 0
+		}
+	}
+	return scan
 }
 
 // estimateRemaining returns the progress-based remaining-time estimate of

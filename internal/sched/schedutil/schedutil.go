@@ -1,8 +1,8 @@
 // Package schedutil provides helpers shared by the scheduler
 // implementations: priority ordering, random task picking, the
 // largest-remainder integer rounding used to convert fractional machine
-// shares into whole machines, and the first-copy pass and straggler order
-// of the detection baselines.
+// shares into whole machines, and the first-copy pass, the per-phase scan
+// cache and the straggler order of the detection baselines.
 //
 // The package-level ordering and rounding functions allocate per call.
 // Schedulers invoked once per engine event keep a Sorter and an Apportioner
@@ -15,6 +15,7 @@ package schedutil
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"mrclone/internal/cluster"
@@ -255,6 +256,78 @@ func LaunchFirstCopies(ctx *cluster.Context, jobs []*job.Job, buf []*job.Task) (
 		}
 	}
 	return buf, ctx.FreeMachines() > 0
+}
+
+// PhaseScan is what a detection baseline's scan of one job phase found.
+type PhaseScan struct {
+	// Wake is the earliest slot at which a task of the phase could become
+	// a candidate while its job does not change; math.MaxInt64 means never.
+	Wake int64
+	// Again asks for a scan on the next call whatever Wake says: the scan
+	// found candidates, or a wake it reported is provisional.
+	Again bool
+	// At is the slot of the scan, set by ScanCache.Scan; -1 before the
+	// phase's first scan.
+	At int64
+}
+
+// unscanned is the PhaseScan of a phase never scanned: due at once.
+var unscanned = PhaseScan{Wake: math.MinInt64, At: -1}
+
+// ScanCache lets a detection baseline rescan only the job phases whose last
+// scan may be stale. It keeps each alive job's Changes count at its last
+// scan and the PhaseScan of both its phases, in arrival order, and a
+// Scheduler keeps one for all its calls. The zero value is ready to use.
+type ScanCache struct {
+	jobs []scannedJob
+}
+
+// scannedJob is one alive job's entry in a ScanCache.
+type scannedJob struct {
+	j       *job.Job
+	changes uint64       // j.Changes() at the last Scan; any change rescans both phases
+	phases  [2]PhaseScan // map, reduce
+}
+
+// Scan calls scan on every phase of the alive jobs that needs it, job by
+// job in the given order, maps before reduces, and returns the earliest
+// Wake over all phases, fresh or cached. A phase needs a scan when its job
+// has changed since its last one, when its Wake is at or before now, or
+// when that scan asked for another; every other phase keeps its cached
+// PhaseScan. scan gets the phase's previous PhaseScan as last. alive must be
+// Context.AliveJobs in arrival order: the cache follows it by a merge walk,
+// which drops retired jobs and appends new ones.
+func (c *ScanCache) Scan(ctx *cluster.Context, alive []*job.Job,
+	scan func(ctx *cluster.Context, j *job.Job, p job.Phase, last PhaseScan) PhaseScan) int64 {
+	now := ctx.Now()
+	wake := int64(math.MaxInt64)
+	kept, next := 0, 0 // entries c.jobs[:kept] are alive; c.jobs[next] is read next
+	for _, j := range alive {
+		for next < len(c.jobs) && c.jobs[next].j != j {
+			next++ // retired since the last call
+		}
+		if next == len(c.jobs) {
+			// New since the last call, so after every cached job.
+			c.jobs = append(c.jobs, scannedJob{j: j, phases: [2]PhaseScan{unscanned, unscanned}})
+		}
+		if next != kept {
+			c.jobs[kept] = c.jobs[next]
+		}
+		sj := &c.jobs[kept]
+		kept, next = kept+1, next+1
+		changed := sj.changes != j.Changes()
+		for i, p := range [...]job.Phase{job.PhaseMap, job.PhaseReduce} {
+			if ps := &sj.phases[i]; changed || ps.Again || ps.Wake <= now {
+				*ps = scan(ctx, j, p, *ps)
+				ps.At = now
+			}
+			wake = min(wake, sj.phases[i].Wake)
+		}
+		sj.changes = j.Changes()
+	}
+	clear(c.jobs[kept:]) // retired jobs and moved entries
+	c.jobs = c.jobs[:kept]
+	return wake
 }
 
 // Straggler is a running task a detection baseline wants to back up.
