@@ -132,7 +132,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		out.Status = "down"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, out)
+	service.WriteJSON(w, code, out)
 }
 
 // scrapeMetrics fetches and parses one shard's Prometheus-style /metrics
@@ -164,32 +164,14 @@ func (g *Gateway) scrapeMetrics(parent context.Context, sh Shard) ([]*obs.Family
 	return obs.ParseExposition(string(body))
 }
 
-// nonAdditive lists shard series whose sum across the pool would mislead —
-// rates and identity gauges, not counters or occupancy. They are dropped
-// from the aggregate (per-shard values remain on each shard's own
-// /metrics); everything else the shards export is additive by
-// construction: lifetime counters or point-in-time quantities of work and
-// bytes that genuinely add up pool-wide.
-var nonAdditive = map[string]bool{
-	"mrclone_uptime_seconds":   true, // summing uptimes hides single-shard restarts
-	"mrclone_cells_per_second": true, // a mean rate; the sum overstates throughput
-	"mrclone_persistent":       true, // an identity flag, not a quantity
-}
-
-// additiveFamily reports whether a shard family belongs in the pool
-// aggregate. Besides the explicit nonAdditive set, the shards' go_* runtime
-// stats are process-local (summed heap sizes or goroutine counts describe
-// no real process) and are dropped; the gateway appends its own.
-func additiveFamily(name string) bool {
-	return !nonAdditive[name] && !strings.HasPrefix(name, "go_")
-}
-
-// handleMetrics merges every additive mrclone_* family across the pool —
-// counters and gauges sum per label set, histograms sum bucket-wise (all
-// shards share the obs.LatencyBuckets layout, so equal `le` buckets add
-// exactly) — and appends the gateway's own counters, its edge request
-// histogram, a per-shard up gauge, and its runtime stats. A shard that
-// fails its scrape contributes nothing to the sums and reports up 0.
+// handleMetrics merges every shard family that is not process-local
+// (service.LocalFamily; per-shard values remain on each shard's own
+// /metrics) across the pool — counters and gauges sum per label set,
+// histograms sum bucket-wise (all shards share the obs.LatencyBuckets
+// layout, so equal `le` buckets add exactly) — and appends the gateway's own
+// counters, its edge request histogram, a per-shard up gauge, and its
+// runtime stats. A shard that fails its scrape contributes nothing to the
+// sums and reports up 0.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	view := g.currentView()
 	merge := obs.NewMerge()
@@ -206,7 +188,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 			keep := make([]*obs.Family, 0, len(fams))
 			for _, f := range fams {
-				if additiveFamily(f.Name) {
+				if !service.LocalFamily(f.Name) {
 					keep = append(keep, f)
 				}
 			}
@@ -228,29 +210,19 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e := obs.NewExpoWriter(w)
 	e.Comment(fmt.Sprintf("Pool aggregate: %d/%d shards answered their scrape.", upCount, len(view.order)))
 	merge.WriteTo(e)
-	for _, row := range []struct {
-		name  string
-		help  string
-		typ   string
-		value float64
-	}{
-		{"mrclone_gateway_shards", "Current pool size.", "gauge", float64(len(view.order))},
-		{"mrclone_gateway_shards_up", "Shards that answered the last scrape.", "gauge", float64(upCount)},
-		{"mrclone_gateway_requests_total", "Requests handled by this gateway.", "counter", float64(g.requests.Load())},
-		{"mrclone_gateway_submissions_total", "Submissions routed by content hash.", "counter", float64(g.submissions.Load())},
-		{"mrclone_gateway_failovers_total", "Submissions served by a non-owner replica.", "counter", float64(g.failovers.Load())},
-		{"mrclone_gateway_shard_errors_total", "Upstream attempts that failed (transport or draining).", "counter", float64(g.shardErrors.Load())},
-		{"mrclone_gateway_breaker_skips_total", "Upstream attempts short-circuited by an open circuit breaker (no dial).", "counter", float64(g.breakerSkips.Load())},
-		{"mrclone_gateway_unauthorized_total", "Submissions rejected at the edge for missing or invalid credentials.", "counter", float64(g.unauthorized.Load())},
-		{"mrclone_gateway_rate_limited_total", "Submissions rejected at the edge by a tenant's rate limit.", "counter", float64(g.rateLimited.Load())},
-		{"mrclone_gateway_uptime_seconds", "Gateway uptime.", "gauge", time.Since(g.start).Seconds()},
-	} {
-		e.Header(row.name, row.help, row.typ)
-		e.Sample(row.name, nil, row.value)
-	}
+	e.Gauge("mrclone_gateway_shards", "Current pool size.", float64(len(view.order)))
+	e.Gauge("mrclone_gateway_shards_up", "Shards that answered the last scrape.", float64(upCount))
+	e.Counter("mrclone_gateway_requests_total", "Requests handled by this gateway.", float64(g.requests.Load()))
+	e.Counter("mrclone_gateway_submissions_total", "Submissions routed by content hash.", float64(g.submissions.Load()))
+	e.Counter("mrclone_gateway_failovers_total", "Submissions served by a non-owner replica.", float64(g.failovers.Load()))
+	e.Counter("mrclone_gateway_shard_errors_total", "Upstream attempts that failed (transport or draining).", float64(g.shardErrors.Load()))
+	e.Counter("mrclone_gateway_breaker_skips_total", "Upstream attempts short-circuited by an open circuit breaker (no dial).", float64(g.breakerSkips.Load()))
+	e.Counter("mrclone_gateway_unauthorized_total", "Submissions rejected at the edge for missing or invalid credentials.", float64(g.unauthorized.Load()))
+	e.Counter("mrclone_gateway_rate_limited_total", "Submissions rejected at the edge by a tenant's rate limit.", float64(g.rateLimited.Load()))
+	e.Gauge("mrclone_gateway_uptime_seconds", "Gateway uptime.", time.Since(g.start).Seconds())
 	e.HistogramSeries("mrclone_gateway_http_request_seconds",
 		"Gateway HTTP request duration by route and status (includes the shard hop).",
-		g.obsv.httpHist.Snapshots())
+		g.httpHist.Snapshots())
 	e.Header("mrclone_gateway_shard_up", "Whether the shard answered the last scrape (1 = up).", "gauge")
 	for i, sh := range view.order {
 		v := 0.0

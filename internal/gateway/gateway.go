@@ -47,11 +47,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -164,7 +162,10 @@ type Gateway struct {
 	tenants      *tenant.Registry
 	admin        bool
 	start        time.Time
-	obsv         gatewayObs
+	log          *slog.Logger
+	// httpHist is gateway-side HTTP request duration by matched route and
+	// status — the client-observed latency, including the upstream hop.
+	httpHist *obs.HistogramVec
 
 	breakerFailures int
 	breakerCooldown time.Duration
@@ -241,6 +242,10 @@ func New(cfg Config) (*Gateway, error) {
 	if probe <= 0 {
 		probe = 2 * time.Second
 	}
+	log := cfg.Logger
+	if log == nil {
+		log = obs.Nop()
+	}
 	g := &Gateway{
 		client:          client,
 		probeClient:     probeClient,
@@ -249,7 +254,8 @@ func New(cfg Config) (*Gateway, error) {
 		tenants:         cfg.Tenants,
 		admin:           cfg.EnableAdmin,
 		start:           time.Now(),
-		obsv:            newGatewayObs(cfg.Logger),
+		log:             log,
+		httpHist:        obs.NewHistogramVec(obs.LatencyBuckets, "route", "status"),
 		breakerFailures: cfg.BreakerFailures,
 		breakerCooldown: cfg.BreakerCooldown,
 		stopCh:          make(chan struct{}),
@@ -280,7 +286,10 @@ func New(cfg Config) (*Gateway, error) {
 func (g *Gateway) Ring() *ring.Ring { return g.currentView().ring }
 
 // Handler returns the gateway's HTTP API — the same surface a single
-// mrserved exposes (docs/API.md), with gateway job IDs namespaced by shard.
+// mrserved exposes (docs/API.md), with gateway job IDs namespaced by shard —
+// behind the shard's own request middleware (obs.Instrument). A request
+// line names the serving shard when the route set X-Mrclone-Shard, which is
+// what ties a gateway log line to the shard line sharing its trace ID.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/matrices", g.handleSubmit)
@@ -293,21 +302,13 @@ func (g *Gateway) Handler() http.Handler {
 	if g.admin {
 		mux.HandleFunc("POST /v1/pool/shards", g.handlePoolUpdate)
 	}
-	return g.instrument(mux)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, struct {
-		Error string `json:"error"`
-	}{err.Error()})
+	counted := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { g.requests.Add(1); mux.ServeHTTP(w, r) })
+	return obs.Instrument(g.log, g.httpHist, counted, func(h http.Header) []slog.Attr {
+		if shard := h.Get(HeaderShard); shard != "" {
+			return []slog.Attr{slog.String(obs.KeyShard, shard)}
+		}
+		return nil
+	})
 }
 
 // splitJobID decomposes a namespaced gateway job ID.
@@ -394,19 +395,13 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !g.admit(w, r) {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, service.MaxSpecBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-		return
-	}
-	if len(body) > service.MaxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("spec exceeds %d bytes", service.MaxSpecBytes))
+	body, ok := service.ReadSpecBody(w, r)
+	if !ok {
 		return
 	}
 	hash, err := spec.HashSubmission(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	g.submissions.Add(1)
@@ -471,16 +466,15 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if allDraining {
 		code = http.StatusServiceUnavailable
 	}
-	writeError(w, code,
+	service.WriteError(w, code,
 		fmt.Errorf("gateway: no replica accepted spec %.12s…: %v", hash, lastErr))
 }
 
 // admit applies edge admission when the gateway carries a tenant registry:
 // the submission must authenticate and fit the tenant's rate budget before
-// any shard is dialed. The reply mirrors the shard's own semantics — 401
-// with a challenge for missing/unknown tokens, 403 for a disabled tenant,
-// 429 with Retry-After when over rate — so clients cannot tell which tier
-// rejected them. Returns true when the request may proceed.
+// any shard is dialed. The reply is the shard's own (service.WriteAuthError:
+// 401 with a challenge, 403, or 429 with Retry-After), so clients cannot
+// tell which tier rejected them. Returns true when the request may proceed.
 func (g *Gateway) admit(w http.ResponseWriter, r *http.Request) bool {
 	if g.tenants == nil {
 		return true
@@ -489,24 +483,12 @@ func (g *Gateway) admit(w http.ResponseWriter, r *http.Request) bool {
 	if err == nil {
 		return true
 	}
-	var rl *tenant.RateLimitError
-	switch {
-	case errors.As(err, &rl):
+	if errors.Is(err, tenant.ErrRateLimited) {
 		g.rateLimited.Add(1)
-		secs := int(math.Ceil(rl.RetryAfter.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, tenant.ErrDisabled):
+	} else {
 		g.unauthorized.Add(1)
-		writeError(w, http.StatusForbidden, err)
-	default:
-		g.unauthorized.Add(1)
-		w.Header().Set("WWW-Authenticate", `Bearer realm="mrclone"`)
-		writeError(w, http.StatusUnauthorized, err)
 	}
+	service.WriteAuthError(w, err)
 	return false
 }
 
@@ -528,12 +510,12 @@ func (g *Gateway) relayJobStatus(w http.ResponseWriter, resp *http.Response, sha
 	}
 	var st service.JobStatus
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
-		writeError(w, http.StatusBadGateway,
+		service.WriteError(w, http.StatusBadGateway,
 			fmt.Errorf("gateway: shard %s: undecodable job status: %w", shard, err))
 		return
 	}
 	st.ID = shard + idSep + st.ID
-	writeJSON(w, resp.StatusCode, st)
+	service.WriteJSON(w, resp.StatusCode, st)
 }
 
 // passThrough relays an upstream response verbatim, preserving the headers
@@ -555,13 +537,13 @@ func passThrough(w http.ResponseWriter, resp *http.Response) {
 func (g *Gateway) routeJob(w http.ResponseWriter, id string) (Shard, string, bool) {
 	shardName, local, ok := splitJobID(id)
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		service.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("gateway: malformed job id %q (want <shard>%s<id>)", id, idSep))
 		return Shard{}, "", false
 	}
 	sh, ok := g.currentView().shards[shardName]
 	if !ok {
-		writeError(w, http.StatusNotFound,
+		service.WriteError(w, http.StatusNotFound,
 			fmt.Errorf("gateway: job %q names unknown shard %q", id, shardName))
 		return Shard{}, "", false
 	}
@@ -577,7 +559,7 @@ func (g *Gateway) unreachable(w http.ResponseWriter, sh Shard, err error) {
 	if !errors.Is(err, errBreakerOpen) {
 		g.shardErrors.Add(1)
 	}
-	writeError(w, http.StatusBadGateway,
+	service.WriteError(w, http.StatusBadGateway,
 		fmt.Errorf("gateway: shard %s unreachable: %v", sh.Name, err))
 }
 
@@ -616,12 +598,12 @@ func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
 		service.JobStatus
 	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body); err != nil {
-		writeError(w, http.StatusBadGateway,
+		service.WriteError(w, http.StatusBadGateway,
 			fmt.Errorf("gateway: shard %s: undecodable cancel response: %w", sh.Name, err))
 		return
 	}
 	body.ID = sh.Name + idSep + body.ID
-	writeJSON(w, http.StatusOK, body)
+	service.WriteJSON(w, http.StatusOK, body)
 }
 
 // handleResult streams artifact bytes through untouched: the deterministic
@@ -660,16 +642,10 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		passThrough(w, resp)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
+	flusher, ok := service.StartEventStream(w)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {

@@ -12,6 +12,7 @@ import (
 
 	"mrclone/internal/obs"
 	"mrclone/internal/ring"
+	"mrclone/internal/service"
 )
 
 // poolView is one immutable snapshot of the pool: the member set, the
@@ -61,7 +62,7 @@ func (g *Gateway) breakerFor(name string) *breaker {
 // through the gateway's structured logger.
 func (g *Gateway) newShardBreaker(name string) *breaker {
 	return newBreaker(g.breakerFailures, g.breakerCooldown, nil, func(from, to breakerState) {
-		g.obsv.log.Info("breaker transition",
+		g.log.Info("breaker transition",
 			obs.KeyShard, name, "from", from.String(), "to", to.String())
 	})
 }
@@ -162,7 +163,7 @@ func (g *Gateway) ApplyPoolUpdate(upd PoolUpdate) (PoolStatus, error) {
 	g.brMu.Unlock()
 
 	g.view.Store(&poolView{shards: shards, order: order, ring: next, prev: view.ring})
-	g.obsv.log.Info("pool membership changed",
+	g.log.Info("pool membership changed",
 		"added", len(added), "removed", len(upd.Remove), "ring", next.String())
 	return poolStatus(order, next), nil
 }
@@ -181,20 +182,20 @@ func poolStatus(order []Shard, r *ring.Ring) PoolStatus {
 func (g *Gateway) handlePoolUpdate(w http.ResponseWriter, r *http.Request) {
 	var upd PoolUpdate
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&upd); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("gateway: decode pool update: %w", err))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("gateway: decode pool update: %w", err))
 		return
 	}
 	if len(upd.Add) == 0 && len(upd.Remove) == 0 {
-		writeError(w, http.StatusBadRequest,
+		service.WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("gateway: pool update adds and removes nothing"))
 		return
 	}
 	st, err := g.ApplyPoolUpdate(upd)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	service.WriteJSON(w, http.StatusOK, st)
 }
 
 // probeLoop drives the background health probes: every interval, each pool

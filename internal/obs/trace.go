@@ -130,32 +130,16 @@ func randHex(n int) string {
 	return hex.EncodeToString(b)
 }
 
-// ctxKey keys obs values in a context.Context.
-type ctxKey int
-
-const (
-	traceKey ctxKey = iota
-	requestIDKey
-)
+// traceKey keys the trace context in a context.Context.
+type traceKey struct{}
 
 // ContextWithTrace returns ctx carrying tc.
 func ContextWithTrace(ctx context.Context, tc TraceContext) context.Context {
-	return context.WithValue(ctx, traceKey, tc)
+	return context.WithValue(ctx, traceKey{}, tc)
 }
 
 // TraceFrom extracts the trace context installed by ContextWithTrace.
 func TraceFrom(ctx context.Context) (TraceContext, bool) {
-	tc, ok := ctx.Value(traceKey).(TraceContext)
+	tc, ok := ctx.Value(traceKey{}).(TraceContext)
 	return tc, ok
-}
-
-// ContextWithRequestID returns ctx carrying a request ID.
-func ContextWithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey, id)
-}
-
-// RequestIDFrom extracts the request ID installed by ContextWithRequestID.
-func RequestIDFrom(ctx context.Context) (string, bool) {
-	id, ok := ctx.Value(requestIDKey).(string)
-	return id, ok
 }

@@ -116,17 +116,10 @@ func TestContextPlumbing(t *testing.T) {
 	if _, ok := TraceFrom(ctx); ok {
 		t.Fatal("empty context should have no trace")
 	}
-	if _, ok := RequestIDFrom(ctx); ok {
-		t.Fatal("empty context should have no request ID")
-	}
 	tc := NewTrace()
 	ctx = ContextWithTrace(ctx, tc)
-	ctx = ContextWithRequestID(ctx, "r-1")
 	if got, ok := TraceFrom(ctx); !ok || got != tc {
 		t.Fatalf("TraceFrom = %+v, %v", got, ok)
-	}
-	if id, ok := RequestIDFrom(ctx); !ok || id != "r-1" {
-		t.Fatalf("RequestIDFrom = %q, %v", id, ok)
 	}
 }
 

@@ -9,16 +9,16 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 
 	"mrclone/internal/obs"
 	"mrclone/internal/service/spec"
 	"mrclone/internal/tenant"
 )
 
-// MaxSpecBytes bounds the accepted request body: large enough for a full
-// 6064-row explicit trace, small enough to shed abusive payloads. Exported
-// so the gateway tier enforces the same cap as the shards it fronts.
-const MaxSpecBytes = 32 << 20
+// maxSpecBytes bounds the accepted request body: large enough for a full
+// 6064-row explicit trace, small enough to shed abusive payloads.
+const maxSpecBytes = 32 << 20
 
 // Handler returns the HTTP/JSON API of the service:
 //
@@ -42,12 +42,15 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/peer/cells/{hash}", s.handlePeerCells)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	return s.instrument(mux)
+	return obs.Instrument(s.obsv.log, s.obsv.httpHist, mux, nil)
 }
 
-// writeJSON renders v with a status code; encoding failures are ignored
+// The writers below are the HTTP edge the gateway shares with the shards it
+// fronts, so both tiers answer with the same bodies, headers and statuses.
+
+// WriteJSON renders v with a status code; encoding failures are ignored
 // (the status line is already out).
-func writeJSON(w http.ResponseWriter, code int, v any) {
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
@@ -55,12 +58,11 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorBody{Error: err.Error()})
+// WriteError renders err as the API's {"error": "..."} body.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, struct {
+		Error string `json:"error"`
+	}{err.Error()})
 }
 
 // retryAfterSeconds renders a wait as a whole-second Retry-After value,
@@ -74,21 +76,55 @@ func retryAfterSeconds(d float64) string {
 	return strconv.Itoa(secs)
 }
 
-// writeAuthError maps a tenant authentication/admission failure onto HTTP:
+// WriteAuthError maps a tenant authentication/admission failure onto HTTP:
 // missing or unknown credentials are 401 with a challenge, a disabled
 // tenant is 403, and a rate-limited one is 429 with Retry-After.
-func writeAuthError(w http.ResponseWriter, err error) {
+func WriteAuthError(w http.ResponseWriter, err error) {
 	var rl *tenant.RateLimitError
 	switch {
 	case errors.As(err, &rl):
 		w.Header().Set("Retry-After", retryAfterSeconds(rl.RetryAfter.Seconds()))
-		writeError(w, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, tenant.ErrDisabled):
-		writeError(w, http.StatusForbidden, err)
+		WriteError(w, http.StatusForbidden, err)
 	default:
 		w.Header().Set("WWW-Authenticate", `Bearer realm="mrclone"`)
-		writeError(w, http.StatusUnauthorized, err)
+		WriteError(w, http.StatusUnauthorized, err)
 	}
+}
+
+// ReadSpecBody reads a submission body under the spec size cap. On failure
+// the 400 or 413 response has been written and ok is false.
+func ReadSpecBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes+1))
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
+		return nil, false
+	}
+	if len(body) > maxSpecBytes {
+		WriteError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("spec exceeds %d bytes", maxSpecBytes))
+		return nil, false
+	}
+	return body, true
+}
+
+// StartEventStream opens a Server-Sent Events response — the stream
+// headers, a 200 and a flush, so the client sees the stream before its
+// first frame — and returns the flusher for the frames. On a writer that
+// cannot flush the 500 response has been written and ok is false.
+func StartEventStream(w http.ResponseWriter) (f http.Flusher, ok bool) {
+	f, ok = w.(http.Flusher)
+	if !ok {
+		WriteError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
+		return nil, false
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.Header().Set("Connection", "keep-alive")
+	w.WriteHeader(http.StatusOK)
+	f.Flush()
+	return f, true
 }
 
 // authorize resolves the request's tenant for read/cancel routes. Without a
@@ -105,26 +141,20 @@ func (s *Service) authorize(w http.ResponseWriter, r *http.Request) (string, boo
 		s.mu.Lock()
 		s.m.Unauthorized++
 		s.mu.Unlock()
-		writeAuthError(w, err)
+		WriteAuthError(w, err)
 		return "", false
 	}
 	return t.Name, true
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, MaxSpecBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-		return
-	}
-	if len(body) > MaxSpecBytes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("spec exceeds %d bytes", MaxSpecBytes))
+	body, ok := ReadSpecBody(w, r)
+	if !ok {
 		return
 	}
 	sp, err := spec.Parse(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx := r.Context()
@@ -135,18 +165,18 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, tenant.ErrRateLimited), errors.Is(err, tenant.ErrDisabled),
 		errors.Is(err, tenant.ErrNoToken), errors.Is(err, tenant.ErrUnknownToken):
-		writeAuthError(w, err)
+		WriteAuthError(w, err)
 	case errors.Is(err, ErrTenantQuota), errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", retryAfterSeconds(0))
-		writeError(w, http.StatusTooManyRequests, err)
+		WriteError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 	case st.State == StateDone:
-		writeJSON(w, http.StatusOK, st)
+		WriteJSON(w, http.StatusOK, st)
 	default:
-		writeJSON(w, http.StatusAccepted, st)
+		WriteJSON(w, http.StatusAccepted, st)
 	}
 }
 
@@ -156,10 +186,10 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 	}
 	st, err := s.Get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
@@ -171,11 +201,11 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrUnknownJob):
-			writeError(w, http.StatusNotFound, err)
+			WriteError(w, http.StatusNotFound, err)
 		case errors.Is(err, ErrNotReady):
-			writeError(w, http.StatusConflict, err)
+			WriteError(w, http.StatusConflict, err)
 		default: // failed or cancelled
-			writeError(w, http.StatusGone, err)
+			WriteError(w, http.StatusGone, err)
 		}
 		return
 	}
@@ -190,7 +220,7 @@ func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/csv")
 		_, _ = w.Write(res.AggregateCSV)
 	default:
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("unknown format %q (want json, csv, or aggregate)", format))
 	}
 }
@@ -206,26 +236,26 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 		// under one token cannot be torn down by another tenant.
 		st, err := s.Get(id)
 		if err != nil {
-			writeError(w, http.StatusNotFound, err)
+			WriteError(w, http.StatusNotFound, err)
 			return
 		}
 		if st.Tenant != "" && st.Tenant != tn {
-			writeError(w, http.StatusForbidden,
+			WriteError(w, http.StatusForbidden,
 				fmt.Errorf("job %s belongs to another tenant", id))
 			return
 		}
 	}
 	cancelled, err := s.Cancel(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
 	st, err := s.Get(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Cancelled bool `json:"cancelled"`
 		JobStatus
 	}{cancelled, st})
@@ -237,19 +267,13 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	sub, err := s.Subscribe(r.PathValue("id"))
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	flusher, ok := w.(http.Flusher)
+	flusher, ok := StartEventStream(w)
 	if !ok {
-		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
 	for {
 		e, ok := sub.Next(r.Context())
 		if !ok {
@@ -267,53 +291,43 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Health())
+	WriteJSON(w, http.StatusOK, s.Health())
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m := s.Metrics()
 	w.Header().Set("Content-Type", obs.ExpoContentType)
 	e := obs.NewExpoWriter(w)
-	for _, row := range []struct {
-		name  string
-		help  string
-		typ   string
-		value float64
-	}{
-		{"mrclone_submissions_total", "Matrix submissions accepted.", "counter", float64(m.Submissions)},
-		{"mrclone_cache_hits_total", "Submissions served from the in-memory result cache.", "counter", float64(m.CacheHits)},
-		{"mrclone_disk_hits_total", "Artifact reads served from the disk store.", "counter", float64(m.DiskHits)},
-		{"mrclone_dedup_hits_total", "Submissions attached to an in-flight computation.", "counter", float64(m.DedupHits)},
-		{"mrclone_flights_total", "Distinct matrix computations registered.", "counter", float64(m.Flights)},
-		{"mrclone_jobs_done_total", "Jobs finished successfully.", "counter", float64(m.JobsDone)},
-		{"mrclone_jobs_failed_total", "Jobs finished in failure.", "counter", float64(m.JobsFailed)},
-		{"mrclone_jobs_cancelled_total", "Jobs cancelled by clients or shutdown.", "counter", float64(m.JobsCancelled)},
-		{"mrclone_gc_jobs_total", "Terminal jobs aged out of the job table.", "counter", float64(m.JobsGCed)},
-		{"mrclone_gc_artifacts_total", "TTL-expired artifacts deleted from the disk store.", "counter", float64(m.ArtifactsGCed)},
-		{"mrclone_quarantined_total", "Corrupt disk entries moved to quarantine.", "counter", float64(m.Quarantined)},
-		{"mrclone_store_errors_total", "Disk store operations that failed.", "counter", float64(m.StoreErrors)},
-		{"mrclone_queue_depth", "Matrices waiting for a worker.", "gauge", float64(m.QueueDepth)},
-		{"mrclone_queue_capacity", "Bounded queue capacity.", "gauge", float64(m.QueueCapacity)},
-		{"mrclone_cache_entries", "Matrices held in the in-memory result cache.", "gauge", float64(m.CacheEntries)},
-		{"mrclone_cache_bytes", "Artifact bytes held in the in-memory result cache.", "gauge", float64(m.CacheBytes)},
-		{"mrclone_jobs_tracked", "Job records currently in the job table.", "gauge", float64(m.JobsTracked)},
-		{"mrclone_persistent", "1 when a disk store is configured.", "gauge", boolGauge(m.Persistent)},
-		{"mrclone_cells_done_total", "Matrix cells landed (simulated or resolved from the cell cache).", "counter", float64(m.CellsDone)},
-		{"mrclone_cell_hits_total", "Cells resolved from the content-addressed cell cache.", "counter", float64(m.CellHits)},
-		{"mrclone_cell_misses_total", "Cell lookups that missed the cell cache.", "counter", float64(m.CellMisses)},
-		{"mrclone_cell_bytes_total", "Cell payload bytes written to the cell store.", "counter", float64(m.CellBytes)},
-		{"mrclone_gc_cells_total", "Expired or evicted cell records deleted from the disk store.", "counter", float64(m.CellsGCed)},
-		{"mrclone_assembled_total", "Matrices assembled entirely from cached cells without a worker slot.", "counter", float64(m.Assembled)},
-		{"mrclone_peer_fetch_hits_total", "Artifacts and cells adopted from a peer shard after a pool membership change.", "counter", float64(m.PeerFetchHits)},
-		{"mrclone_peer_fetch_misses_total", "Peer fetches that missed or failed verification and fell back to recomputation.", "counter", float64(m.PeerFetchMisses)},
-		{"mrclone_peer_fetch_bytes_total", "Payload bytes installed from verified peer fetches.", "counter", float64(m.PeerFetchBytes)},
-		{"mrclone_unauthorized_total", "Requests rejected for missing or invalid credentials.", "counter", float64(m.Unauthorized)},
-		{"mrclone_uptime_seconds", "Service uptime.", "gauge", m.UptimeSeconds},
-		{"mrclone_cells_per_second", "Lifetime mean simulation throughput.", "gauge", m.CellsPerSecond},
-	} {
-		e.Header(row.name, row.help, row.typ)
-		e.Sample(row.name, nil, row.value)
-	}
+	e.Counter("mrclone_submissions_total", "Matrix submissions accepted.", float64(m.Submissions))
+	e.Counter("mrclone_cache_hits_total", "Submissions served from the in-memory result cache.", float64(m.CacheHits))
+	e.Counter("mrclone_disk_hits_total", "Artifact reads served from the disk store.", float64(m.DiskHits))
+	e.Counter("mrclone_dedup_hits_total", "Submissions attached to an in-flight computation.", float64(m.DedupHits))
+	e.Counter("mrclone_flights_total", "Distinct matrix computations registered.", float64(m.Flights))
+	e.Counter("mrclone_jobs_done_total", "Jobs finished successfully.", float64(m.JobsDone))
+	e.Counter("mrclone_jobs_failed_total", "Jobs finished in failure.", float64(m.JobsFailed))
+	e.Counter("mrclone_jobs_cancelled_total", "Jobs cancelled by clients or shutdown.", float64(m.JobsCancelled))
+	e.Counter("mrclone_gc_jobs_total", "Terminal jobs aged out of the job table.", float64(m.JobsGCed))
+	e.Counter("mrclone_gc_artifacts_total", "TTL-expired artifacts deleted from the disk store.", float64(m.ArtifactsGCed))
+	e.Counter("mrclone_quarantined_total", "Corrupt disk entries moved to quarantine.", float64(m.Quarantined))
+	e.Counter("mrclone_store_errors_total", "Disk store operations that failed.", float64(m.StoreErrors))
+	e.Gauge("mrclone_queue_depth", "Matrices waiting for a worker.", float64(m.QueueDepth))
+	e.Gauge("mrclone_queue_capacity", "Bounded queue capacity.", float64(m.QueueCapacity))
+	e.Gauge("mrclone_cache_entries", "Matrices held in the in-memory result cache.", float64(m.CacheEntries))
+	e.Gauge("mrclone_cache_bytes", "Artifact bytes held in the in-memory result cache.", float64(m.CacheBytes))
+	e.Gauge("mrclone_jobs_tracked", "Job records currently in the job table.", float64(m.JobsTracked))
+	e.Gauge("mrclone_persistent", "1 when a disk store is configured.", boolGauge(m.Persistent))
+	e.Counter("mrclone_cells_done_total", "Matrix cells landed (simulated or resolved from the cell cache).", float64(m.CellsDone))
+	e.Counter("mrclone_cell_hits_total", "Cells resolved from the content-addressed cell cache.", float64(m.CellHits))
+	e.Counter("mrclone_cell_misses_total", "Cell lookups that missed the cell cache.", float64(m.CellMisses))
+	e.Counter("mrclone_cell_bytes_total", "Cell payload bytes written to the cell store.", float64(m.CellBytes))
+	e.Counter("mrclone_gc_cells_total", "Expired or evicted cell records deleted from the disk store.", float64(m.CellsGCed))
+	e.Counter("mrclone_assembled_total", "Matrices assembled entirely from cached cells without a worker slot.", float64(m.Assembled))
+	e.Counter("mrclone_peer_fetch_hits_total", "Artifacts and cells adopted from a peer shard after a pool membership change.", float64(m.PeerFetchHits))
+	e.Counter("mrclone_peer_fetch_misses_total", "Peer fetches that missed or failed verification and fell back to recomputation.", float64(m.PeerFetchMisses))
+	e.Counter("mrclone_peer_fetch_bytes_total", "Payload bytes installed from verified peer fetches.", float64(m.PeerFetchBytes))
+	e.Counter("mrclone_unauthorized_total", "Requests rejected for missing or invalid credentials.", float64(m.Unauthorized))
+	e.Gauge("mrclone_uptime_seconds", "Service uptime.", m.UptimeSeconds)
+	e.Gauge("mrclone_cells_per_second", "Lifetime mean simulation throughput.", m.CellsPerSecond)
 	s.obsv.writeHistograms(e)
 	obs.WriteRuntimeMetrics(e)
 	if len(m.Tenants) == 0 {
@@ -341,6 +355,21 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 			e.Sample(row.name, []obs.Label{{Name: "tenant", Value: name}}, row.get(m.Tenants[name]))
 		}
 	}
+}
+
+// LocalFamily reports whether a /metrics family of the shard describes this
+// process alone, so a pool aggregate must drop it rather than sum it: the
+// uptime (a sum hides single-shard restarts), the mean cell rate (a sum
+// overstates throughput), the persistence flag (an identity, not a
+// quantity), and the go_* runtime stats (summed heaps and goroutine counts
+// describe no real process). Every other family is a lifetime counter or a
+// point-in-time quantity of work or bytes that adds up across shards.
+func LocalFamily(name string) bool {
+	switch name {
+	case "mrclone_uptime_seconds", "mrclone_cells_per_second", "mrclone_persistent":
+		return true
+	}
+	return strings.HasPrefix(name, "go_")
 }
 
 func boolGauge(b bool) float64 {

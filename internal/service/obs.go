@@ -2,8 +2,6 @@ package service
 
 import (
 	"log/slog"
-	"net/http"
-	"strconv"
 	"time"
 
 	"mrclone/internal/obs"
@@ -13,8 +11,7 @@ import (
 // logger (never nil — a discard logger in the default, pre-observability
 // configuration) and the latency histograms exported on /metrics.
 type serviceObs struct {
-	log   *slog.Logger
-	shard string
+	log *slog.Logger
 
 	// httpHist is HTTP request duration by matched route and status code.
 	httpHist *obs.HistogramVec
@@ -37,7 +34,6 @@ func newServiceObs(log *slog.Logger, shard string) serviceObs {
 	}
 	return serviceObs{
 		log:       log,
-		shard:     shard,
 		httpHist:  obs.NewHistogramVec(obs.LatencyBuckets, "route", "status"),
 		queueWait: obs.NewHistogram(obs.LatencyBuckets),
 		runDur:    obs.NewHistogram(obs.LatencyBuckets),
@@ -81,46 +77,6 @@ func jobAttrs(j *jobState) []any {
 		attrs = append(attrs, obs.KeyTraceID, j.traceID)
 	}
 	return attrs
-}
-
-// instrument wraps the API mux with the observability middleware: it
-// resolves the request's trace context (minting one, or continuing an
-// inbound traceparent under a fresh span), mints a request ID, echoes the
-// traceparent on the response, records the request into the duration
-// histogram by matched route and status, and logs one line per request.
-// The health and metrics scrape routes log at debug so a monitoring
-// cadence does not drown real traffic at the default level.
-func (s *Service) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		tc, r := obs.EnsureTrace(r)
-		reqID := obs.NewRequestID()
-		r = r.WithContext(obs.ContextWithRequestID(r.Context(), reqID))
-		w.Header().Set(obs.TraceparentHeader, tc.String())
-		rec := obs.NewStatusRecorder(w)
-		next.ServeHTTP(rec, r)
-
-		route := r.Pattern
-		if route == "" {
-			route = "unmatched"
-		}
-		status := rec.Status()
-		dur := time.Since(start)
-		s.obsv.httpHist.Observe(dur.Seconds(), route, strconv.Itoa(status))
-
-		lvl := slog.LevelInfo
-		if route == "GET /healthz" || route == "GET /metrics" {
-			lvl = slog.LevelDebug
-		}
-		s.obsv.log.LogAttrs(r.Context(), lvl, "http request",
-			slog.String(obs.KeyRequestID, reqID),
-			slog.String(obs.KeyTraceID, tc.TraceID),
-			slog.String(obs.KeySpanID, tc.SpanID),
-			slog.String(obs.KeyRoute, route),
-			slog.Int(obs.KeyStatus, status),
-			slog.Float64(obs.KeyDurationMs, float64(dur)/float64(time.Millisecond)),
-		)
-	})
 }
 
 // rfc3339 renders a lifecycle timestamp: RFC 3339 with millisecond

@@ -101,7 +101,7 @@ func sha256Hex(data []byte) string {
 func (s *Service) handlePeerArtifacts(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	if s.storeHandle == nil {
-		writeError(w, http.StatusNotFound, errors.New("service: no artifact store"))
+		WriteError(w, http.StatusNotFound, errors.New("service: no artifact store"))
 		return
 	}
 	art, err := s.storeHandle.GetArtifacts(hash)
@@ -109,7 +109,7 @@ func (s *Service) handlePeerArtifacts(w http.ResponseWriter, r *http.Request) {
 		s.peerReadFailed(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, peerArtifactsWire{
+	WriteJSON(w, http.StatusOK, peerArtifactsWire{
 		Hash:         art.Hash,
 		Cells:        art.Cells,
 		CreatedAtMs:  art.CreatedAt.UnixMilli(),
@@ -132,7 +132,7 @@ func (s *Service) handlePeerArtifacts(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handlePeerCells(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	if s.storeHandle == nil {
-		writeError(w, http.StatusNotFound, errors.New("service: no artifact store"))
+		WriteError(w, http.StatusNotFound, errors.New("service: no artifact store"))
 		return
 	}
 	cell, err := s.storeHandle.GetCell(hash)
@@ -162,7 +162,7 @@ func (s *Service) peerReadFailed(w http.ResponseWriter, err error) {
 	s.mu.Lock()
 	s.countStoreErr(err)
 	s.mu.Unlock()
-	writeError(w, http.StatusNotFound, err)
+	WriteError(w, http.StatusNotFound, err)
 }
 
 // writeJSONCompact writes a peer response without re-indentation: embedded
@@ -172,14 +172,6 @@ func writeJSONCompact(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// peerHTTPClient returns the client peer fetches ride on.
-func (s *Service) peerHTTPClient() *http.Client {
-	if s.cfg.PeerClient != nil {
-		return s.cfg.PeerClient
-	}
-	return http.DefaultClient
 }
 
 // peerGet fetches one peer route under the peer timeout and the response
@@ -192,7 +184,7 @@ func (s *Service) peerGet(ctx context.Context, base, path string) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	resp, err := s.peerHTTPClient().Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

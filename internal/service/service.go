@@ -42,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"runtime"
 	"slices"
 	"sort"
@@ -147,11 +146,9 @@ type Config struct {
 	// QueueSeed fixes the fair-policy lottery for reproducible tests
 	// (0 = derived from the clock at startup).
 	QueueSeed int64
-	// PeerClient issues shard-to-shard peer artifact fetches (default
-	// http.DefaultClient; per-fetch lifetime is bounded by PeerTimeout).
-	PeerClient *http.Client
-	// PeerTimeout bounds each peer artifact or cell fetch (default 5s). A
-	// slow peer degrades to recomputation, never to a hung submission.
+	// PeerTimeout bounds each peer artifact or cell fetch, made over
+	// http.DefaultClient (default 5s). A slow peer degrades to
+	// recomputation, never to a hung submission.
 	PeerTimeout time.Duration
 	// Logger receives structured log lines (job lifecycle, flight
 	// execution, HTTP requests) with the internal/obs attribute vocabulary.
