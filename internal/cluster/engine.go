@@ -285,10 +285,17 @@ func New(cfg Config, sched Scheduler, specs []job.Spec) (*Engine, error) {
 	if cfg.MaxSlots < 0 || cfg.MaxSlots > maxMaxSlots {
 		return nil, fmt.Errorf("cluster: MaxSlots %d outside (0, 2^61]", cfg.MaxSlots)
 	}
+	// Schedulers break ties by job ID, so IDs must be unique.
+	first := make(map[int]int, len(specs))
 	for i := range specs {
 		if err := specs[i].Validate(); err != nil {
 			return nil, err
 		}
+		if prev, dup := first[specs[i].ID]; dup {
+			return nil, fmt.Errorf("%w: job ID %d repeated at specs %d and %d",
+				job.ErrBadSpec, specs[i].ID, prev, i)
+		}
+		first[specs[i].ID] = i
 	}
 	pending := make([]job.Spec, len(specs))
 	copy(pending, specs)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -340,6 +341,21 @@ func TestConfigValidation(t *testing.T) {
 	bad := []job.Spec{{ID: 0, Weight: 0, MapTasks: 1}}
 	if _, err := New(Config{Machines: 1}, greedyScheduler{}, bad); err == nil {
 		t.Error("invalid spec accepted")
+	}
+}
+
+func TestDuplicateJobIDRejected(t *testing.T) {
+	specs := []job.Spec{
+		simpleSpec(t, 0, 0, 1, 0, 1, 0),
+		simpleSpec(t, 4, 0, 1, 0, 1, 0),
+		simpleSpec(t, 0, 3, 2, 0, 1, 0),
+	}
+	_, err := New(Config{Machines: 1}, greedyScheduler{}, specs)
+	if !errors.Is(err, job.ErrBadSpec) {
+		t.Fatalf("duplicate job ID: want ErrBadSpec, got %v", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "job ID 0") || !strings.Contains(msg, "specs 0 and 2") {
+		t.Errorf("error %q does not name the ID and both specs", msg)
 	}
 }
 

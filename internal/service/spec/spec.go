@@ -225,10 +225,17 @@ func (s Spec) Validate() error {
 	// distributions — Validate runs several times on the submission path
 	// and a full expansion of a 6000-row workload is wasted work here;
 	// Runner's jobSpecs expansion remains the authoritative check.
+	// Row ids become job IDs, which schedulers use as their unique
+	// tie-break.
+	rowOf := make(map[int]int, len(s.Workload.Rows))
 	for i, r := range s.Workload.Rows {
 		if err := validateRow(r); err != nil {
 			return fmt.Errorf("spec: workload rows: row %d (id %d): %w", i, r.ID, err)
 		}
+		if prev, dup := rowOf[r.ID]; dup {
+			return fmt.Errorf("spec: workload rows: rows %d and %d share id %d", prev, i, r.ID)
+		}
+		rowOf[r.ID] = i
 	}
 	return nil
 }

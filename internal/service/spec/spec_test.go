@@ -186,6 +186,11 @@ func TestParseRejects(t *testing.T) {
 			s.Workload.Trace = nil
 			s.Workload.Rows = []trace.JobRow{{Priority: 1}} // no tasks
 		}, want: "rows"},
+		{name: "repeated row id", mutate: func(s *Spec) {
+			row := trace.JobRow{ID: 4, Priority: 1, MapTasks: 1, MapScale: 5, Ratio: 2, Alpha: 2}
+			s.Workload.Trace = nil
+			s.Workload.Rows = []trace.JobRow{row, {ID: 5, Priority: 1, MapTasks: 1, MapScale: 5, Ratio: 2, Alpha: 2}, row}
+		}, want: "rows 0 and 2 share id 4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
