@@ -14,6 +14,21 @@
 // This implementation uses that greedy allocation in place of a convex
 // solver.
 //
+// The greedy steps one job level at a time, not one copy. A job's
+// allocations in one call are contiguous, of one phase (its reduces are
+// reached only once its map phase is done) and all at one copy, so they
+// share weight, mean and copy count and therefore every marginal gain. The
+// per-copy greedy, ordered by (gain descending, job ID, task index), would
+// give the group's lowest-indexed task copies for as long as its next gain
+// stays at or above the gain it was picked at g — at equal gain it still
+// wins the tie — then do the same for each sibling in index order, since
+// every other group's gain is below g or ties at a larger job ID. So one
+// heap step grants every task of the top group the run of levels whose
+// gains are at least g, and a budget short of that block goes out in
+// ascending task index, a full run per task, after which the greedy stops.
+// The result is bit-identical to granting copies one at a time, with one
+// heap operation per job level instead of one per copy.
+//
 // Crucially, SCA does not prioritize across jobs the way SRPT does — the
 // paper's stated limitation of the cloning baselines is that "it remains a
 // problem to prioritize different jobs". Jobs therefore receive first copies
@@ -21,9 +36,10 @@
 package sca
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"mrclone/internal/cluster"
 	"mrclone/internal/dist"
@@ -36,7 +52,8 @@ type Config struct {
 	// Speedup is the concave speedup model used by the convex objective.
 	// Nil means ParetoSpeedup(alpha=2), matching heavy-tailed traces.
 	Speedup dist.Speedup
-	// DeviationFactor is r in the priority's effective workload.
+	// DeviationFactor is r, validated like the other schedulers' but never
+	// read: SCA has no priority, so no effective workload to weight.
 	DeviationFactor float64
 	// MaxClonesPerTask caps copies per task. Zero means 8.
 	MaxClonesPerTask int
@@ -45,13 +62,23 @@ type Config struct {
 // DefaultMaxClones bounds per-task cloning when Config.MaxClonesPerTask is 0.
 const DefaultMaxClones = 8
 
+// tabledLevels bounds the marginal table New fills: copy counts past it,
+// reachable only under a clone cap that large, evaluate the speedup model
+// directly, so a huge configured cap costs no memory.
+const tabledLevels = 1 << 10
+
 // Scheduler implements cluster.Scheduler. It carries per-instance scratch
 // and must not be shared by concurrently running engines.
 type Scheduler struct {
 	cfg Config
 
+	// marginal[k] = 1/s(k) - 1/s(k+1) for 1 <= k < min(cap, tabledLevels);
+	// marginal[0] is never read, as every allocation holds a copy.
+	marginal []float64
+
 	allocs []allocation
-	items  []*allocation
+	groups groupHeap
+	order  []int
 	tasks  []*job.Task
 }
 
@@ -75,7 +102,11 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.MaxClonesPerTask == 0 {
 		cfg.MaxClonesPerTask = DefaultMaxClones
 	}
-	return &Scheduler{cfg: cfg}, nil
+	s := &Scheduler{cfg: cfg, marginal: make([]float64, min(cfg.MaxClonesPerTask, tabledLevels))}
+	for k := 1; k < len(s.marginal); k++ {
+		s.marginal[k] = s.drop(k)
+	}
+	return s, nil
 }
 
 // Name implements cluster.Scheduler.
@@ -92,55 +123,72 @@ type allocation struct {
 	mean   float64 // E of the task's phase
 	weight float64 // job weight
 	copies int     // copies tentatively granted this slot
-	index  int     // heap index
+}
+
+// drop returns 1/s(k) - 1/s(k+1), the reduction in expected duration per
+// unit of mean from a (k+1)-th copy.
+func (s *Scheduler) drop(k int) float64 {
+	return 1/s.cfg.Speedup.At(float64(k)) - 1/s.cfg.Speedup.At(float64(k+1))
 }
 
 // gain returns the weighted reduction in expected duration from granting one
 // more copy: w * E * (1/s(k) - 1/s(k+1)).
 func (s *Scheduler) gain(a *allocation) float64 {
-	k := float64(a.copies)
 	if a.copies >= s.cfg.MaxClonesPerTask {
 		return 0
 	}
-	return a.weight * a.mean * (1/s.cfg.Speedup.At(k) - 1/s.cfg.Speedup.At(k+1))
+	if a.copies < len(s.marginal) {
+		return a.weight * a.mean * s.marginal[a.copies]
+	}
+	return a.weight * a.mean * s.drop(a.copies)
 }
 
-// gainHeap is a max-heap of allocations by marginal gain.
-type gainHeap struct {
-	items []*allocation
-	s     *Scheduler
+// group is one job's allocations in Phase B, allocs[lo:hi], all at one copy
+// count and so at one marginal gain.
+type group struct {
+	gain   float64
+	id     int // job ID
+	lo, hi int
 }
 
-func (h gainHeap) Len() int { return len(h.items) }
-func (h gainHeap) Less(i, j int) bool {
-	gi, gj := h.s.gain(h.items[i]), h.s.gain(h.items[j])
-	if gi != gj {
-		return gi > gj
+// before is the heap order: gain descending, then job ID ascending. Job IDs
+// are unique (cluster.New rejects duplicates), so the order is total.
+func (g group) before(o group) bool {
+	if g.gain != o.gain {
+		return g.gain > o.gain
 	}
-	// Deterministic tie-break: job then task index.
-	a, b := h.items[i], h.items[j]
-	if a.j.Spec.ID != b.j.Spec.ID {
-		return a.j.Spec.ID < b.j.Spec.ID
+	return g.id < o.id
+}
+
+// groupHeap is a binary max-heap of job groups. It is hand-rolled like the
+// engine's calendar, over pointer-free values, so sifts make no interface
+// calls and no write barriers.
+type groupHeap []group
+
+func (h groupHeap) heapify() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	return a.t.ID.Index < b.t.ID.Index
 }
-func (h gainHeap) Swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.items[i].index = i
-	h.items[j].index = j
-}
-func (h *gainHeap) Push(x interface{}) {
-	a := x.(*allocation)
-	a.index = len(h.items)
-	h.items = append(h.items, a)
-}
-func (h *gainHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	item := old[n-1]
-	old[n-1] = nil
-	h.items = old[:n-1]
-	return item
+
+func (h groupHeap) down(i int) {
+	n := len(h)
+	node := h[i]
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(node) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = node
 }
 
 // Schedule implements cluster.Scheduler.
@@ -182,27 +230,8 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 	s.allocs = allocs
 
 	// Phase B: water-fill the remaining budget by marginal weighted gain.
-	// heap.Init and repeated pushes can lay the heap array out differently,
-	// but the comparator is a total order, so the element at the top — the
-	// only one the loop reads — is the unique maximum either way.
 	if budget > 0 && len(allocs) > 0 {
-		items := s.items[:0]
-		for i := range allocs {
-			allocs[i].index = i
-			items = append(items, &allocs[i])
-		}
-		s.items = items
-		h := &gainHeap{items: items, s: s}
-		heap.Init(h)
-		for budget > 0 && h.Len() > 0 {
-			top := h.items[0]
-			if s.gain(top) <= 0 {
-				break
-			}
-			top.copies++
-			budget--
-			heap.Fix(h, 0)
-		}
+		s.fill(allocs, budget)
 	}
 
 	// Launch every allocation.
@@ -216,6 +245,70 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 			return
 		}
 		if _, err := ctx.Launch(a.j, a.t, n, false); err != nil {
+			return
+		}
+	}
+}
+
+// fill grants budget spare copies over allocs, each holding one copy and
+// each job's allocations contiguous, by greedy marginal gain, one job level
+// per heap step (see the package comment).
+func (s *Scheduler) fill(allocs []allocation, budget int) {
+	h := s.groups[:0]
+	for lo := 0; lo < len(allocs); {
+		hi := lo + 1
+		for hi < len(allocs) && allocs[hi].j == allocs[lo].j {
+			hi++
+		}
+		h = append(h, group{gain: s.gain(&allocs[lo]), id: allocs[lo].j.Spec.ID, lo: lo, hi: hi})
+		lo = hi
+	}
+	s.groups = h
+	h.heapify()
+	for budget > 0 {
+		top := &h[0]
+		if top.gain <= 0 {
+			return
+		}
+		// The run: levels k, k+1, ... of the group's tasks whose gains are
+		// at least top.gain, capped by the budget (a longer run could not be
+		// granted to even one task).
+		probe := allocs[top.lo]
+		r := 1
+		for probe.copies++; r < budget && s.gain(&probe) >= top.gain; probe.copies++ {
+			r++
+		}
+		block := allocs[top.lo:top.hi]
+		if len(block)*r > budget {
+			s.grantShort(block, r, budget)
+			return
+		}
+		for i := range block {
+			block[i].copies += r
+		}
+		budget -= len(block) * r
+		top.gain = s.gain(&probe)
+		h.down(0)
+	}
+}
+
+// grantShort hands out a budget short of a full level block: r copies to
+// each task in ascending task index, the last granted task the remainder,
+// which is the per-copy greedy's task-index tie-break. The allocation order
+// is left as it is, since launches (and so copy sampling) follow it.
+func (s *Scheduler) grantShort(block []allocation, r, budget int) {
+	order := s.order[:0]
+	for i := range block {
+		order = append(order, i)
+	}
+	s.order = order
+	slices.SortFunc(order, func(x, y int) int {
+		return cmp.Compare(block[x].t.ID.Index, block[y].t.ID.Index)
+	})
+	for _, i := range order {
+		g := min(r, budget)
+		block[i].copies += g
+		if budget -= g; budget == 0 {
 			return
 		}
 	}
