@@ -217,12 +217,13 @@ const defaultCalibration = "BenchmarkCalibrationSpin"
 
 // seededRatios are the in-run floors a capture emits when the run has both
 // benchmarks: the naive loop over the event core, and the SRPTMS+C cell over
-// the LATE and the Mantri cell, which caps what a detection baseline's cell
+// the LATE, the Mantri and the SCA cell, which caps what a baseline's cell
 // may cost relative to an SRPTMS+C cell.
 var seededRatios = []ratio{
 	{Slow: "BenchmarkEngineNaiveLoop", Fast: "BenchmarkEngineEventCore"},
 	{Slow: "BenchmarkAblationSchedulers/srptms+c", Fast: "BenchmarkAblationSchedulers/late"},
 	{Slow: "BenchmarkAblationSchedulers/srptms+c", Fast: "BenchmarkAblationSchedulers/mantri"},
+	{Slow: "BenchmarkAblationSchedulers/srptms+c", Fast: "BenchmarkAblationSchedulers/sca"},
 }
 
 // emitBaseline writes a fresh baseline JSON from the run's samples. Ratio

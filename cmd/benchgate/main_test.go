@@ -153,6 +153,7 @@ func TestCaptureSeedsRatioFloors(t *testing.T) {
 		"BenchmarkAblationSchedulers/srptms+c": {nsPerOp: 8},
 		"BenchmarkAblationSchedulers/late":     {nsPerOp: 32},
 		"BenchmarkAblationSchedulers/mantri":   {nsPerOp: 16},
+		"BenchmarkAblationSchedulers/sca":      {nsPerOp: 10},
 	}
 	var out strings.Builder
 	if err := emitBaseline(&out, samples); err != nil {
@@ -166,6 +167,7 @@ func TestCaptureSeedsRatioFloors(t *testing.T) {
 		{Slow: "BenchmarkEngineNaiveLoop", Fast: "BenchmarkEngineEventCore", Min: 1.2},
 		{Slow: "BenchmarkAblationSchedulers/srptms+c", Fast: "BenchmarkAblationSchedulers/late", Min: 0.15},
 		{Slow: "BenchmarkAblationSchedulers/srptms+c", Fast: "BenchmarkAblationSchedulers/mantri", Min: 0.3},
+		{Slow: "BenchmarkAblationSchedulers/srptms+c", Fast: "BenchmarkAblationSchedulers/sca", Min: 0.48},
 	}
 	if !reflect.DeepEqual(base.MinRatios, want) {
 		t.Fatalf("seeded ratios = %+v, want %+v", base.MinRatios, want)
@@ -173,6 +175,7 @@ func TestCaptureSeedsRatioFloors(t *testing.T) {
 	// A run without the scheduler cells seeds only the loop floor.
 	delete(samples, "BenchmarkAblationSchedulers/late")
 	delete(samples, "BenchmarkAblationSchedulers/mantri")
+	delete(samples, "BenchmarkAblationSchedulers/sca")
 	out.Reset()
 	if err := emitBaseline(&out, samples); err != nil {
 		t.Fatal(err)
