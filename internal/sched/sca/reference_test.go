@@ -181,25 +181,15 @@ func (m marginalSpeedup) At(k float64) float64 {
 
 // waterFillSpeedups are the default Pareto(2) model, a heavier Pareto(1.2)
 // tail, and three tables: flat, stepped, and rising then falling.
-func waterFillSpeedups(t *testing.T) []struct {
+var waterFillSpeedups = []struct {
 	name string
 	s    dist.Speedup
-} {
-	t.Helper()
-	pareto12, err := dist.NewParetoSpeedup(1.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []struct {
-		name string
-		s    dist.Speedup
-	}{
-		{"pareto2", nil},
-		{"pareto1.2", pareto12},
-		{"flat", marginalSpeedup{0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1}},
-		{"stepped", marginalSpeedup{0.2, 0.2, 0.1, 0.1, 0.05, 0.05, 0.025, 0.025}},
-		{"risefall", marginalSpeedup{0.05, 0.1, 0.15, 0.1, 0.05, 0.15, 0.02, 0.01}},
-	}
+}{
+	{"pareto2", nil},
+	{"pareto1.2", dist.ParetoSpeedup{Alpha: 1.2}},
+	{"flat", marginalSpeedup{0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1}},
+	{"stepped", marginalSpeedup{0.2, 0.2, 0.1, 0.1, 0.05, 0.05, 0.025, 0.025}},
+	{"risefall", marginalSpeedup{0.05, 0.1, 0.15, 0.1, 0.05, 0.15, 0.02, 0.01}},
 }
 
 func runLoop(t *testing.T, s cluster.Scheduler, loop cluster.LoopMode, machines int, seed int64,
@@ -214,6 +204,26 @@ func runLoop(t *testing.T, s cluster.Scheduler, loop cluster.LoopMode, machines 
 		t.Fatal(err)
 	}
 	return res
+}
+
+// TestHugeCloneCap checks that a clone cap from a spec cannot size the
+// marginal table, and that gains past the table match the reference's.
+func TestHugeCloneCap(t *testing.T) {
+	cfg := Config{MaxClonesPerTask: 1 << 40}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.marginal) != tabledLevels {
+		t.Fatalf("marginal table has %d levels, want %d", len(s.marginal), tabledLevels)
+	}
+	ref := newPerCopy(t, cfg)
+	for _, k := range []int{1, tabledLevels - 1, tabledLevels, 5000} {
+		a := allocation{mean: 700, weight: 3, copies: k}
+		if got, want := s.gain(&a), ref.gain(&refAllocation{mean: 700, weight: 3, copies: k}); got != want {
+			t.Errorf("gain at %d copies = %v, reference %v", k, got, want)
+		}
+	}
 }
 
 // waterFillWorkloads returns a mixed Google-calibrated trace of the given
@@ -256,7 +266,6 @@ func waterFillWorkloads(t *testing.T, jobs int, seed int64) (google, tied []job.
 // speedup model above. The level-stepping scheduler must produce the
 // reference's Result on both loops.
 func TestWaterFillReference(t *testing.T) {
-	speedups := waterFillSpeedups(t)
 	for _, jobs := range []int{5, 20, 60} {
 		for seed := int64(1); seed <= 6; seed++ {
 			t.Run(fmt.Sprintf("%djobs/seed%d", jobs, seed), func(t *testing.T) {
@@ -268,7 +277,7 @@ func TestWaterFillReference(t *testing.T) {
 				}{{"google", google}, {"tied", tied}} {
 					for _, machines := range []int{3, 17, 50, 200, 1000} {
 						for _, cloneCap := range []int{0, 1, 2, 3, 6} {
-							for _, sp := range speedups {
+							for _, sp := range waterFillSpeedups {
 								cfg := Config{Speedup: sp.s, MaxClonesPerTask: cloneCap}
 								want := runLoop(t, newPerCopy(t, cfg), cluster.LoopAuto, machines, seed, w.specs)
 								for _, loop := range []cluster.LoopMode{cluster.LoopAuto, cluster.LoopNaive} {
@@ -313,6 +322,10 @@ func FuzzWaterFill(f *testing.F) {
 			t.Fatal(err)
 		}
 		ref := newPerCopy(t, cfg)
+		d, err := dist.NewDeterministic(1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var allocs []allocation
 		for i := 0; i < nj; i++ {
 			w, mean := 1.0, 100.0
@@ -326,9 +339,10 @@ func FuzzWaterFill(f *testing.F) {
 					mean = float64(b % 16)
 				}
 			}
-			d, err := dist.NewDeterministic(1)
-			if err != nil {
-				t.Fatal(err)
+			for k := 1; k < s.cfg.MaxClonesPerTask; k++ {
+				if math.IsNaN(s.gain(&allocation{mean: mean, weight: w, copies: k})) {
+					t.Skip("NaN gain: the per-copy comparator is not an order")
+				}
 			}
 			// IDs descend while allocation order ascends, so the heap's
 			// tie-break cannot lean on input order.
@@ -341,15 +355,6 @@ func FuzzWaterFill(f *testing.F) {
 				// not index order, as in the engine's pending lists.
 				task := j.Tasks[(i+nt-1-k)%nt]
 				allocs = append(allocs, allocation{j: j, t: task, mean: mean, weight: w, copies: 1})
-			}
-		}
-		for i := range allocs {
-			for k := 1; k < max(s.cfg.MaxClonesPerTask, 1); k++ {
-				a := allocs[i]
-				a.copies = k
-				if math.IsNaN(s.gain(&a)) {
-					t.Skip("NaN gain: the per-copy comparator is not an order")
-				}
 			}
 		}
 		refAllocs := make([]refAllocation, len(allocs))
