@@ -12,9 +12,8 @@
 //   - a synthetic Google-trace generator calibrated to the paper's Table II;
 //   - a statistical-distribution library (internal/dist) with the paper's
 //     heavy-tailed workload models — Pareto, bounded Pareto, lognormal, and
-//     the closed-form Pareto cloning-speedup — plus exponential, Weibull,
-//     empirical (trace-fitted), and mixture families for scenario diversity,
-//     all sampled from seeded deterministic streams;
+//     the closed-form Pareto cloning-speedup — all sampled from seeded
+//     deterministic streams;
 //   - a parallel experiment-orchestration subsystem (internal/runner) that
 //     expresses a study as a run matrix — schedulers × sweep points × seed
 //     replicates — and executes its cells on a bounded worker pool with

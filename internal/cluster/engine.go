@@ -39,6 +39,7 @@ import (
 	"math"
 	"sort"
 
+	"mrclone/internal/dist"
 	"mrclone/internal/job"
 	"mrclone/internal/rng"
 )
@@ -626,7 +627,7 @@ func (e *Engine) launch(j *job.Job, t *job.Task, n int, gated bool) (int, error)
 		e.sampleBuf = make([]float64, n+16)
 	}
 	buf := e.sampleBuf[:n]
-	sampleInto(e.taskDist(j, t), buf, e.durations)
+	dist.SampleN(e.taskDist(j, t), buf, e.durations)
 	for _, w := range buf {
 		if math.IsNaN(w) || math.IsInf(w, 0) {
 			return 0, e.fail(fmt.Errorf("%w: task %v sampled %v", ErrNonFiniteWorkload, t.ID, w))
@@ -717,33 +718,11 @@ func (e *Engine) releaseRun(tr *taskRun) {
 }
 
 // taskDist returns the ground-truth duration distribution for t.
-func (e *Engine) taskDist(j *job.Job, t *job.Task) distSampler {
+func (e *Engine) taskDist(j *job.Job, t *job.Task) dist.Distribution {
 	if t.ID.Phase == job.PhaseMap {
 		return j.Spec.MapDist
 	}
 	return j.Spec.ReduceDist
-}
-
-// distSampler is the subset of dist.Distribution the engine needs.
-type distSampler interface {
-	Sample(*rng.Source) float64
-}
-
-// batchSampler matches dist.BatchSampler without importing the package.
-type batchSampler interface {
-	SampleN(dst []float64, src *rng.Source)
-}
-
-// sampleInto fills dst with successive draws from d, using the batched path
-// when the distribution provides one.
-func sampleInto(d distSampler, dst []float64, src *rng.Source) {
-	if b, ok := d.(batchSampler); ok {
-		b.SampleN(dst, src)
-		return
-	}
-	for i := range dst {
-		dst[i] = d.Sample(src)
-	}
 }
 
 // result builds the final Result.

@@ -78,88 +78,6 @@ func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
 // StdDev implements Distribution.
 func (u Uniform) StdDev() float64 { return (u.Hi - u.Lo) / math.Sqrt(12) }
 
-// Exponential is the exponential distribution with the given rate: the
-// memoryless light-tailed baseline (mean and standard deviation both 1/Rate).
-type Exponential struct {
-	Rate float64
-}
-
-var _ Distribution = Exponential{}
-
-// NewExponential returns an exponential distribution with rate > 0.
-func NewExponential(rate float64) (Distribution, error) {
-	if math.IsNaN(rate) || math.IsInf(rate, 0) || rate <= 0 {
-		return nil, fmt.Errorf("%w: exponential rate %v", ErrBadParam, rate)
-	}
-	return Exponential{Rate: rate}, nil
-}
-
-// Sample implements Distribution by inverting the CDF: -ln(1-U)/rate.
-func (e Exponential) Sample(src *rng.Source) float64 {
-	return -math.Log1p(-src.Float64()) / e.Rate
-}
-
-// SampleN implements BatchSampler.
-func (e Exponential) SampleN(dst []float64, src *rng.Source) {
-	for i := range dst {
-		dst[i] = -math.Log1p(-src.Float64()) / e.Rate
-	}
-}
-
-// Mean implements Distribution.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-// StdDev implements Distribution.
-func (e Exponential) StdDev() float64 { return 1 / e.Rate }
-
-// Weibull is the Weibull distribution with scale lambda and shape k. Shape
-// below 1 gives a heavier-than-exponential tail (but all moments finite, in
-// contrast to Pareto); shape above 1 concentrates around the scale.
-type Weibull struct {
-	Scale, Shape float64
-}
-
-var _ Distribution = Weibull{}
-
-// NewWeibull returns a Weibull distribution with scale > 0 and shape > 0.
-func NewWeibull(scale, shape float64) (Distribution, error) {
-	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale <= 0 {
-		return nil, fmt.Errorf("%w: weibull scale %v", ErrBadParam, scale)
-	}
-	if math.IsNaN(shape) || math.IsInf(shape, 0) || shape <= 0 {
-		return nil, fmt.Errorf("%w: weibull shape %v", ErrBadParam, shape)
-	}
-	return Weibull{Scale: scale, Shape: shape}, nil
-}
-
-// Sample implements Distribution by inverting the CDF:
-// scale * (-ln(1-U))^(1/shape).
-func (w Weibull) Sample(src *rng.Source) float64 {
-	return w.Scale * math.Pow(-math.Log1p(-src.Float64()), 1/w.Shape)
-}
-
-// SampleN implements BatchSampler.
-func (w Weibull) SampleN(dst []float64, src *rng.Source) {
-	invShape := 1 / w.Shape
-	for i := range dst {
-		dst[i] = w.Scale * math.Pow(-math.Log1p(-src.Float64()), invShape)
-	}
-}
-
-// Mean implements Distribution: scale * Gamma(1 + 1/shape).
-func (w Weibull) Mean() float64 { return w.Scale * math.Gamma(1+1/w.Shape) }
-
-// StdDev implements Distribution.
-func (w Weibull) StdDev() float64 {
-	g1 := math.Gamma(1 + 1/w.Shape)
-	g2 := math.Gamma(1 + 2/w.Shape)
-	v := w.Scale * w.Scale * (g2 - g1*g1)
-	if v <= 0 {
-		return 0 // guards tiny negative round-off at large shapes
-	}
-	return math.Sqrt(v)
-}
-
 // Scaled multiplies every draw of an inner distribution by Factor. The trace
 // generator uses it to give each job its own duration scale on a shared
 // within-job shape: Scaled(BoundedPareto(1, ratio, alpha), scale).

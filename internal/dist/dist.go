@@ -1,8 +1,8 @@
 // Package dist provides the statistical workload distributions the paper's
 // schedulers and trace generator are built on: the heavy-tailed task-duration
-// models of Section III (Pareto, bounded Pareto, lognormal) plus light-tailed
-// and data-driven families (exponential, Weibull, empirical, mixtures) for
-// scenario diversity beyond the paper's evaluation.
+// models of Section III (Pareto, bounded Pareto, lognormal), the point mass
+// and uniform families of the theorem checks, and the scaling wrapper that
+// gives each generated job its own duration scale.
 //
 // Every distribution exposes its first two moments analytically — the
 // scheduler information model of the paper is exactly (E, sigma) per phase —

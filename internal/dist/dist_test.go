@@ -38,17 +38,6 @@ func TestAnalyticMomentsMatchEmpirical(t *testing.T) {
 		}
 		return d
 	}
-	empirical, err := NewEmpirical([]float64{1, 2, 2, 3, 5, 8, 13, 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixture, err := NewMixture(
-		[]Distribution{mk(NewDeterministic(5)), mk(NewUniform(10, 20))},
-		[]float64{1, 3},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name string
 		d    Distribution
@@ -61,12 +50,7 @@ func TestAnalyticMomentsMatchEmpirical(t *testing.T) {
 		{"bounded-pareto-sub1", mk(NewBoundedPareto(1, 500, 0.5)), 0.05},
 		{"lognormal", Lognormal{MuLog: 2, SigmaLog: 0.5}, 0.03},
 		{"lognormal-moments", mk(LognormalFromMoments(100, 50)), 0.03},
-		{"exponential", mk(NewExponential(0.25)), 0.02},
-		{"weibull-heavy", mk(NewWeibull(10, 0.8)), 0.03},
-		{"weibull-peaked", mk(NewWeibull(10, 3)), 0.02},
 		{"scaled", mk(NewScaled(mk(NewUniform(1, 3)), 10)), 0.02},
-		{"empirical", empirical, 0.03},
-		{"mixture", mixture, 0.03},
 	}
 	const n = 200000
 	for i, tc := range cases {
@@ -264,22 +248,10 @@ func TestConstructorErrorPaths(t *testing.T) {
 		{"lognormal-negative-sigma", errOf(NewLognormal(0, -1))},
 		{"lognormal-moments-zero-mean", errOf(LognormalFromMoments(0, 1))},
 		{"lognormal-moments-negative-sd", errOf(LognormalFromMoments(1, -1))},
-		{"exponential-zero-rate", errOf(NewExponential(0))},
-		{"exponential-negative-rate", errOf(NewExponential(-2))},
-		{"weibull-zero-scale", errOf(NewWeibull(0, 1))},
-		{"weibull-zero-shape", errOf(NewWeibull(1, 0))},
 		{"scaled-nil", errOf(NewScaled(nil, 2))},
 		{"scaled-zero", errOf(NewScaled(ok, 0))},
 		{"scaled-negative", errOf(NewScaled(ok, -3))},
 		{"scaled-nan", errOf(NewScaled(ok, nan))},
-		{"empirical-empty", errOfE(NewEmpirical(nil))},
-		{"empirical-negative", errOfE(NewEmpirical([]float64{1, -2}))},
-		{"empirical-nan", errOfE(NewEmpirical([]float64{nan}))},
-		{"mixture-empty", errOfM(NewMixture(nil, nil))},
-		{"mixture-length-mismatch", errOfM(NewMixture([]Distribution{ok}, []float64{1, 2}))},
-		{"mixture-nil-component", errOfM(NewMixture([]Distribution{nil}, []float64{1}))},
-		{"mixture-negative-weight", errOfM(NewMixture([]Distribution{ok}, []float64{-1}))},
-		{"mixture-zero-weights", errOfM(NewMixture([]Distribution{ok}, []float64{0}))},
 		{"speedup-alpha<=1", errOfS(NewParetoSpeedup(1))},
 		{"speedup-nan", errOfS(NewParetoSpeedup(nan))},
 	}
@@ -295,8 +267,6 @@ func TestConstructorErrorPaths(t *testing.T) {
 }
 
 func errOf(_ Distribution, err error) error { return err }
-func errOfE(_ *Empirical, err error) error  { return err }
-func errOfM(_ *Mixture, err error) error    { return err }
 func errOfS(_ Speedup, err error) error     { return err }
 
 // TestValidZeroCases: boundary parameters that must be accepted.
@@ -316,117 +286,49 @@ func TestValidZeroCases(t *testing.T) {
 	}
 }
 
-// TestEmpiricalQuantileAndResampling: draws come only from the fitted values
-// and quantiles follow sorted order.
-func TestEmpiricalQuantileAndResampling(t *testing.T) {
-	obs := []float64{9, 1, 4, 4, 25}
-	e, err := NewEmpirical(obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.N() != len(obs) {
-		t.Fatalf("N = %d, want %d", e.N(), len(obs))
-	}
-	if e.Quantile(0) != 1 || e.Quantile(1) != 25 {
-		t.Fatalf("extreme quantiles %v, %v", e.Quantile(0), e.Quantile(1))
-	}
-	if q := e.Quantile(0.5); q != 4 {
-		t.Fatalf("median %v, want 4", q)
-	}
-	if q := e.Quantile(math.NaN()); !math.IsNaN(q) {
-		t.Fatalf("NaN quantile returned %v, want NaN", q)
-	}
-	allowed := map[float64]bool{1: true, 4: true, 9: true, 25: true}
-	src := rng.New(2)
-	for i := 0; i < 1000; i++ {
-		if x := e.Sample(src); !allowed[x] {
-			t.Fatalf("draw %v not among fitted values", x)
+// TestSampleNMatchesSample holds every batched sampler to the BatchSampler
+// contract the engine relies on when it draws a launch's workloads in one
+// call: SampleN gives the values successive Sample calls give, bit for bit,
+// and leaves the stream where they leave it.
+func TestSampleNMatchesSample(t *testing.T) {
+	mk := func(d Distribution, err error) Distribution {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
 		}
+		return d
 	}
-}
-
-// TestMixtureComposition: the mixture must actually draw from all components
-// in proportion to its weights.
-func TestMixtureComposition(t *testing.T) {
-	lo, err := NewUniform(0, 1)
-	if err != nil {
-		t.Fatal(err)
+	bp := mk(NewBoundedPareto(1, 40, 1.3))            // truncation term precomputed
+	bpLit := BoundedPareto{Lo: 1, Hi: 40, Alpha: 1.3} // computed per call
+	cases := []struct {
+		name string
+		d    Distribution
+	}{
+		{"deterministic", mk(NewDeterministic(7))},
+		{"uniform", mk(NewUniform(5, 15))},
+		{"pareto", mk(NewPareto(5, 1.5))},
+		{"lognormal", mk(LognormalFromMoments(100, 50))},
+		{"bounded-pareto", bp},
+		{"bounded-pareto-literal", bpLit},
+		{"scaled-bounded-pareto", mk(NewScaled(bp, 12.5))},
+		{"scaled-bounded-pareto-literal", mk(NewScaled(bpLit, 12.5))},
 	}
-	hi, err := NewUniform(100, 101)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMixture([]Distribution{lo, hi}, []float64{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := rng.New(5)
-	const n = 100000
-	highDraws := 0
-	for i := 0; i < n; i++ {
-		if m.Sample(src) >= 100 {
-			highDraws++
+	for _, tc := range cases {
+		if _, ok := tc.d.(BatchSampler); !ok {
+			t.Fatalf("%s: no batched path to test", tc.name)
 		}
-	}
-	if frac := float64(highDraws) / n; math.Abs(frac-0.25) > 0.01 {
-		t.Fatalf("high-component fraction %v, want 0.25", frac)
-	}
-	// Law of total variance on a hand example: means 0.5 and 100.5,
-	// mixture mean 25.5.
-	if got := m.Mean(); math.Abs(got-25.5) > 1e-12 {
-		t.Fatalf("mixture mean %v, want 25.5", got)
-	}
-	if got, want := m.StdDev(), math.Sqrt(0.75*(1.0/12+0.25)+0.25*(1.0/12+100.5*100.5)-25.5*25.5); relErr(got, want) > 1e-12 {
-		t.Fatalf("mixture sd %v, want %v", got, want)
-	}
-	// An infinite-variance component makes the mixture sigma infinite.
-	p, err := NewPareto(1, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heavy, err := NewMixture([]Distribution{lo, p}, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(heavy.StdDev(), 1) {
-		t.Fatalf("heavy mixture sd %v, want +Inf", heavy.StdDev())
-	}
-	// An infinite-MEAN component must give +Inf moments, never NaN
-	// (naive law-of-total-variance arithmetic yields Inf - Inf).
-	noMean, err := NewPareto(1, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	heavier, err := NewMixture([]Distribution{lo, noMean}, []float64{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(heavier.Mean(), 1) || !math.IsInf(heavier.StdDev(), 1) {
-		t.Fatalf("infinite-mean mixture moments (%v, %v), want both +Inf",
-			heavier.Mean(), heavier.StdDev())
-	}
-	// A zero-weight component can never be drawn: its infinite moments must
-	// not poison the mixture (0 * Inf is NaN).
-	zeroed, err := NewMixture([]Distribution{lo, noMean}, []float64{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := zeroed.Mean(); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("zero-weight mixture mean %v, want 0.5", got)
-	}
-	if got, want := zeroed.StdDev(), 1/math.Sqrt(12); relErr(got, want) > 1e-12 {
-		t.Fatalf("zero-weight mixture sd %v, want %v", got, want)
-	}
-	// A trailing zero-weight component must have an EMPTY selection interval:
-	// cum must reach exactly 1 at the last positive-weight component, so even
-	// a draw of u = 1 - 1ulp cannot select the excluded component.
-	if zeroed.cum[0] != 1 || zeroed.cum[1] != 1 {
-		t.Fatalf("trailing zero-weight cum = %v, want [1 1]", zeroed.cum)
-	}
-	src2 := rng.New(6)
-	for i := 0; i < 10000; i++ {
-		if x := zeroed.Sample(src2); x >= 1 {
-			t.Fatalf("zero-weight component drawn: %v", x)
+		for _, n := range []int{1, 3, 8} {
+			batch, single := rng.New(int64(n)), rng.New(int64(n))
+			got := make([]float64, n)
+			SampleN(tc.d, got, batch)
+			for i, g := range got {
+				if want := tc.d.Sample(single); math.Float64bits(g) != math.Float64bits(want) {
+					t.Errorf("%s, batch of %d: draw %d is %v, Sample gives %v", tc.name, n, i, g, want)
+				}
+			}
+			if a, b := batch.Float64(), single.Float64(); a != b {
+				t.Errorf("%s, batch of %d: next draws %v and %v, streams out of step", tc.name, n, a, b)
+			}
 		}
 	}
 }

@@ -120,20 +120,6 @@ func FlowtimeCDF(res *cluster.Result, lo, hi float64, points int) ([]CDFPoint, e
 	return out, nil
 }
 
-// FractionWithin returns the fraction of jobs whose flowtime is <= x.
-func FractionWithin(res *cluster.Result, x float64) (float64, error) {
-	if res == nil || len(res.Jobs) == 0 {
-		return 0, ErrNoJobs
-	}
-	cnt := 0
-	for _, j := range res.Jobs {
-		if float64(j.Flowtime) <= x {
-			cnt++
-		}
-	}
-	return float64(cnt) / float64(len(res.Jobs)), nil
-}
-
 // Improvement returns the relative reduction of `got` versus `baseline`
 // (positive means got is better/lower), e.g. 0.25 for the paper's "beats
 // Mantri by nearly 25%".
@@ -142,28 +128,4 @@ func Improvement(baseline, got float64) float64 {
 		return 0
 	}
 	return (baseline - got) / baseline
-}
-
-// MeanSlowdown returns the average of flowtime divided by the job's ideal
-// critical-path time proxy (its number of tasks capped at 1 — callers with
-// richer information should compute their own). Exposed mainly for ablation
-// reporting.
-func MeanSlowdown(res *cluster.Result, ideal func(cluster.JobRecord) float64) (float64, error) {
-	if res == nil || len(res.Jobs) == 0 {
-		return 0, ErrNoJobs
-	}
-	var sum float64
-	var n int
-	for _, j := range res.Jobs {
-		base := ideal(j)
-		if base <= 0 {
-			continue
-		}
-		sum += float64(j.Flowtime) / base
-		n++
-	}
-	if n == 0 {
-		return 0, ErrNoJobs
-	}
-	return sum / float64(n), nil
 }

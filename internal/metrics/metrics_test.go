@@ -91,24 +91,6 @@ func TestFlowtimeCDF(t *testing.T) {
 	}
 }
 
-func TestFractionWithin(t *testing.T) {
-	res := result(jr(0, 1, 50), jr(1, 1, 150), jr(2, 1, 250), jr(3, 1, 1000))
-	got, err := FractionWithin(res, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0.25 {
-		t.Errorf("within 100 = %v, want 0.25", got)
-	}
-	got, _ = FractionWithin(res, 250)
-	if got != 0.75 {
-		t.Errorf("within 250 = %v, want 0.75", got)
-	}
-	if _, err := FractionWithin(nil, 1); !errors.Is(err, ErrNoJobs) {
-		t.Error("nil accepted")
-	}
-}
-
 func TestImprovement(t *testing.T) {
 	if got := Improvement(100, 75); got != 0.25 {
 		t.Errorf("improvement = %v, want 0.25", got)
@@ -118,23 +100,6 @@ func TestImprovement(t *testing.T) {
 	}
 	if got := Improvement(100, 120); got != -0.2 {
 		t.Errorf("regression = %v, want -0.2", got)
-	}
-}
-
-func TestMeanSlowdown(t *testing.T) {
-	res := result(jr(0, 1, 20), jr(1, 1, 40))
-	got, err := MeanSlowdown(res, func(cluster.JobRecord) float64 { return 10 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 3 { // (2 + 4) / 2
-		t.Errorf("slowdown = %v, want 3", got)
-	}
-	if _, err := MeanSlowdown(res, func(cluster.JobRecord) float64 { return 0 }); !errors.Is(err, ErrNoJobs) {
-		t.Error("all-zero ideals accepted")
-	}
-	if _, err := MeanSlowdown(nil, nil); !errors.Is(err, ErrNoJobs) {
-		t.Error("nil accepted")
 	}
 }
 

@@ -53,52 +53,16 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 	grant := s.app.LargestRemainder(shares, ctx.Machines())
 
 	for i, j := range psi {
-		if ctx.FreeMachines() == 0 {
-			return
-		}
 		x := grant[i] - j.RunningCopies
 		if x <= 0 {
 			continue
 		}
-		if x > ctx.FreeMachines() {
-			x = ctx.FreeMachines()
+		var free bool
+		if s.tasks, free = schedutil.LaunchSingles(ctx, j, x, false, s.tasks); !free {
+			return
 		}
-		s.launchUpTo(ctx, j, x)
 	}
 	// Work-conserving second pass: hand leftover machines to any job with
 	// unscheduled tasks, in arrival order.
-	for _, j := range psi {
-		if ctx.FreeMachines() == 0 {
-			return
-		}
-		s.launchUpTo(ctx, j, ctx.FreeMachines())
-	}
-}
-
-// launchUpTo launches at most x first copies of j's unscheduled tasks, maps
-// before (ungated) reduces. No clones are ever made.
-func (s *Scheduler) launchUpTo(ctx *cluster.Context, j *job.Job, x int) {
-	s.tasks = j.AppendUnscheduled(s.tasks[:0], job.PhaseMap)
-	for _, t := range s.tasks {
-		if x == 0 || ctx.FreeMachines() == 0 {
-			return
-		}
-		if _, err := ctx.Launch(j, t, 1, false); err != nil {
-			return
-		}
-		x--
-	}
-	if !j.MapPhaseDone() {
-		return
-	}
-	s.tasks = j.AppendUnscheduled(s.tasks[:0], job.PhaseReduce)
-	for _, t := range s.tasks {
-		if x == 0 || ctx.FreeMachines() == 0 {
-			return
-		}
-		if _, err := ctx.Launch(j, t, 1, false); err != nil {
-			return
-		}
-		x--
-	}
+	s.tasks, _ = schedutil.LaunchFirstCopies(ctx, psi, s.tasks)
 }

@@ -77,35 +77,8 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 	jobs := ctx.AliveJobs()
 	s.sorter.ByOfflinePriorityDesc(jobs, s.cfg.DeviationFactor)
 	for _, j := range jobs {
-		if ctx.FreeMachines() == 0 {
-			return
-		}
-		s.fill(ctx, j)
-	}
-}
-
-// fill assigns free machines to unscheduled tasks of j: maps first, then
-// reduces (gated when the map phase is still running, if enabled).
-func (s *Scheduler) fill(ctx *cluster.Context, j *job.Job) {
-	s.tasks = j.AppendUnscheduled(s.tasks[:0], job.PhaseMap)
-	for _, t := range s.tasks {
-		if ctx.FreeMachines() == 0 {
-			return
-		}
-		if _, err := ctx.Launch(j, t, 1, false); err != nil {
-			return
-		}
-	}
-	mapsDone := j.MapPhaseDone()
-	if !mapsDone && !s.cfg.GateReduces {
-		return
-	}
-	s.tasks = j.AppendUnscheduled(s.tasks[:0], job.PhaseReduce)
-	for _, t := range s.tasks {
-		if ctx.FreeMachines() == 0 {
-			return
-		}
-		if _, err := ctx.Launch(j, t, 1, !mapsDone); err != nil {
+		var free bool
+		if s.tasks, free = schedutil.LaunchSingles(ctx, j, math.MaxInt, s.cfg.GateReduces, s.tasks); !free {
 			return
 		}
 	}

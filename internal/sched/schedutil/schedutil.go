@@ -1,14 +1,12 @@
 // Package schedutil provides helpers shared by the scheduler
 // implementations: priority ordering, random task picking, the
 // largest-remainder integer rounding used to convert fractional machine
-// shares into whole machines, and the first-copy pass, the per-phase scan
-// cache and the straggler order of the detection baselines.
+// shares into whole machines, the first-copy fill, and the per-phase scan
+// cache and straggler order of the detection baselines.
 //
-// The package-level ordering and rounding functions allocate per call.
 // Schedulers invoked once per engine event keep a Sorter and an Apportioner
-// as scratch instead — same results, no per-call allocation; the
-// detection-baseline helpers take caller-owned buffers and do not allocate
-// in steady state. Scratch values are not safe for
+// as scratch, and the other helpers take caller-owned buffers, so none of
+// them allocates in steady state. Scratch values are not safe for
 // concurrent use; each engine builds its own scheduler, so per-scheduler
 // scratch is single-threaded by construction.
 package schedutil
@@ -88,40 +86,11 @@ func (s *Sorter) ByOfflinePriorityDesc(jobs []*job.Job, deviationFactor float64)
 	s.keyed = ks
 }
 
-// ByPriorityDesc is the allocating convenience form of Sorter.ByPriorityDesc.
-func ByPriorityDesc(jobs []*job.Job, deviationFactor float64) {
-	var s Sorter
-	s.ByPriorityDesc(jobs, deviationFactor)
-}
-
-// ByOfflinePriorityDesc is the allocating convenience form of
-// Sorter.ByOfflinePriorityDesc.
-func ByOfflinePriorityDesc(jobs []*job.Job, deviationFactor float64) {
-	var s Sorter
-	s.ByOfflinePriorityDesc(jobs, deviationFactor)
-}
-
-// PickRandom returns k distinct tasks chosen uniformly at random from the
-// given slice (the paper's "choose one unscheduled task at random"). When
-// k >= len(tasks) it returns all of them. The input slice is not modified.
-func PickRandom(tasks []*job.Task, k int, src *rng.Source) []*job.Task {
-	if k >= len(tasks) {
-		out := make([]*job.Task, len(tasks))
-		copy(out, tasks)
-		return out
-	}
-	if k <= 0 {
-		return nil
-	}
-	pool := make([]*job.Task, len(tasks))
-	copy(pool, tasks)
-	return PickRandomInPlace(pool, k, src)
-}
-
-// PickRandomInPlace is PickRandom for callers that own the slice (scratch
-// buffers): it reorders tasks in place and returns a prefix of it, drawing
-// exactly the same random sequence as PickRandom. When k >= len(tasks) the
-// slice is returned unshuffled with no draws.
+// PickRandomInPlace chooses k distinct tasks uniformly at random (the
+// paper's "choose one unscheduled task at random") from a slice the caller
+// owns: it reorders tasks in place and returns a prefix of it. When
+// k >= len(tasks) the slice is returned unshuffled with no draws; when
+// k <= 0 it returns nil.
 func PickRandomInPlace(tasks []*job.Task, k int, src *rng.Source) []*job.Task {
 	if k >= len(tasks) {
 		return tasks
@@ -205,16 +174,6 @@ func (ap *Apportioner) LargestRemainder(shares []float64, total int) []int {
 	return out
 }
 
-// LargestRemainder is the allocating convenience form of
-// Apportioner.LargestRemainder; the returned slice is freshly allocated.
-func LargestRemainder(shares []float64, total int) []int {
-	var ap Apportioner
-	out := ap.LargestRemainder(shares, total)
-	res := make([]int, len(out))
-	copy(res, out)
-	return res
-}
-
 // WithUnscheduledTasks filters jobs in place to those with at least one
 // unscheduled task (the paper's alive set psi^s(l) for scheduling purposes)
 // and returns the filtered prefix. Callers pass Context.AliveJobs scratch,
@@ -229,33 +188,44 @@ func WithUnscheduledTasks(jobs []*job.Job) []*job.Job {
 	return out
 }
 
-// LaunchFirstCopies launches one copy of every unscheduled task it can, job
-// by job in the given order, maps before reduces, and a job's reduces only
-// once its map phase is done: the FIFO first pass of the detection
-// baselines. It stops when no machine is free or a launch fails, and reports
-// whether machines remain free. buf is scratch for the task snapshots and is
-// returned for reuse.
-func LaunchFirstCopies(ctx *cluster.Context, jobs []*job.Job, buf []*job.Task) ([]*job.Task, bool) {
-	for _, j := range jobs {
-		for _, p := range [...]job.Phase{job.PhaseMap, job.PhaseReduce} {
-			if ctx.FreeMachines() == 0 {
+// LaunchSingles launches one copy each of up to limit unscheduled tasks of
+// j in AppendUnscheduled order, maps before reduces. Reduces go once the map
+// phase is done or, with gate, while it is still open as gated copies that
+// hold a machine but make no progress until the last map finishes
+// (constraint 1g). It returns false once no machine is free or a launch
+// failed, so the caller stops, and true when it may go on to another job.
+// buf is scratch for the task snapshots and is returned for reuse.
+func LaunchSingles(ctx *cluster.Context, j *job.Job, limit int, gate bool, buf []*job.Task) ([]*job.Task, bool) {
+	for _, p := range [...]job.Phase{job.PhaseMap, job.PhaseReduce} {
+		gated := p == job.PhaseReduce && !j.MapPhaseDone()
+		if gated && !gate {
+			break
+		}
+		buf = j.AppendUnscheduled(buf[:0], p)
+		for _, t := range buf {
+			if limit == 0 || ctx.FreeMachines() == 0 {
+				return buf, ctx.FreeMachines() > 0
+			}
+			if _, err := ctx.Launch(j, t, 1, gated); err != nil {
 				return buf, false
 			}
-			if p == job.PhaseReduce && !j.MapPhaseDone() {
-				break
-			}
-			buf = j.AppendUnscheduled(buf[:0], p)
-			for _, t := range buf {
-				if ctx.FreeMachines() == 0 {
-					return buf, false
-				}
-				if _, err := ctx.Launch(j, t, 1, false); err != nil {
-					return buf, false
-				}
-			}
+			limit--
 		}
 	}
 	return buf, ctx.FreeMachines() > 0
+}
+
+// LaunchFirstCopies launches one copy of every unscheduled task it can, job
+// by job in the given order, through LaunchSingles without a limit or gated
+// reduces. It stops when no machine is free or a launch fails, and reports
+// whether machines remain free. buf is scratch for the task snapshots and is
+// returned for reuse.
+func LaunchFirstCopies(ctx *cluster.Context, jobs []*job.Job, buf []*job.Task) ([]*job.Task, bool) {
+	free := ctx.FreeMachines() > 0
+	for i := 0; free && i < len(jobs); i++ {
+		buf, free = LaunchSingles(ctx, jobs[i], math.MaxInt, false, buf)
+	}
+	return buf, free
 }
 
 // PhaseScan is what a detection baseline's scan of one job phase found.

@@ -57,30 +57,5 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 		return
 	}
 	s.sorter.ByPriorityDesc(psi, s.cfg.DeviationFactor)
-	for _, j := range psi {
-		if ctx.FreeMachines() == 0 {
-			return
-		}
-		s.tasks = j.AppendUnscheduled(s.tasks[:0], job.PhaseMap)
-		for _, t := range s.tasks {
-			if ctx.FreeMachines() == 0 {
-				return
-			}
-			if _, err := ctx.Launch(j, t, 1, false); err != nil {
-				return
-			}
-		}
-		if !j.MapPhaseDone() {
-			continue
-		}
-		s.tasks = j.AppendUnscheduled(s.tasks[:0], job.PhaseReduce)
-		for _, t := range s.tasks {
-			if ctx.FreeMachines() == 0 {
-				return
-			}
-			if _, err := ctx.Launch(j, t, 1, false); err != nil {
-				return
-			}
-		}
-	}
+	s.tasks, _ = schedutil.LaunchFirstCopies(ctx, psi, s.tasks)
 }

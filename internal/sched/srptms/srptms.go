@@ -50,8 +50,8 @@ type Config struct {
 	MaxClonesPerTask int
 	// Strict disables the work-conserving surplus pass: exactly Algorithm 2,
 	// where machines the epsilon band cannot absorb (because of the clone
-	// cap) idle rather than flowing to lower-priority jobs. Used by the
-	// ablation benchmarks.
+	// cap) idle rather than flowing to lower-priority jobs. Only
+	// strict_test.go sets it.
 	Strict bool
 }
 
@@ -140,40 +140,8 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 	// share with clones; the practical per-task clone cap can leave part of
 	// a share unusable, so surplus machines flow down the priority order as
 	// plain (non-cloned) first copies rather than idling.
-	if s.cfg.Strict || ctx.FreeMachines() == 0 {
-		return
-	}
-	for _, j := range psi {
-		if ctx.FreeMachines() == 0 {
-			return
-		}
-		s.launchSingles(ctx, j)
-	}
-}
-
-// launchSingles starts one copy for as many of j's unscheduled tasks as free
-// machines allow, maps before (ungated) reduces.
-func (s *Scheduler) launchSingles(ctx *cluster.Context, j *job.Job) {
-	s.tasks = j.AppendUnscheduled(s.tasks[:0], job.PhaseMap)
-	for _, t := range s.tasks {
-		if ctx.FreeMachines() == 0 {
-			return
-		}
-		if _, err := ctx.Launch(j, t, 1, false); err != nil {
-			return
-		}
-	}
-	if !j.MapPhaseDone() {
-		return
-	}
-	s.tasks = j.AppendUnscheduled(s.tasks[:0], job.PhaseReduce)
-	for _, t := range s.tasks {
-		if ctx.FreeMachines() == 0 {
-			return
-		}
-		if _, err := ctx.Launch(j, t, 1, false); err != nil {
-			return
-		}
+	if !s.cfg.Strict {
+		s.tasks, _ = schedutil.LaunchFirstCopies(ctx, psi, s.tasks)
 	}
 }
 

@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"mrclone/internal/job"
 	"mrclone/internal/runner"
@@ -170,8 +171,8 @@ func (s Spec) Normalize() Spec {
 }
 
 // Validate checks the spec deeply: schema version, workload shape and
-// generator parameters, registered scheduler names, and the runner-level
-// matrix invariants.
+// generator parameters, registered scheduler names and tunables, and the
+// runner-level matrix invariants.
 func (s Spec) Validate() error {
 	if s.Version != Version {
 		return fmt.Errorf("%w: %d (want %d)", ErrVersion, s.Version, Version)
@@ -209,6 +210,26 @@ func (s Spec) Validate() error {
 		}
 		if p.Speed < 0 {
 			return fmt.Errorf("spec: point %d (x=%v): speed %v", i, p.X, p.Speed)
+		}
+	}
+	// Build each row's scheduler once per distinct set of tunables its
+	// cells run with, so an out-of-range tunable is rejected here and not
+	// by every cell of an accepted run.
+	var built []sched.Params
+	for i, sc := range s.Schedulers {
+		built = built[:0]
+		for pi, p := range s.Points {
+			params := sc.Params
+			if p.Params != nil {
+				params = *p.Params
+			}
+			if slices.Contains(built, params) {
+				continue
+			}
+			built = append(built, params)
+			if _, err := sched.Build(sc.Name, params); err != nil {
+				return fmt.Errorf("spec: scheduler %d (%s) at point %d (x=%v): %w", i, sc.Name, pi, p.X, err)
+			}
 		}
 	}
 	if s.Runs < 0 {

@@ -191,6 +191,16 @@ func TestParseRejects(t *testing.T) {
 			s.Workload.Trace = nil
 			s.Workload.Rows = []trace.JobRow{row, {ID: 5, Priority: 1, MapTasks: 1, MapScale: 5, Ratio: 2, Alpha: 2}, row}
 		}, want: "rows 0 and 2 share id 4"},
+		{name: "srptms+c epsilon out of range", mutate: func(s *Spec) {
+			s.Schedulers[0].Params.Epsilon = 2
+		}, want: "scheduler 0 (srptms+c) at point 0 (x=1): srptms: epsilon 2 outside (0, 1]"},
+		{name: "mantri point delta out of range", mutate: func(s *Spec) {
+			s.Schedulers[0] = Scheduler{Name: "mantri"}
+			s.Points = append(s.Points, Point{X: 2, Machines: 40, Params: &sched.Params{Delta: 1.5}})
+		}, want: "scheduler 0 (mantri) at point 1 (x=2): mantri: delta 1.5 outside (0, 1)"},
+		{name: "sca negative clone cap", mutate: func(s *Spec) {
+			s.Schedulers = append(s.Schedulers, Scheduler{Name: "sca", Params: sched.Params{MaxClonesPerTask: -1}})
+		}, want: "scheduler 1 (sca) at point 0 (x=1): sca: max clones -1 negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -214,6 +224,30 @@ func TestParseRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestParseBuildsOnlyUsedTunables: a row's own tunables are checked only
+// when some point runs with them, so a spec whose every point overrides an
+// out-of-range row stays accepted.
+func TestParseBuildsOnlyUsedTunables(t *testing.T) {
+	s := tinySpec()
+	s.Schedulers[0].Params.Epsilon = 2
+	def := sched.DefaultParams()
+	s.Points = []Point{{X: 1, Machines: 40, Params: &def}}
+	data, err := json.Marshal(s.Normalize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(data); err != nil {
+		t.Fatalf("Parse rejected a row every point overrides: %v", err)
+	}
+	s.Points = append(s.Points, Point{X: 2, Machines: 40})
+	if data, err = json.Marshal(s.Normalize()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Parse(data); err == nil || !strings.Contains(err.Error(), "at point 1 (x=2)") {
+		t.Fatalf("Parse of a point keeping the row's epsilon 2: %v", err)
 	}
 }
 
