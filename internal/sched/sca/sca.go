@@ -67,13 +67,24 @@ const DefaultMaxClones = 8
 // directly, so a huge configured cap costs no memory.
 const tabledLevels = 1 << 10
 
+// paretoSpeedup is the model a nil Config.Speedup selects, the only one a
+// service spec can reach, and paretoMarginal its table at tabledLevels,
+// filled once and shared read-only: New with it evaluates no speedup and
+// allocates no table, however large the clone cap, so checking a spec's
+// tunables costs constant time per SCA build.
+var (
+	paretoSpeedup, _ = dist.NewParetoSpeedup(2) // alpha 2 > 1 is valid
+	paretoMarginal   = (&Scheduler{cfg: Config{Speedup: paretoSpeedup}}).table(tabledLevels)
+)
+
 // Scheduler implements cluster.Scheduler. It carries per-instance scratch
 // and must not be shared by concurrently running engines.
 type Scheduler struct {
 	cfg Config
 
 	// marginal[k] = 1/s(k) - 1/s(k+1) for 1 <= k < min(cap, tabledLevels);
-	// marginal[0] is never read, as every allocation holds a copy.
+	// marginal[0] is never read, as every allocation holds a copy. Read
+	// only: under the default speedup it is a prefix of paretoMarginal.
 	marginal []float64
 
 	allocs []allocation
@@ -86,13 +97,6 @@ var _ cluster.Scheduler = (*Scheduler)(nil)
 
 // New returns an SCA scheduler.
 func New(cfg Config) (*Scheduler, error) {
-	if cfg.Speedup == nil {
-		s, err := dist.NewParetoSpeedup(2)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Speedup = s
-	}
 	if cfg.DeviationFactor < 0 || math.IsNaN(cfg.DeviationFactor) {
 		return nil, fmt.Errorf("sca: deviation factor %v negative", cfg.DeviationFactor)
 	}
@@ -102,11 +106,23 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.MaxClonesPerTask == 0 {
 		cfg.MaxClonesPerTask = DefaultMaxClones
 	}
-	s := &Scheduler{cfg: cfg, marginal: make([]float64, min(cfg.MaxClonesPerTask, tabledLevels))}
-	for k := 1; k < len(s.marginal); k++ {
-		s.marginal[k] = s.drop(k)
+	n := min(cfg.MaxClonesPerTask, tabledLevels)
+	if cfg.Speedup == nil {
+		cfg.Speedup = paretoSpeedup
+		return &Scheduler{cfg: cfg, marginal: paretoMarginal[:n:n]}, nil
 	}
+	s := &Scheduler{cfg: cfg}
+	s.marginal = s.table(n)
 	return s, nil
+}
+
+// table returns the first n levels of the marginal table.
+func (s *Scheduler) table(n int) []float64 {
+	m := make([]float64, n)
+	for k := 1; k < n; k++ {
+		m[k] = s.drop(k)
+	}
+	return m
 }
 
 // Name implements cluster.Scheduler.

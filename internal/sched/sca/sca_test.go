@@ -156,3 +156,18 @@ func TestFIFOAcrossJobs(t *testing.T) {
 		t.Fatalf("FIFO violated: %v", finish)
 	}
 }
+
+// TestNewSharesDefaultTable: with the default speedup, the only one a
+// service spec can select, New allocates the scheduler and no marginal
+// table, whatever the clone cap, so checking a spec's tunables builds SCA
+// in constant time.
+func TestNewSharesDefaultTable(t *testing.T) {
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := New(Config{MaxClonesPerTask: 1 << 40}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("New allocated %v times, want at most 1 (the scheduler)", allocs)
+	}
+}

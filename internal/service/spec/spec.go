@@ -212,23 +212,48 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("spec: point %d (x=%v): speed %v", i, p.X, p.Speed)
 		}
 	}
-	// Build each row's scheduler once per distinct set of tunables its
-	// cells run with, so an out-of-range tunable is rejected here and not
-	// by every cell of an accepted run.
-	var built []sched.Params
-	for i, sc := range s.Schedulers {
-		built = built[:0]
-		for pi, p := range s.Points {
-			params := sc.Params
-			if p.Params != nil {
-				params = *p.Params
-			}
-			if slices.Contains(built, params) {
+	// Build each scheduler once per distinct set of tunables its cells run
+	// with, so an out-of-range tunable is rejected here and not by every
+	// cell of an accepted run. The work is linear in the spec, as Parse runs
+	// this on unauthenticated submissions.
+	build := func(i, pi int, params sched.Params) error {
+		if _, err := sched.Build(s.Schedulers[i].Name, params); err != nil {
+			return fmt.Errorf("spec: scheduler %d (%s) at point %d (x=%v): %w",
+				i, s.Schedulers[i].Name, pi, s.Points[pi].X, err)
+		}
+		return nil
+	}
+	// Rows run with their own tunables at points without an override, so
+	// each distinct row is built at the first such point.
+	if pi := slices.IndexFunc(s.Points, func(p Point) bool { return p.Params == nil }); pi >= 0 {
+		rows := make(map[Scheduler]bool)
+		for i, sc := range s.Schedulers {
+			if rows[sc] {
 				continue
 			}
-			built = append(built, params)
-			if _, err := sched.Build(sc.Name, params); err != nil {
-				return fmt.Errorf("spec: scheduler %d (%s) at point %d (x=%v): %w", i, sc.Name, pi, p.X, err)
+			rows[sc] = true
+			if err := build(i, pi, sc.Params); err != nil {
+				return err
+			}
+		}
+	}
+	// A point's override gives every row of one name the same scheduler, so
+	// each distinct override is built once per name, against its first row.
+	var firsts []int // at most one per registered name
+	for i, sc := range s.Schedulers {
+		if !slices.ContainsFunc(firsts, func(f int) bool { return s.Schedulers[f].Name == sc.Name }) {
+			firsts = append(firsts, i)
+		}
+	}
+	overrides := make(map[sched.Params]bool)
+	for pi, p := range s.Points {
+		if p.Params == nil || overrides[*p.Params] {
+			continue
+		}
+		overrides[*p.Params] = true
+		for _, i := range firsts {
+			if err := build(i, pi, *p.Params); err != nil {
+				return err
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 
 	"mrclone/internal/runner"
 	"mrclone/internal/sched"
@@ -201,6 +202,10 @@ func TestParseRejects(t *testing.T) {
 		{name: "sca negative clone cap", mutate: func(s *Spec) {
 			s.Schedulers = append(s.Schedulers, Scheduler{Name: "sca", Params: sched.Params{MaxClonesPerTask: -1}})
 		}, want: "scheduler 1 (sca) at point 0 (x=1): sca: max clones -1 negative"},
+		{name: "point epsilon out of range under a repeated name", mutate: func(s *Spec) {
+			s.Schedulers = []Scheduler{{Name: "fair"}, {Name: "srptms+c"}, {Name: "srptms+c", Params: sched.Params{DeviationFactor: 1}}}
+			s.Points = append(s.Points, Point{X: 2, Machines: 40, Params: &sched.Params{Epsilon: 2}})
+		}, want: "scheduler 1 (srptms+c) at point 1 (x=2): srptms: epsilon 2 outside (0, 1]"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,6 +253,50 @@ func TestParseBuildsOnlyUsedTunables(t *testing.T) {
 	}
 	if _, err := Parse(data); err == nil || !strings.Contains(err.Error(), "at point 1 (x=2)") {
 		t.Fatalf("Parse of a point keeping the row's epsilon 2: %v", err)
+	}
+}
+
+// TestParseManyOverrides: the tunable check is linear in the spec, as
+// Parse runs it on unauthenticated submissions. 100k points, each with its
+// own override and a clone cap past SCA's marginal table, and 10k rows with
+// their own tunables, kept at one point, must parse well inside the bound
+// (about 0.5 s on a 2-vCPU host); a repeat check scanning the tunables
+// already built, or a pass over every row at each point, takes minutes.
+func TestParseManyOverrides(t *testing.T) {
+	const points, rows, bound = 100_000, 10_000, 20 * time.Second
+	s := tinySpec()
+	names := sched.Names()
+	s.Schedulers = make([]Scheduler, rows)
+	for i := range s.Schedulers {
+		s.Schedulers[i] = Scheduler{Name: names[i%len(names)], Params: sched.Params{DeviationFactor: float64(i)}}
+	}
+	s.Points = make([]Point, points)
+	for i := range s.Points {
+		s.Points[i] = Point{X: float64(i), Machines: 40, Params: &sched.Params{
+			Epsilon: float64(i+1) / (points + 1), MaxClonesPerTask: 1<<20 + i,
+		}}
+	}
+	s.Points[points/2].Params = nil
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Parse runs apart so a slow check fails at the bound, not at the test
+	// binary's timeout; a parse still running then ends with the binary.
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := Parse(data)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("parsed %d points x %d rows (%d bytes) in %v", points, rows, len(data), time.Since(start))
+	case <-time.After(bound):
+		t.Fatalf("Parse of %d points x %d rows still running after %v", points, rows, bound)
 	}
 }
 
