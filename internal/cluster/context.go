@@ -163,6 +163,3 @@ func (c *Context) BestProgress(t *job.Task) (best CopyProgress, ok bool) {
 	}
 	return best, ok
 }
-
-// Speed returns the configured machine speed (resource augmentation factor).
-func (c *Context) Speed() float64 { return c.engine.cfg.Speed }

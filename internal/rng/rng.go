@@ -54,14 +54,8 @@ func (s *Source) Float64() float64 { return s.rnd.Float64() }
 // Intn returns a uniform int in [0, n). n must be > 0.
 func (s *Source) Intn(n int) int { return s.rnd.Intn(n) }
 
-// Int63 returns a non-negative uniform int64.
-func (s *Source) Int63() int64 { return s.rnd.Int63() }
-
 // NormFloat64 returns a standard normal variate.
 func (s *Source) NormFloat64() float64 { return s.rnd.NormFloat64() }
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (s *Source) ExpFloat64() float64 { return s.rnd.ExpFloat64() }
 
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.rnd.Perm(n) }

@@ -43,22 +43,6 @@ type Aggregate struct {
 	MeanOccupancy float64 `json:"mean_occupancy"`
 }
 
-// Summary views the aggregate as a metrics.FlowtimeSummary (the type the
-// rendering layers consume).
-func (a Aggregate) Summary() metrics.FlowtimeSummary {
-	return metrics.FlowtimeSummary{
-		Jobs:             a.Jobs,
-		MeanFlowtime:     a.MeanFlowtime,
-		WeightedFlowtime: a.WeightedFlowtime,
-		TotalWeighted:    a.TotalWeighted,
-		MinFlowtime:      a.MinFlowtime,
-		MaxFlowtime:      a.MaxFlowtime,
-		P50:              a.P50,
-		P90:              a.P90,
-		P99:              a.P99,
-	}
-}
-
 // Aggregate reduces the Runs replicates of one (scheduler, point) pair.
 func (r *Result) Aggregate(si, pi int) Aggregate {
 	agg := Aggregate{

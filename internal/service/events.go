@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"slices"
 	"sync"
 )
 
@@ -78,15 +79,20 @@ func newSubscription() *Subscription {
 func (s *Subscription) publish(e Event) {
 	s.mu.Lock()
 	if !s.closed {
-		// Coalesce back-to-back pending progress and cells events so a slow
-		// consumer of a large matrix holds O(1) backlog per stream, not
-		// O(cells). Only newest-wins streams coalesce: every frame carries
-		// the full running counts, so dropping the stale one loses nothing.
-		if n := len(s.events); n > 0 && coalescable(e.Type) && s.events[n-1].Type == e.Type {
-			s.events[n-1] = e
-		} else {
-			s.events = append(s.events, e)
+		// A new progress or cells frame drops the undelivered frame of its
+		// own type behind the last state transition, so a slow consumer of
+		// a large matrix holds at most one of each there: O(1) backlog per
+		// stream, not O(cells). Every such frame carries the full running
+		// counts, so dropping the stale one loses nothing.
+		if coalescable(e.Type) {
+			for i := len(s.events) - 1; i >= 0 && coalescable(s.events[i].Type); i-- {
+				if s.events[i].Type == e.Type {
+					s.events = slices.Delete(s.events, i, i+1)
+					break
+				}
+			}
 		}
+		s.events = append(s.events, e)
 		if e.Terminal() {
 			s.closed = true
 		}
@@ -95,8 +101,8 @@ func (s *Subscription) publish(e Event) {
 	s.cond.Broadcast()
 }
 
-// coalescable reports whether back-to-back events of this type carry full
-// running counts, making newest-wins coalescing lossless.
+// coalescable reports whether events of this type carry full running
+// counts, making newest-wins coalescing lossless.
 func coalescable(t EventType) bool {
 	return t == EventProgress || t == EventCells
 }

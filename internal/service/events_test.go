@@ -1,0 +1,67 @@
+package service
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"mrclone/internal/service/spec"
+)
+
+// TestUnreadSubscriptionBacklogBounded subscribes to a 40-cell matrix and
+// reads nothing until it is done. Every landed cell publishes a progress
+// and then a cells frame, so coalescing only same-type neighbours would
+// hold two frames per cell; the pending backlog must instead be the state
+// transitions plus at most one progress and one cells frame, delivered
+// with done counts that never decrease.
+func TestUnreadSubscriptionBacklogBounded(t *testing.T) {
+	s, release, _ := blockingService(Config{Workers: 1, GCInterval: -1})
+	defer closeService(t, s)
+
+	var points []spec.Point
+	for i := 0; i < 20; i++ {
+		points = append(points, spec.Point{X: float64(i), Machines: 20 + i})
+	}
+	sp := overlapSpec(points) // 20 points × 2 runs = 40 cells
+	st, err := s.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := s.Subscribe(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(release) // every frame of the run is published live
+	waitState(t, s, st.ID, StateDone)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var frames []Event
+	for {
+		e, ok := sub.Next(ctx)
+		if !ok {
+			break
+		}
+		frames = append(frames, e)
+	}
+	transitions, done := 0, 0
+	for _, e := range frames {
+		if !coalescable(e.Type) {
+			transitions++
+		}
+		if e.Done < done {
+			t.Fatalf("done count fell from %d to %d in %+v", done, e.Done, frames)
+		}
+		done = e.Done
+	}
+	if last := frames[len(frames)-1]; last.Type != EventDone || last.Done != 40 {
+		t.Fatalf("stream ended with %+v, want done at 40 cells", last)
+	}
+	if len(frames) > transitions+2 {
+		types := make([]EventType, len(frames))
+		for i, e := range frames {
+			types[i] = e.Type
+		}
+		t.Fatalf("unread subscription held %d frames, want at most %d: %v", len(frames), transitions+2, types)
+	}
+}

@@ -1465,25 +1465,23 @@ func (s *Service) GC() (jobsRemoved, artifactsRemoved int) {
 			storeErrs++
 		}
 	}
+	expired := func(info store.Info) bool { return ttl > 0 && now.Sub(info.CreatedAt) > ttl }
 	if ttl > 0 {
-		infos, err := st.ListArtifacts()
-		if err != nil {
-			storeErrs++
-		}
-		for _, info := range infos {
-			if now.Sub(info.CreatedAt) > ttl {
-				if err := st.DeleteArtifacts(info.Hash); err != nil {
-					storeErrs++
-				} else {
-					artifactsRemoved++
-				}
-			}
-		}
+		_, artifactsRemoved = sweep(st.ListArtifacts, st.DeleteArtifacts, expired, &storeErrs)
 	}
 	var cellsRemoved int
 	if cellsOn {
-		cellsRemoved = s.gcCells(st, now, ttl, &storeErrs)
-		s.gcSpecs(st, now, inflightHashes, &storeErrs)
+		live, n := sweep(st.ListCells, st.DeleteCell, expired, &storeErrs)
+		cellsRemoved = n + evictOldest(live, s.cfg.CellCacheBytes, st.DeleteCell, &storeErrs)
+		// A spec record with no live flight that has outlived JobRetention
+		// was orphaned by a crash and will never be requeued (its job either
+		// recovered already or aged out of the table). Flights delete their
+		// own record on completion; keep-forever retention keeps orphans too.
+		if retention := s.cfg.JobRetention; retention >= 0 {
+			sweep(st.ListSpecs, st.DeleteSpec, func(info store.Info) bool {
+				return !inflightHashes[info.Hash] && now.Sub(info.CreatedAt) > retention
+			}, &storeErrs)
+		}
 	}
 	s.mu.Lock()
 	s.m.ArtifactsGCed += int64(artifactsRemoved)
@@ -1493,74 +1491,55 @@ func (s *Service) GC() (jobsRemoved, artifactsRemoved int) {
 	return jobsRemoved, artifactsRemoved
 }
 
-// gcCells sweeps the cells tier: TTL-expired cells are deleted, then — the
-// size accounting — oldest surviving cells are evicted until the tier's
-// byte total fits CellCacheBytes. Returns the number of cells removed.
-func (s *Service) gcCells(st *store.Store, now time.Time, ttl time.Duration, storeErrs *int64) int {
-	infos, err := st.ListCells()
+// sweep lists one store tier and deletes every entry drop selects. It
+// returns the entries it kept and how many it deleted; an entry whose
+// delete fails is neither, and the failure counts into storeErrs.
+func sweep(list func() ([]store.Info, error), del func(string) error, drop func(store.Info) bool, storeErrs *int64) (live []store.Info, removed int) {
+	infos, err := list()
 	if err != nil {
 		*storeErrs++
-		return 0
 	}
-	var removed int
-	var live []store.CellInfo
-	var liveBytes int64
 	for _, info := range infos {
-		if ttl > 0 && now.Sub(info.CreatedAt) > ttl {
-			if err := st.DeleteCell(info.Hash); err != nil {
-				*storeErrs++
-			} else {
-				removed++
-			}
-			continue
-		}
-		live = append(live, info)
-		liveBytes += info.Bytes
-	}
-	if budget := s.cfg.CellCacheBytes; budget > 0 && liveBytes > budget {
-		sort.Slice(live, func(i, j int) bool {
-			if !live[i].CreatedAt.Equal(live[j].CreatedAt) {
-				return live[i].CreatedAt.Before(live[j].CreatedAt)
-			}
-			return live[i].Hash < live[j].Hash // deterministic tie-break
-		})
-		for _, info := range live {
-			if liveBytes <= budget {
-				break
-			}
-			if err := st.DeleteCell(info.Hash); err != nil {
-				*storeErrs++
-				continue
-			}
-			liveBytes -= info.Bytes
+		if !drop(info) {
+			live = append(live, info)
+		} else if err := del(info.Hash); err != nil {
+			*storeErrs++
+		} else {
 			removed++
 		}
 	}
-	return removed
+	return live, removed
 }
 
-// gcSpecs drops spec records orphaned by a crash: a record whose matrix has
-// no live flight and that has outlived JobRetention will never be requeued
-// (its job either recovered already or aged out of the table), so it only
-// wastes disk. Records of in-flight matrices are never touched; flights
-// delete their own record on completion.
-func (s *Service) gcSpecs(st *store.Store, now time.Time, inflightHashes map[string]bool, storeErrs *int64) {
-	if s.cfg.JobRetention < 0 {
-		return // keep-forever retention keeps orphaned specs too
+// evictOldest deletes the oldest of live — ties broken by hash, so the order
+// is deterministic — until their bytes fit budget (no budget when <= 0), and
+// returns how many it deleted.
+func evictOldest(live []store.Info, budget int64, del func(string) error, storeErrs *int64) (removed int) {
+	var total int64
+	for _, info := range live {
+		total += info.Bytes
 	}
-	infos, err := st.ListSpecs()
-	if err != nil {
-		*storeErrs++
-		return
+	if budget <= 0 || total <= budget {
+		return 0
 	}
-	for _, info := range infos {
-		if inflightHashes[info.Hash] || now.Sub(info.CreatedAt) <= s.cfg.JobRetention {
+	sort.Slice(live, func(i, j int) bool {
+		if !live[i].CreatedAt.Equal(live[j].CreatedAt) {
+			return live[i].CreatedAt.Before(live[j].CreatedAt)
+		}
+		return live[i].Hash < live[j].Hash
+	})
+	for _, info := range live {
+		if total <= budget {
+			break
+		}
+		if err := del(info.Hash); err != nil {
+			*storeErrs++
 			continue
 		}
-		if err := st.DeleteSpec(info.Hash); err != nil {
-			*storeErrs++
-		}
+		total -= info.Bytes
+		removed++
 	}
+	return removed
 }
 
 // Health is the payload of GET /healthz: the cheap shard-health probe a

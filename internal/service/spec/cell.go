@@ -154,12 +154,6 @@ func (h *CellHasher) Hash(si, pi, run int) (string, error) {
 	return hex.EncodeToString(sum.Sum(nil)), nil
 }
 
-// Total returns the matrix size the hasher addresses (schedulers × points ×
-// runs of the normalized spec).
-func (h *CellHasher) Total() int {
-	return len(h.spec.Schedulers) * len(h.spec.Points) * h.spec.Runs
-}
-
 // CellHash is the one-shot form of CellHasher().Hash for callers addressing
 // a single cell; loops over many cells should hold a CellHasher instead.
 func (s Spec) CellHash(si, pi, run int) (string, error) {

@@ -21,13 +21,13 @@ import (
 //	                   executing, keyed by the matrix hash, so a restart can
 //	                   requeue interrupted jobs instead of failing them
 //
-// Both share the artifact tier's discipline: writes are staged in tmp/,
-// fsync'd, and renamed into place (a reader observes no entry or a complete
-// one), entries are sharded by the first two hex digits of their hash, and
-// records that fail verification are quarantined and report ErrCorrupt so
-// the caller recomputes. Cell records carry a size and payload checksum;
-// spec records are self-verifying — their file name is the SHA-256 of their
-// contents.
+// Both go through the artifact tier's helpers (see store.go): entry checks
+// and locates the key, a record is staged in tmp/, fsync'd and handed to
+// publish (a reader observes no record or a complete one), remove deletes,
+// list walks the tier, and a record that fails verification is quarantined
+// and reports ErrCorrupt so the caller recomputes. Cell records carry a
+// size and payload checksum; spec records are self-verifying — their file
+// name is the SHA-256 of their contents.
 
 // Cell is one content-addressed cell record: the coordinate-independent
 // payload of one simulated matrix cell, keyed by its cell content hash.
@@ -42,13 +42,6 @@ type Cell struct {
 	CreatedAt time.Time
 }
 
-// CellInfo is the metadata summary of one stored cell, as listed for GC.
-type CellInfo struct {
-	Hash      string
-	Bytes     int64
-	CreatedAt time.Time
-}
-
 // cellRecord is the on-disk form of a cell. The payload checksum lets reads
 // detect truncation and bit rot without a separate metadata file.
 type cellRecord struct {
@@ -59,25 +52,13 @@ type cellRecord struct {
 	Payload     json.RawMessage `json:"payload"`
 }
 
-// cellPath is where a cell record lives, sharded like artifact entries.
-func (s *Store) cellPath(hash string) string {
-	return filepath.Join(s.cellDir, hash[:2], hash)
-}
-
-// specPath is where a spec record lives.
-func (s *Store) specPath(hash string) string {
-	return filepath.Join(s.specDir, hash[:2], hash)
-}
-
 // PutCell atomically writes one cell record: staged under tmp/, fsync'd,
 // and renamed into cells/<hh>/. Replacing an existing record is harmless —
 // equal cell hashes mean equal payloads (the runner is deterministic).
 func (s *Store) PutCell(c Cell) error {
-	if err := validHash(c.Hash); err != nil {
+	dst, err := s.entry(s.cellDir, c.Hash)
+	if err != nil {
 		return err
-	}
-	if s.isClosed() {
-		return ErrClosed
 	}
 	sum := checksum(c.Payload)
 	rec, err := json.Marshal(cellRecord{
@@ -90,36 +71,25 @@ func (s *Store) PutCell(c Cell) error {
 	if err != nil {
 		return fmt.Errorf("store: encode cell: %w", err)
 	}
-	return s.publishFile(s.cellPath(c.Hash), rec)
+	return s.publishFile(dst, rec)
 }
 
 // GetCell reads and verifies the cell stored under hash. A missing record
 // reports ErrNotFound; a record that fails verification is quarantined and
 // reports ErrCorrupt.
 func (s *Store) GetCell(hash string) (Cell, error) {
-	if err := validHash(hash); err != nil {
+	path, data, err := s.readRecord(s.cellDir, "cell", hash)
+	if err != nil {
 		return Cell{}, err
 	}
-	if s.isClosed() {
-		return Cell{}, ErrClosed
-	}
-	data, err := os.ReadFile(s.cellPath(hash))
-	if errors.Is(err, fs.ErrNotExist) {
-		return Cell{}, fmt.Errorf("%w: cell %s", ErrNotFound, hash)
+	rec, err := decodeCell(data, hash)
+	if err == nil {
+		if got := checksum(rec.Payload); got.Size != rec.Size || got.SHA256 != rec.SHA256 {
+			err = errors.New("cell payload checksum mismatch")
+		}
 	}
 	if err != nil {
-		return Cell{}, fmt.Errorf("store: read cell: %w", err)
-	}
-	var rec cellRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return Cell{}, s.quarantineFile(s.cellPath(hash), hash, "bad cell record: "+err.Error())
-	}
-	if rec.Hash != hash {
-		return Cell{}, s.quarantineFile(s.cellPath(hash), hash,
-			fmt.Sprintf("cell record names hash %s", rec.Hash))
-	}
-	if got := checksum(rec.Payload); got.Size != rec.Size || got.SHA256 != rec.SHA256 {
-		return Cell{}, s.quarantineFile(s.cellPath(hash), hash, "cell payload checksum mismatch")
+		return Cell{}, s.quarantine(path, hash, err.Error())
 	}
 	return Cell{
 		Hash:      hash,
@@ -128,62 +98,54 @@ func (s *Store) GetCell(hash string) (Cell, error) {
 	}, nil
 }
 
+// decodeCell decodes a cell record and checks that it names hash; the error
+// is the reason to quarantine the record.
+func decodeCell(data []byte, hash string) (cellRecord, error) {
+	var rec cellRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return rec, fmt.Errorf("bad cell record: %v", err)
+	}
+	if rec.Hash != hash {
+		return rec, fmt.Errorf("cell record names hash %s", rec.Hash)
+	}
+	return rec, nil
+}
+
 // HasCell reports whether a cell record exists under hash without reading
 // or verifying it. It is the cheap existence probe behind SRPT job sizing
 // (counting uncached cells); a record that later fails verification still
 // degrades to recomputation at lookup time, so a false positive here only
 // perturbs a scheduling estimate, never a result.
 func (s *Store) HasCell(hash string) bool {
-	if validHash(hash) != nil || s.isClosed() {
+	path, err := s.entry(s.cellDir, hash)
+	if err != nil {
 		return false
 	}
-	st, err := os.Stat(s.cellPath(hash))
+	st, err := os.Stat(path)
 	return err == nil && st.Mode().IsRegular()
 }
 
 // DeleteCell removes the cell stored under hash; deleting a missing cell is
 // not an error.
-func (s *Store) DeleteCell(hash string) error {
-	return s.deleteFile(s.cellPath(hash), hash)
-}
+func (s *Store) DeleteCell(hash string) error { return s.remove(s.cellDir, hash) }
 
 // ListCells summarizes every stored cell record. Records whose envelope
 // cannot be decoded are quarantined and skipped, never failing the listing;
 // payload checksums are deliberately not reverified here (GetCell does) so
 // a GC sweep over a large tier stays cheap.
-func (s *Store) ListCells() ([]CellInfo, error) {
-	if s.isClosed() {
-		return nil, ErrClosed
-	}
-	var infos []CellInfo
-	err := s.walkTier(s.cellDir, func(hash, path string) {
+func (s *Store) ListCells() ([]Info, error) {
+	return s.list(s.cellDir, false, func(hash, path string) (Info, bool) {
 		data, err := os.ReadFile(path)
-		if err != nil {
-			_ = s.quarantineFile(path, hash, "listing: "+err.Error())
-			return
-		}
 		var rec cellRecord
-		if err := json.Unmarshal(data, &rec); err != nil || rec.Hash != hash {
-			_ = s.quarantineFile(path, hash, "listing: bad cell record")
-			return
+		if err == nil {
+			rec, err = decodeCell(data, hash)
 		}
-		infos = append(infos, CellInfo{
-			Hash:      hash,
-			Bytes:     int64(len(data)),
-			CreatedAt: time.UnixMilli(rec.CreatedAtMs),
-		})
+		if err != nil {
+			_ = s.quarantine(path, hash, "listing: "+err.Error())
+			return Info{}, false
+		}
+		return Info{Hash: hash, Bytes: int64(len(data)), CreatedAt: time.UnixMilli(rec.CreatedAtMs)}, true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return infos, nil
-}
-
-// SpecInfo is the metadata summary of one stored spec record.
-type SpecInfo struct {
-	Hash      string
-	Bytes     int64
-	CreatedAt time.Time // file modification time (when the spec was stored)
 }
 
 // PutSpec atomically stores the canonical spec bytes under their matrix
@@ -191,163 +153,70 @@ type SpecInfo struct {
 // guarantees hash == SHA-256(canonical) (internal/service/spec.Hash); reads
 // reverify it.
 func (s *Store) PutSpec(hash string, canonical []byte) error {
-	if err := validHash(hash); err != nil {
+	dst, err := s.entry(s.specDir, hash)
+	if err != nil {
 		return err
 	}
-	if s.isClosed() {
-		return ErrClosed
-	}
-	return s.publishFile(s.specPath(hash), canonical)
+	return s.publishFile(dst, canonical)
 }
 
 // GetSpec reads the canonical spec bytes stored under hash. The content is
 // self-verifying: bytes whose SHA-256 does not match the name are
 // quarantined and report ErrCorrupt.
 func (s *Store) GetSpec(hash string) ([]byte, error) {
-	if err := validHash(hash); err != nil {
+	path, data, err := s.readRecord(s.specDir, "spec", hash)
+	if err != nil {
 		return nil, err
 	}
-	if s.isClosed() {
-		return nil, ErrClosed
-	}
-	data, err := os.ReadFile(s.specPath(hash))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("%w: spec %s", ErrNotFound, hash)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: read spec: %w", err)
-	}
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != hash {
-		return nil, s.quarantineFile(s.specPath(hash), hash, "spec bytes do not hash to their name")
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != hash {
+		return nil, s.quarantine(path, hash, "spec bytes do not hash to their name")
 	}
 	return data, nil
 }
 
 // DeleteSpec removes the spec stored under hash; deleting a missing spec is
 // not an error.
-func (s *Store) DeleteSpec(hash string) error {
-	return s.deleteFile(s.specPath(hash), hash)
-}
+func (s *Store) DeleteSpec(hash string) error { return s.remove(s.specDir, hash) }
 
-// ListSpecs summarizes every stored spec record.
-func (s *Store) ListSpecs() ([]SpecInfo, error) {
-	if s.isClosed() {
-		return nil, ErrClosed
-	}
-	var infos []SpecInfo
-	err := s.walkTier(s.specDir, func(hash, path string) {
+// ListSpecs summarizes every stored spec record; a spec's CreatedAt is the
+// file's modification time (when the spec was stored).
+func (s *Store) ListSpecs() ([]Info, error) {
+	return s.list(s.specDir, false, func(hash, path string) (Info, bool) {
 		st, err := os.Stat(path)
 		if err != nil {
-			return
+			return Info{}, false
 		}
-		infos = append(infos, SpecInfo{Hash: hash, Bytes: st.Size(), CreatedAt: st.ModTime()})
+		return Info{Hash: hash, Bytes: st.Size(), CreatedAt: st.ModTime()}, true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return infos, nil
 }
 
-// walkTier visits every hash-named file of a sharded single-file tier. One
-// unreadable prefix directory skips its entries for this pass without
-// failing the walk (mirroring ListArtifacts).
-func (s *Store) walkTier(root string, visit func(hash, path string)) error {
-	prefixes, err := os.ReadDir(root)
+// readRecord reads the record file stored under hash in root and returns
+// its path for quarantine. A missing record reports ErrNotFound naming kind.
+func (s *Store) readRecord(root, kind, hash string) (string, []byte, error) {
+	path, err := s.entry(root, hash)
 	if err != nil {
-		return fmt.Errorf("store: list %s: %w", filepath.Base(root), err)
+		return "", nil, err
 	}
-	for _, p := range prefixes {
-		if !p.IsDir() || !validPrefix(p.Name()) {
-			continue
-		}
-		dirents, err := os.ReadDir(filepath.Join(root, p.Name()))
-		if err != nil {
-			continue
-		}
-		for _, e := range dirents {
-			hash := e.Name()
-			if e.IsDir() || validHash(hash) != nil || hash[:2] != p.Name() {
-				continue
-			}
-			visit(hash, filepath.Join(root, p.Name(), hash))
-		}
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return "", nil, fmt.Errorf("%w: %s %s", ErrNotFound, kind, hash)
 	}
-	return nil
+	if err != nil {
+		return "", nil, fmt.Errorf("store: read %s: %w", kind, err)
+	}
+	return path, data, nil
 }
 
-// publishFile atomically writes one file of a sharded tier: staged in tmp/,
-// fsync'd, renamed over the destination (rename replaces files atomically),
-// then the prefix directory is fsync'd.
+// publishFile atomically writes one record file: staged under tmp/ and
+// fsync'd, then published at dst.
 func (s *Store) publishFile(dst string, data []byte) error {
-	stage, err := os.CreateTemp(s.tmpDir, filepath.Base(dst)+".")
+	f, err := os.CreateTemp(s.tmpDir, filepath.Base(dst)+".")
 	if err != nil {
 		return fmt.Errorf("store: stage: %w", err)
 	}
-	stagePath := stage.Name()
-	cleanup := func(err error) error {
-		os.Remove(stagePath)
-		return err
+	if err := writeClose(f, data); err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("store: stage: %w", err)
 	}
-	if _, err := stage.Write(data); err != nil {
-		stage.Close()
-		return cleanup(fmt.Errorf("store: stage write: %w", err))
-	}
-	if err := stage.Sync(); err != nil {
-		stage.Close()
-		return cleanup(fmt.Errorf("store: stage sync: %w", err))
-	}
-	if err := stage.Close(); err != nil {
-		return cleanup(fmt.Errorf("store: stage close: %w", err))
-	}
-	pfx := filepath.Dir(dst)
-	if err := os.MkdirAll(pfx, 0o755); err != nil {
-		return cleanup(fmt.Errorf("store: prefix dir: %w", err))
-	}
-	if err := os.Rename(stagePath, dst); err != nil {
-		return cleanup(fmt.Errorf("store: publish: %w", err))
-	}
-	if err := syncDir(pfx); err != nil {
-		return fmt.Errorf("store: sync prefix dir: %w", err)
-	}
-	return nil
-}
-
-// deleteFile removes one file of a sharded tier; missing files (and missing
-// prefix directories) are not errors.
-func (s *Store) deleteFile(path, hash string) error {
-	if err := validHash(hash); err != nil {
-		return err
-	}
-	if s.isClosed() {
-		return ErrClosed
-	}
-	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("store: delete: %w", err)
-	}
-	err := syncDir(filepath.Dir(path))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("store: delete: %w", err)
-	}
-	return nil
-}
-
-// quarantineFile moves a damaged single-file record into quarantine/ so it
-// cannot fail the same lookup twice, and returns the ErrCorrupt to hand to
-// the caller.
-func (s *Store) quarantineFile(src, hash, reason string) error {
-	for n := 0; n < 1000; n++ {
-		dst := filepath.Join(s.quarDir, fmt.Sprintf("%s.%d", hash, n))
-		if _, err := os.Stat(dst); err == nil {
-			continue // slot taken by an earlier corruption of the same hash
-		}
-		err := os.Rename(src, dst)
-		if err == nil || errors.Is(err, fs.ErrNotExist) {
-			break // moved, or a concurrent reader already quarantined it
-		}
-	}
-	return fmt.Errorf("%w: %s (%s)", ErrCorrupt, hash, reason)
+	return publish(f.Name(), dst)
 }

@@ -1,0 +1,182 @@
+package store
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMalformedKeysRejected sends keys that are empty, too short, a path
+// traversal or upper-case hex to every hash-keyed method of all three
+// tiers. Each must fail with the invalid-hash error — never panic, never
+// report a plain miss — and nothing may reach the disk.
+func TestMalformedKeysRejected(t *testing.T) {
+	s := openStore(t)
+	for _, hash := range []string{"", "a", "../evil", strings.ToUpper(testHash(1))} {
+		art := testArtifacts(1)
+		art.Hash = hash
+		cell := testCell(1)
+		cell.Hash = hash
+		for name, op := range map[string]func() error{
+			"PutArtifacts":    func() error { return s.PutArtifacts(art) },
+			"GetArtifacts":    func() error { _, err := s.GetArtifacts(hash); return err },
+			"DeleteArtifacts": func() error { return s.DeleteArtifacts(hash) },
+			"PutCell":         func() error { return s.PutCell(cell) },
+			"GetCell":         func() error { _, err := s.GetCell(hash); return err },
+			"DeleteCell":      func() error { return s.DeleteCell(hash) },
+			"PutSpec":         func() error { return s.PutSpec(hash, []byte("{}")) },
+			"GetSpec":         func() error { _, err := s.GetSpec(hash); return err },
+			"DeleteSpec":      func() error { return s.DeleteSpec(hash) },
+		} {
+			if err := op(); err == nil || !strings.Contains(err.Error(), "invalid hash") {
+				t.Errorf("%s(%q) = %v, want an invalid-hash error", name, hash, err)
+			}
+		}
+		if s.HasCell(hash) {
+			t.Errorf("HasCell(%q) = true", hash)
+		}
+	}
+	for _, d := range []string{s.artDir, s.cellDir, s.specDir, s.tmpDir, s.quarDir} {
+		if ents, err := os.ReadDir(d); err != nil || len(ents) != 0 {
+			t.Errorf("%s holds %d entries (%v) after rejected keys", d, len(ents), err)
+		}
+	}
+}
+
+// FuzzStoreRead overwrites one stored file — an artifact entry's meta.json
+// or one of its parts, a cell record, or a spec record — with fuzz bytes
+// and reads the entry back. The reader may fail only with ErrCorrupt, and
+// then the entry is quarantined: the next read misses and quarantine/ holds
+// exactly one entry. Whatever it accepts names the requested hash, and every
+// part it returns is the part as first stored. Each execution lays the
+// entry out with plain writes, not the fsync'ing Put path, so the fuzzer
+// runs at file-write speed.
+func FuzzStoreRead(f *testing.F) {
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer s.Close()
+	art, cell := testArtifacts(1), testCell(2)
+	spec := []byte(`{"version":1,"workload":{"rows":[]}}`)
+	sum := sha256.Sum256(spec)
+	specHash := hex.EncodeToString(sum[:])
+	if err := s.PutArtifacts(art); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.PutCell(cell); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.PutSpec(specHash, spec); err != nil {
+		f.Fatal(err)
+	}
+
+	// targets[i] is one stored file; the first four make up the artifact
+	// entry, and good[i] holds its stored bytes.
+	artDir := filepath.Join(s.artDir, art.Hash[:2], art.Hash)
+	targets := []string{
+		filepath.Join(artDir, metaFile),
+		filepath.Join(artDir, jsonFile),
+		filepath.Join(artDir, csvFile),
+		filepath.Join(artDir, aggregateFile),
+		filepath.Join(s.cellDir, cell.Hash[:2], cell.Hash),
+		filepath.Join(s.specDir, specHash[:2], specHash),
+	}
+	good := make([][]byte, len(targets))
+	for i, path := range targets {
+		if good[i], err = os.ReadFile(path); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), good[i])
+		f.Add(uint8(i), good[i][:len(good[i])/2])
+	}
+	f.Add(uint8(0), bytes.Replace(good[0], []byte(art.Hash), []byte(testHash(3)), 1))
+	f.Add(uint8(0), []byte(`{"hash":"`+art.Hash+`","files":{}}`))
+	f.Add(uint8(4), bytes.Replace(good[4], []byte(cell.Hash), []byte(testHash(3)), 1))
+	f.Add(uint8(4), []byte(`{"hash":"`+cell.Hash+`","size":2,"sha256":"","payload":{}}`))
+
+	// read reads the entry that holds targets[target] and returns what it
+	// handed back, indexed like parts: the artifact parts, the cell payload
+	// or the spec bytes.
+	parts := [][]byte{nil, art.JSON, art.CSV, art.AggregateCSV, cell.Payload, spec}
+	read := func(target int) ([][]byte, error) {
+		got := make([][]byte, len(targets))
+		var err error
+		switch {
+		case target < 4:
+			var a Artifacts
+			a, err = s.GetArtifacts(art.Hash)
+			got[1], got[2], got[3] = a.JSON, a.CSV, a.AggregateCSV
+		case target == 4:
+			var c Cell
+			c, err = s.GetCell(cell.Hash)
+			got[4] = c.Payload
+		default:
+			got[5], err = s.GetSpec(specHash)
+		}
+		return got, err
+	}
+
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		target := int(which) % len(targets)
+		if err := os.RemoveAll(s.quarDir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(s.quarDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		first, last := target, target
+		if target < 4 {
+			first, last = 0, 3
+			if err := os.MkdirAll(artDir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := first; i <= last; i++ {
+			b := good[i]
+			if i == target {
+				b = data
+			}
+			if err := os.WriteFile(targets[i], b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		got, err := read(target)
+		if err == nil {
+			// Only the stored bytes verify against their checksum or name, so
+			// whatever comes back is what was stored.
+			for i, b := range got {
+				if b != nil && !bytes.Equal(b, parts[i]) {
+					t.Fatalf("accepted entry returned %q for file %d, want %q", b, i, parts[i])
+				}
+			}
+			// An accepted metadata or cell record names the key it was read
+			// under.
+			if key := map[int]string{0: art.Hash, 4: cell.Hash}[target]; key != "" {
+				var named struct {
+					Hash string `json:"hash"`
+				}
+				if json.Unmarshal(data, &named) != nil || named.Hash != key {
+					t.Fatalf("accepted record names hash %q, want %s", named.Hash, key)
+				}
+			}
+			return
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("read of damaged file %d failed with %v, want ErrCorrupt", target, err)
+		}
+		if _, err := read(target); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("read after quarantine: %v, want ErrNotFound", err)
+		}
+		if q, err := os.ReadDir(s.quarDir); err != nil || len(q) != 1 {
+			t.Fatalf("quarantine holds %d entries (%v), want 1", len(q), err)
+		}
+	})
+}

@@ -1,8 +1,9 @@
 // Package store persists the simulation service's state across restarts: a
 // disk-backed, content-addressed artifact store (one directory per spec hash
 // holding the deterministic JSON/CSV/aggregate-CSV artifact bytes plus a
-// metadata record) and an append-only job log from which the service rebuilds
-// its job table on startup.
+// metadata record), the cell and spec record tiers (see cells.go), and an
+// append-only job log from which the service rebuilds its job table on
+// startup.
 //
 // Crash atomicity: artifacts are staged in a temporary directory, every file
 // is fsync'd before the staging directory is renamed into place, and the
@@ -14,12 +15,18 @@
 // or missing entry never affects lookups of other hashes. Partial staging
 // directories left behind by a crash are swept on Open.
 //
+// All three tiers share one path for each of these steps: entry validates a
+// hash key and locates it, publish renames a synced stage into place, remove
+// deletes, quarantine moves a damaged entry aside, and list walks a tier for
+// GC. Only what an entry is (a directory or one record file) and how it
+// verifies differ per tier.
+//
 // Layout under the data directory:
 //
 //	artifacts/<hh>/<hash>/  meta.json, matrix.json, cells.csv, aggregate.csv
 //	cells/<hh>/<hash>       one JSON record per simulated cell (see cells.go)
 //	specs/<hh>/<hash>       canonical spec bytes of in-flight matrices
-//	quarantine/             corrupt entries moved aside with a unique suffix
+//	quarantine/             corrupt entries moved aside as <hash>.<n>
 //	tmp/                    staging area for atomic writes (swept on Open)
 //	jobs.log                append-only JSONL job records, periodically compacted
 //
@@ -83,12 +90,15 @@ type Artifacts struct {
 	CreatedAt time.Time
 }
 
-// ArtifactInfo is the metadata summary of one stored entry, as listed for GC
+// Info is the summary of one stored entry of any tier, as listed for GC
 // sweeps.
-type ArtifactInfo struct {
-	Hash      string
-	Cells     int
-	Bytes     int64
+type Info struct {
+	Hash string
+	// Bytes is the entry's size: the artifact bytes its metadata records,
+	// or the record file's size.
+	Bytes int64
+	// CreatedAt anchors TTL expiry: the creation time an artifact or cell
+	// records, or a spec record's modification time.
 	CreatedAt time.Time
 }
 
@@ -242,12 +252,6 @@ func (s *Store) migrateFlatLayout() error {
 	return nil
 }
 
-// entryDir is where an entry lives: sharded under the 2-hex-digit prefix of
-// its hash. Callers have run validHash, so hash[:2] is safe.
-func (s *Store) entryDir(hash string) string {
-	return filepath.Join(s.artDir, hash[:2], hash)
-}
-
 // Dir returns the data directory the store is rooted at.
 func (s *Store) Dir() string { return s.dir }
 
@@ -283,18 +287,29 @@ func validHash(hash string) error {
 	return nil
 }
 
+// entry is the one gate of every hash-keyed operation: it validates the
+// key, checks the store is open, and returns where the entry lives under
+// the tier root, sharded by the 2-hex-digit prefix of its hash.
+func (s *Store) entry(root, hash string) (string, error) {
+	if err := validHash(hash); err != nil {
+		return "", err
+	}
+	if s.isClosed() {
+		return "", ErrClosed
+	}
+	return filepath.Join(root, hash[:2], hash), nil
+}
+
 // PutArtifacts atomically writes one entry: the files are staged under tmp/,
 // fsync'd, and renamed into artifacts/<hash> as a unit. An existing entry
 // under the same hash is replaced — harmless, because equal hashes mean equal
 // bytes (the runner is deterministic).
 func (s *Store) PutArtifacts(a Artifacts) error {
-	if err := validHash(a.Hash); err != nil {
+	dst, err := s.entry(s.artDir, a.Hash)
+	if err != nil {
 		return err
 	}
-	if s.isClosed() {
-		return ErrClosed
-	}
-	m := meta{
+	metaBytes, err := json.Marshal(meta{
 		Hash:        a.Hash,
 		Cells:       a.Cells,
 		CreatedAtMs: a.CreatedAt.UnixMilli(),
@@ -303,18 +318,13 @@ func (s *Store) PutArtifacts(a Artifacts) error {
 			csvFile:       checksum(a.CSV),
 			aggregateFile: checksum(a.AggregateCSV),
 		},
-	}
-	metaBytes, err := json.Marshal(m)
+	})
 	if err != nil {
 		return fmt.Errorf("store: encode meta: %w", err)
 	}
 	stage, err := os.MkdirTemp(s.tmpDir, a.Hash+".")
 	if err != nil {
 		return fmt.Errorf("store: stage: %w", err)
-	}
-	cleanup := func(err error) error {
-		os.RemoveAll(stage)
-		return err
 	}
 	for name, data := range map[string][]byte{
 		jsonFile:      a.JSON,
@@ -323,32 +333,18 @@ func (s *Store) PutArtifacts(a Artifacts) error {
 		metaFile:      metaBytes,
 	} {
 		if err := writeFileSync(filepath.Join(stage, name), data); err != nil {
-			return cleanup(fmt.Errorf("store: stage %s: %w", name, err))
+			os.RemoveAll(stage)
+			return fmt.Errorf("store: stage %s: %w", name, err)
 		}
 	}
 	if err := syncDir(stage); err != nil {
-		return cleanup(fmt.Errorf("store: sync stage: %w", err))
+		os.RemoveAll(stage)
+		return fmt.Errorf("store: sync stage: %w", err)
 	}
-	dst := s.entryDir(a.Hash)
-	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-		return cleanup(fmt.Errorf("store: prefix dir: %w", err))
+	if err := publish(stage, dst); err != nil {
+		return err
 	}
-	if err := os.Rename(stage, dst); err != nil {
-		// The destination exists (a concurrent writer won the race, or a
-		// TTL-expired entry is being refreshed). Clear it and retry once;
-		// determinism makes the replacement byte-identical.
-		if rmErr := os.RemoveAll(dst); rmErr != nil {
-			return cleanup(fmt.Errorf("store: replace entry: %w", rmErr))
-		}
-		if err := os.Rename(stage, dst); err != nil {
-			return cleanup(fmt.Errorf("store: publish entry: %w", err))
-		}
-	}
-	// Sync the prefix dir (the rename) and artifacts/ (in case the prefix
-	// dir was just created) so the published entry survives a crash.
-	if err := syncDir(filepath.Dir(dst)); err != nil {
-		return fmt.Errorf("store: sync prefix dir: %w", err)
-	}
+	// Sync artifacts/ too, in case publish just created the prefix dir.
 	if err := syncDir(s.artDir); err != nil {
 		return fmt.Errorf("store: sync artifacts dir: %w", err)
 	}
@@ -359,30 +355,24 @@ func (s *Store) PutArtifacts(a Artifacts) error {
 // entry reports ErrNotFound; an entry that fails verification is moved to
 // quarantine/ and reports ErrCorrupt. Neither affects other entries.
 func (s *Store) GetArtifacts(hash string) (Artifacts, error) {
-	if err := validHash(hash); err != nil {
+	dir, err := s.entry(s.artDir, hash)
+	if err != nil {
 		return Artifacts{}, err
 	}
-	if s.isClosed() {
-		return Artifacts{}, ErrClosed
-	}
-	dir := s.entryDir(hash)
 	metaBytes, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if errors.Is(err, fs.ErrNotExist) {
 		if _, statErr := os.Stat(dir); statErr == nil {
 			// Directory present but no metadata: a damaged entry.
-			return Artifacts{}, s.quarantine(hash, "missing metadata")
+			return Artifacts{}, s.quarantine(dir, hash, "missing metadata")
 		}
 		return Artifacts{}, fmt.Errorf("%w: %s", ErrNotFound, hash)
 	}
 	if err != nil {
 		return Artifacts{}, fmt.Errorf("store: read meta: %w", err)
 	}
-	var m meta
-	if err := json.Unmarshal(metaBytes, &m); err != nil {
-		return Artifacts{}, s.quarantine(hash, "bad metadata: "+err.Error())
-	}
-	if m.Hash != hash {
-		return Artifacts{}, s.quarantine(hash, fmt.Sprintf("metadata names hash %s", m.Hash))
+	m, err := decodeMeta(metaBytes, hash)
+	if err != nil {
+		return Artifacts{}, s.quarantine(dir, hash, err.Error())
 	}
 	a := Artifacts{Hash: hash, Cells: m.Cells, CreatedAt: time.UnixMilli(m.CreatedAtMs)}
 	for _, f := range []struct {
@@ -395,14 +385,14 @@ func (s *Store) GetArtifacts(hash string) (Artifacts, error) {
 	} {
 		want, ok := m.Files[f.name]
 		if !ok {
-			return Artifacts{}, s.quarantine(hash, "metadata missing "+f.name)
+			return Artifacts{}, s.quarantine(dir, hash, "metadata missing "+f.name)
 		}
 		data, err := os.ReadFile(filepath.Join(dir, f.name))
 		if err != nil {
-			return Artifacts{}, s.quarantine(hash, f.name+": "+err.Error())
+			return Artifacts{}, s.quarantine(dir, hash, f.name+": "+err.Error())
 		}
 		if got := checksum(data); got != want {
-			return Artifacts{}, s.quarantine(hash,
+			return Artifacts{}, s.quarantine(dir, hash,
 				fmt.Sprintf("%s: %d bytes, want %d (or checksum mismatch)", f.name, got.Size, want.Size))
 		}
 		*f.dst = data
@@ -410,102 +400,136 @@ func (s *Store) GetArtifacts(hash string) (Artifacts, error) {
 	return a, nil
 }
 
+// decodeMeta decodes an entry's metadata record and checks that it names
+// the entry's hash; the error is the reason to quarantine the entry.
+func decodeMeta(data []byte, hash string) (meta, error) {
+	var m meta
+	if err := json.Unmarshal(data, &m); err != nil {
+		return m, fmt.Errorf("bad metadata: %v", err)
+	}
+	if m.Hash != hash {
+		return m, fmt.Errorf("metadata names hash %s", m.Hash)
+	}
+	return m, nil
+}
+
 // DeleteArtifacts removes the entry stored under hash; deleting a missing
 // entry is not an error.
-func (s *Store) DeleteArtifacts(hash string) error {
-	if err := validHash(hash); err != nil {
-		return err
-	}
-	if s.isClosed() {
-		return ErrClosed
-	}
-	if err := os.RemoveAll(s.entryDir(hash)); err != nil {
-		return fmt.Errorf("store: delete: %w", err)
-	}
-	err := syncDir(filepath.Join(s.artDir, hash[:2]))
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil // nothing was ever stored under this prefix
-	}
-	if err != nil {
-		return fmt.Errorf("store: delete: %w", err)
-	}
-	return nil
-}
+func (s *Store) DeleteArtifacts(hash string) error { return s.remove(s.artDir, hash) }
 
 // ListArtifacts summarizes every stored entry from its metadata record.
 // Entries whose metadata cannot be read are quarantined and skipped, never
 // failing the listing.
-func (s *Store) ListArtifacts() ([]ArtifactInfo, error) {
+func (s *Store) ListArtifacts() ([]Info, error) {
+	return s.list(s.artDir, true, func(hash, dir string) (Info, bool) {
+		data, err := os.ReadFile(filepath.Join(dir, metaFile))
+		var m meta
+		if err == nil {
+			m, err = decodeMeta(data, hash)
+		}
+		if err != nil {
+			_ = s.quarantine(dir, hash, "listing: "+err.Error())
+			return Info{}, false
+		}
+		info := Info{Hash: hash, CreatedAt: time.UnixMilli(m.CreatedAtMs)}
+		for _, f := range m.Files {
+			info.Bytes += f.Size
+		}
+		return info, true
+	})
+}
+
+// list walks the sharded tier under root and summarizes, with info, every
+// hash-named entry that is a directory when dirs is set and a file
+// otherwise; info reports false for an entry it skips. Junk names, misfiled
+// entries and an unreadable prefix directory are skipped for this pass
+// without failing the walk, which the GC sweep depends on.
+func (s *Store) list(root string, dirs bool, info func(hash, path string) (Info, bool)) ([]Info, error) {
 	if s.isClosed() {
 		return nil, ErrClosed
 	}
-	prefixes, err := os.ReadDir(s.artDir)
+	prefixes, err := os.ReadDir(root)
 	if err != nil {
-		return nil, fmt.Errorf("store: list: %w", err)
+		return nil, fmt.Errorf("store: list %s: %w", filepath.Base(root), err)
 	}
-	var infos []ArtifactInfo
+	var infos []Info
 	for _, p := range prefixes {
-		if !p.IsDir() || !validPrefix(p.Name()) {
+		if !p.IsDir() || len(p.Name()) != 2 {
 			continue
 		}
-		dirents, err := os.ReadDir(filepath.Join(s.artDir, p.Name()))
+		dirents, err := os.ReadDir(filepath.Join(root, p.Name()))
 		if err != nil {
-			// One unreadable prefix directory must not fail the whole
-			// listing (the GC sweep depends on it): its entries are
-			// skipped this pass, every other prefix keeps serving.
 			continue
 		}
 		for _, e := range dirents {
 			hash := e.Name()
-			if !e.IsDir() || validHash(hash) != nil || hash[:2] != p.Name() {
+			if e.IsDir() != dirs || validHash(hash) != nil || hash[:2] != p.Name() {
 				continue
 			}
-			metaBytes, err := os.ReadFile(filepath.Join(s.entryDir(hash), metaFile))
-			if err != nil {
-				_ = s.quarantine(hash, "listing: "+err.Error())
-				continue
+			if in, ok := info(hash, filepath.Join(root, p.Name(), hash)); ok {
+				infos = append(infos, in)
 			}
-			var m meta
-			if err := json.Unmarshal(metaBytes, &m); err != nil || m.Hash != hash {
-				_ = s.quarantine(hash, "listing: bad metadata")
-				continue
-			}
-			info := ArtifactInfo{Hash: hash, Cells: m.Cells, CreatedAt: time.UnixMilli(m.CreatedAtMs)}
-			for _, f := range m.Files {
-				info.Bytes += f.Size
-			}
-			infos = append(infos, info)
 		}
 	}
 	return infos, nil
 }
 
-// validPrefix recognizes the 2-hex-digit shard directories under artifacts/.
-func validPrefix(name string) bool {
-	if len(name) != 2 {
-		return false
-	}
-	for _, c := range name {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
+// publish moves a fully synced stage — an entry directory or a record file
+// under tmp/ — to dst and fsyncs dst's prefix directory so the rename
+// survives a crash. When the rename fails because dst exists (a concurrent
+// writer won the race, a TTL-expired entry is being refreshed, or a stray
+// directory sits at a record path), dst is cleared and the rename retried
+// once: entries are content-addressed, so the replacement is byte-identical.
+// The stage is removed on failure.
+func publish(stage, dst string) error {
+	pfx := filepath.Dir(dst)
+	err := os.MkdirAll(pfx, 0o755)
+	if err == nil && os.Rename(stage, dst) != nil {
+		if err = os.RemoveAll(dst); err == nil {
+			err = os.Rename(stage, dst)
 		}
 	}
-	return true
+	if err != nil {
+		os.RemoveAll(stage)
+		return fmt.Errorf("store: publish: %w", err)
+	}
+	if err := syncDir(pfx); err != nil {
+		return fmt.Errorf("store: sync prefix dir: %w", err)
+	}
+	return nil
 }
 
-// quarantine moves a damaged entry out of artifacts/ so it cannot fail the
-// same lookup twice, and returns the ErrCorrupt to hand to the caller.
-func (s *Store) quarantine(hash, reason string) error {
-	src := s.entryDir(hash)
+// remove deletes the entry stored under hash in root — a directory or a
+// record file — and fsyncs its prefix directory. A missing entry or prefix
+// directory is not an error.
+func (s *Store) remove(root, hash string) error {
+	path, err := s.entry(root, hash)
+	if err != nil {
+		return err
+	}
+	if err := os.RemoveAll(path); err != nil {
+		return fmt.Errorf("store: delete: %w", err)
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("store: delete: %w", err)
+	}
+	return nil
+}
+
+// quarantine moves a damaged entry at src (a directory or a record file)
+// to quarantine/<hash>.<n>, at the first n not taken by an earlier
+// corruption of the same hash, so it cannot fail the same lookup twice. It
+// returns the ErrCorrupt to hand to the caller.
+func (s *Store) quarantine(src, hash, reason string) error {
 	for n := 0; n < 1000; n++ {
 		dst := filepath.Join(s.quarDir, fmt.Sprintf("%s.%d", hash, n))
+		if _, err := os.Stat(dst); err == nil {
+			continue
+		}
 		err := os.Rename(src, dst)
 		if err == nil || errors.Is(err, fs.ErrNotExist) {
-			// Moved, or a concurrent reader already quarantined it.
-			break
+			break // moved, or a concurrent reader already quarantined it
 		}
-		// The quarantine slot is taken from an earlier corruption of the
-		// same hash; try the next suffix.
 	}
 	return fmt.Errorf("%w: %s (%s)", ErrCorrupt, hash, reason)
 }
@@ -521,22 +545,26 @@ func checksum(data []byte) fileMeta {
 	return fileMeta{Size: int64(len(data)), SHA256: hex.EncodeToString(sum[:])}
 }
 
-// writeFileSync writes data and fsyncs before closing, so a rename that
-// follows cannot publish a file whose contents are still buffered.
+// writeFileSync writes data to a new file at path; see writeClose.
 func writeFileSync(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	return writeClose(f, data)
+}
+
+// writeClose writes data to f and fsyncs it before closing, so a rename that
+// follows cannot publish a file whose contents are still buffered.
+func writeClose(f *os.File, data []byte) error {
+	_, err := f.Write(data)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return err
 }
 
 // syncDir fsyncs a directory so renames inside it are durable.

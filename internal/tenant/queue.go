@@ -68,17 +68,6 @@ func NewQueue[T comparable](policy Policy, weight func(string) float64, seed int
 // Len returns the number of queued items.
 func (q *Queue[T]) Len() int { return len(q.items) }
 
-// LenTenant returns how many queued items belong to a tenant.
-func (q *Queue[T]) LenTenant(tenant string) int {
-	n := 0
-	for i := range q.items {
-		if q.items[i].tenant == tenant {
-			n++
-		}
-	}
-	return n
-}
-
 // Push appends an item for a tenant. size is the job's estimated work
 // (only PolicySRPT reads it).
 func (q *Queue[T]) Push(tenant string, size float64, v T) {
@@ -117,18 +106,6 @@ func (q *Queue[T]) Remove(v T) bool {
 		}
 	}
 	return false
-}
-
-// Items returns the queued values in arrival order (a copy); for draining
-// at shutdown.
-func (q *Queue[T]) Items() []T {
-	out := make([]T, 0, len(q.items))
-	// items is kept in arrival order: removeAt preserves ordering and Push
-	// appends, so a straight scan is already sorted by seq.
-	for i := range q.items {
-		out = append(out, q.items[i].v)
-	}
-	return out
 }
 
 func (q *Queue[T]) removeAt(i int) {

@@ -256,12 +256,13 @@ func TestQueueRemove(t *testing.T) {
 	if q.Remove(2) {
 		t.Fatal("second Remove(2) = true")
 	}
-	if got := q.LenTenant("a"); got != 1 {
-		t.Fatalf("LenTenant(a) = %d, want 1", got)
+	for _, want := range []int{1, 3} {
+		if v, ok := q.Pop(); !ok || v != want {
+			t.Fatalf("Pop = %d,%v want %d", v, ok, want)
+		}
 	}
-	items := q.Items()
-	if len(items) != 2 || items[0] != 1 || items[1] != 3 {
-		t.Fatalf("Items = %v, want [1 3]", items)
+	if _, ok := q.Pop(); ok {
+		t.Fatal("queue not empty after popping the remaining items")
 	}
 }
 

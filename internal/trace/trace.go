@@ -460,17 +460,3 @@ func (t *Trace) Subset(n int) *Trace {
 	copy(rows, t.Rows[:n])
 	return &Trace{Rows: rows, Params: t.Params}
 }
-
-// ScaleArrivals multiplies every arrival time by f (compressing or
-// stretching load) and returns a new trace.
-func (t *Trace) ScaleArrivals(f float64) (*Trace, error) {
-	if f <= 0 || math.IsNaN(f) {
-		return nil, fmt.Errorf("trace: arrival scale %v", f)
-	}
-	rows := make([]JobRow, len(t.Rows))
-	copy(rows, t.Rows)
-	for i := range rows {
-		rows[i].Arrival = int64(float64(rows[i].Arrival) * f)
-	}
-	return &Trace{Rows: rows, Params: t.Params}, nil
-}

@@ -215,7 +215,7 @@ func TestReadCSVErrors(t *testing.T) {
 
 func csvJoin() string { return strings.Join(csvHeader, ",") }
 
-func TestSubsetAndScaleArrivals(t *testing.T) {
+func TestSubset(t *testing.T) {
 	p := GoogleParams()
 	p.Jobs = 50
 	tr, err := Generate(p)
@@ -228,18 +228,6 @@ func TestSubsetAndScaleArrivals(t *testing.T) {
 	}
 	if over := tr.Subset(1000); len(over.Rows) != 50 {
 		t.Fatalf("over-subset rows = %d", len(over.Rows))
-	}
-	scaled, err := tr.ScaleArrivals(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range tr.Rows {
-		if scaled.Rows[i].Arrival != int64(float64(tr.Rows[i].Arrival)*0.5) {
-			t.Fatal("arrival scaling wrong")
-		}
-	}
-	if _, err := tr.ScaleArrivals(0); err == nil {
-		t.Error("zero scale accepted")
 	}
 }
 
