@@ -26,11 +26,6 @@ type ShardHealth struct {
 	Error string `json:"error,omitempty"`
 	// Health is the shard's own /healthz payload when it answered.
 	Health *service.Health `json:"health,omitempty"`
-
-	// reachable is true when the shard answered the probe at all — any HTTP
-	// response, even one that is unhealthy or undecodable, proves the shard
-	// is dialable, which is what the circuit breaker tracks.
-	reachable bool
 }
 
 // PoolHealth is the gateway's /healthz payload: per-shard probes plus an
@@ -41,16 +36,58 @@ type PoolHealth struct {
 	Shards        []ShardHealth `json:"shards"`
 }
 
-// probeHealth fetches one shard's /healthz under the probe timeout (over the
-// probe client, not the request client) and feeds the outcome to the shard's
-// circuit breaker: any HTTP answer proves reachability and closes the
-// breaker; a transport failure counts against it. Both the background probe
-// loop and the aggregated /healthz route go through here, so either keeps
-// breaker state fresh.
-func (g *Gateway) probeHealth(parent context.Context, sh Shard) ShardHealth {
-	out := g.fetchHealth(parent, sh)
+// maxProbeBytes caps a shard's /healthz or /metrics body. A longer answer is
+// a failed probe or scrape, never one summed from a truncated read.
+const maxProbeBytes = 1 << 20
+
+// probeGet fetches one shard path under the probe timeout, over the probe
+// client rather than the request client. reached reports whether the shard
+// answered at all: any HTTP response, even a non-200 or an oversized one,
+// proves the shard is dialable, which is what its circuit breaker tracks.
+func (g *Gateway) probeGet(parent context.Context, sh Shard, path string) (body []byte, reached bool, err error) {
+	ctx, cancel := context.WithTimeout(parent, g.probeTimeout)
+	defer cancel()
+	u := *sh.URL
+	u.Path = strings.TrimSuffix(u.Path, "/") + path
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
+	if err != nil {
+		return nil, false, err
+	}
+	resp, err := g.probeClient.Do(req)
+	if err != nil {
+		return nil, false, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, true, fmt.Errorf("HTTP %d", resp.StatusCode)
+	}
+	body, err = io.ReadAll(io.LimitReader(resp.Body, maxProbeBytes+1))
+	if err == nil && len(body) > maxProbeBytes {
+		err = fmt.Errorf("%s answer exceeds %d bytes", path, maxProbeBytes)
+	}
+	return body, true, err
+}
+
+// probeHealth probes one shard's /healthz and feeds the outcome to the
+// shard's circuit breaker: any HTTP answer closes it, a transport failure
+// counts against it. Both the background probe loop and the aggregated
+// /healthz route go through here, so either keeps breaker state fresh.
+func (g *Gateway) probeHealth(ctx context.Context, sh Shard) ShardHealth {
+	out := ShardHealth{Name: sh.Name, URL: sh.URL.String()}
+	body, reached, err := g.probeGet(ctx, sh, "/healthz")
+	var h service.Health
+	if err == nil {
+		if uerr := json.Unmarshal(body, &h); uerr != nil {
+			err = fmt.Errorf("undecodable health payload: %w", uerr)
+		}
+	}
+	if err != nil {
+		out.Error = err.Error()
+	} else {
+		out.Up, out.Health = true, &h
+	}
 	if br := g.breakerFor(sh.Name); br != nil {
-		if out.reachable {
+		if reached {
 			br.Success()
 		} else {
 			br.Failure()
@@ -60,37 +97,18 @@ func (g *Gateway) probeHealth(parent context.Context, sh Shard) ShardHealth {
 	return out
 }
 
-// fetchHealth performs the raw /healthz fetch for probeHealth.
-func (g *Gateway) fetchHealth(parent context.Context, sh Shard) ShardHealth {
-	out := ShardHealth{Name: sh.Name, URL: sh.URL.String()}
-	ctx, cancel := context.WithTimeout(parent, g.probeTimeout)
-	defer cancel()
-	u := *sh.URL
-	u.Path = strings.TrimSuffix(u.Path, "/") + "/healthz"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
-	if err != nil {
-		out.Error = err.Error()
-		return out
+// eachShard calls fn concurrently for every shard in order, with its index,
+// and returns once every call has.
+func eachShard(order []Shard, fn func(i int, sh Shard)) {
+	var wg sync.WaitGroup
+	for i, sh := range order {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(i, sh)
+		}()
 	}
-	resp, err := g.probeClient.Do(req)
-	if err != nil {
-		out.Error = err.Error()
-		return out
-	}
-	defer resp.Body.Close()
-	out.reachable = true
-	if resp.StatusCode != http.StatusOK {
-		out.Error = fmt.Sprintf("HTTP %d", resp.StatusCode)
-		return out
-	}
-	var h service.Health
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&h); err != nil {
-		out.Error = "undecodable health payload: " + err.Error()
-		return out
-	}
-	out.Up = true
-	out.Health = &h
-	return out
+	wg.Wait()
 }
 
 // handleHealthz probes every shard concurrently and reports the pool
@@ -104,15 +122,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(g.start).Seconds(),
 		Shards:        make([]ShardHealth, len(view.order)),
 	}
-	var wg sync.WaitGroup
-	for i, sh := range view.order {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			out.Shards[i] = g.probeHealth(r.Context(), sh)
-		}()
-	}
-	wg.Wait()
+	eachShard(view.order, func(i int, sh Shard) { out.Shards[i] = g.probeHealth(r.Context(), sh) })
 	up, accepting := 0, 0
 	for _, sh := range out.Shards {
 		if sh.Up {
@@ -135,70 +145,41 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	service.WriteJSON(w, code, out)
 }
 
-// scrapeMetrics fetches and parses one shard's Prometheus-style /metrics
-// into metric families (obs.ParseExposition): HELP/TYPE metadata plus every
-// sample with its label set. Keeping families whole — instead of flattening
-// to series strings — is what lets the aggregate merge histograms
-// bucket-wise and re-emit valid exposition metadata for the pool.
-func (g *Gateway) scrapeMetrics(parent context.Context, sh Shard) ([]*obs.Family, error) {
-	ctx, cancel := context.WithTimeout(parent, g.probeTimeout)
-	defer cancel()
-	u := *sh.URL
-	u.Path = strings.TrimSuffix(u.Path, "/") + "/metrics"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := g.probeClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return nil, err
-	}
-	return obs.ParseExposition(string(body))
-}
-
 // handleMetrics merges every shard family that is not process-local
 // (service.LocalFamily; per-shard values remain on each shard's own
 // /metrics) across the pool — counters and gauges sum per label set,
 // histograms sum bucket-wise (all shards share the obs.LatencyBuckets
 // layout, so equal `le` buckets add exactly) — and appends the gateway's own
 // counters, its edge request histogram, a per-shard up gauge, and its
-// runtime stats. A shard that fails its scrape contributes nothing to the
-// sums and reports up 0.
+// runtime stats. Scrapes are parsed into whole families (obs.ParseExposition),
+// not flattened series, so the pool can re-emit valid HELP/TYPE metadata. A
+// shard that fails its scrape contributes nothing to the sums and reports up
+// 0.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	view := g.currentView()
 	merge := obs.NewMerge()
 	up := make([]bool, len(view.order))
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i, sh := range view.order {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fams, err := g.scrapeMetrics(r.Context(), sh)
-			if err != nil {
-				return
+	eachShard(view.order, func(i int, sh Shard) {
+		body, _, err := g.probeGet(r.Context(), sh, "/metrics")
+		if err != nil {
+			return
+		}
+		fams, err := obs.ParseExposition(string(body))
+		if err != nil {
+			return
+		}
+		keep := make([]*obs.Family, 0, len(fams))
+		for _, f := range fams {
+			if !service.LocalFamily(f.Name) {
+				keep = append(keep, f)
 			}
-			keep := make([]*obs.Family, 0, len(fams))
-			for _, f := range fams {
-				if !service.LocalFamily(f.Name) {
-					keep = append(keep, f)
-				}
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			up[i] = true
-			merge.Add(keep)
-		}()
-	}
-	wg.Wait()
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		up[i] = true
+		merge.Add(keep)
+	})
 
 	upCount := 0
 	for _, ok := range up {

@@ -293,10 +293,10 @@ func (g *Gateway) Ring() *ring.Ring { return g.currentView().ring }
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/matrices", g.handleSubmit)
-	mux.HandleFunc("GET /v1/matrices/{id}", g.handleGet)
-	mux.HandleFunc("DELETE /v1/matrices/{id}", g.handleCancel)
-	mux.HandleFunc("GET /v1/matrices/{id}/result", g.handleResult)
-	mux.HandleFunc("GET /v1/matrices/{id}/events", g.handleEvents)
+	mux.HandleFunc("GET /v1/matrices/{id}", g.proxyJob(http.MethodGet, "", relayJobStatus))
+	mux.HandleFunc("DELETE /v1/matrices/{id}", g.proxyJob(http.MethodDelete, "", relayJobStatus))
+	mux.HandleFunc("GET /v1/matrices/{id}/result", g.proxyJob(http.MethodGet, "/result", passThrough))
+	mux.HandleFunc("GET /v1/matrices/{id}/events", g.proxyJob(http.MethodGet, "/events", relayEvents))
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	if g.admin {
@@ -309,15 +309,6 @@ func (g *Gateway) Handler() http.Handler {
 		}
 		return nil
 	})
-}
-
-// splitJobID decomposes a namespaced gateway job ID.
-func splitJobID(id string) (shard, local string, ok bool) {
-	shard, local, ok = strings.Cut(id, idSep)
-	if !ok || shard == "" || local == "" {
-		return "", "", false
-	}
-	return shard, local, true
 }
 
 // errBreakerOpen marks an attempt short-circuited by an open circuit
@@ -457,7 +448,8 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set(HeaderShard, name)
 		w.Header().Set(HeaderRoutedBy, hash)
-		g.relayJobStatus(w, resp, name)
+		relayJobStatus(w, resp, name)
+		resp.Body.Close()
 		return
 	}
 	// A pool where every attempted shard answered 503 is draining, not
@@ -500,15 +492,56 @@ func dialFailure(err error) bool {
 	return errors.As(err, &op) && op.Op == "dial"
 }
 
-// relayJobStatus forwards a shard response that carries a JobStatus,
-// namespacing the job ID; non-2xx responses pass through untouched.
-func (g *Gateway) relayJobStatus(w http.ResponseWriter, resp *http.Response, shard string) {
-	defer resp.Body.Close()
+// proxyJob serves one job route by the namespaced ID alone: the shard named
+// by its "<shard>.<local-id>" prefix gets method on /v1/matrices/<local-id>
+// plus suffix, with the client's query string, and relay writes the answer
+// under X-Mrclone-Shard. Jobs live on exactly one shard, so there is no
+// replica to fall back to: an unreachable shard is a clean 502 naming it
+// instead of a hung request. A breaker short-circuit is a 502 too, but not a
+// shard error: nothing was attempted.
+func (g *Gateway) proxyJob(method, suffix string, relay func(w http.ResponseWriter, resp *http.Response, shard string)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		name, local, ok := strings.Cut(id, idSep)
+		if !ok || name == "" || local == "" {
+			service.WriteError(w, http.StatusNotFound,
+				fmt.Errorf("gateway: malformed job id %q (want <shard>%s<id>)", id, idSep))
+			return
+		}
+		sh, ok := g.currentView().shards[name]
+		if !ok {
+			service.WriteError(w, http.StatusNotFound,
+				fmt.Errorf("gateway: job %q names unknown shard %q", id, name))
+			return
+		}
+		resp, err := g.forward(r, sh, method, "/v1/matrices/"+local+suffix, r.URL.RawQuery, nil, nil)
+		if err != nil {
+			if !errors.Is(err, errBreakerOpen) {
+				g.shardErrors.Add(1)
+			}
+			service.WriteError(w, http.StatusBadGateway,
+				fmt.Errorf("gateway: shard %s unreachable: %v", name, err))
+			return
+		}
+		defer resp.Body.Close()
+		w.Header().Set(HeaderShard, name)
+		relay(w, resp, name)
+	}
+}
+
+// relayJobStatus forwards a shard response that carries a JobStatus — a
+// submission, a status read or a cancel, whose leading "cancelled" field
+// survives only where the shard sent it — namespacing the job ID; non-2xx
+// responses pass through untouched.
+func relayJobStatus(w http.ResponseWriter, resp *http.Response, shard string) {
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-		passThrough(w, resp)
+		passThrough(w, resp, shard)
 		return
 	}
-	var st service.JobStatus
+	var st struct {
+		Cancelled *bool `json:"cancelled,omitempty"`
+		service.JobStatus
+	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&st); err != nil {
 		service.WriteError(w, http.StatusBadGateway,
 			fmt.Errorf("gateway: shard %s: undecodable job status: %w", shard, err))
@@ -521,8 +554,10 @@ func (g *Gateway) relayJobStatus(w http.ResponseWriter, resp *http.Response, sha
 // passThrough relays an upstream response verbatim, preserving the headers
 // clients act on: content type plus the backpressure (Retry-After) and
 // authentication-challenge (WWW-Authenticate) signals a multi-tenant shard
-// attaches to its rejections.
-func passThrough(w http.ResponseWriter, resp *http.Response) {
+// attaches to its rejections. Result bytes go through it untouched: the
+// deterministic runner guarantees byte-identical artifacts per spec, and the
+// gateway must not break that property.
+func passThrough(w http.ResponseWriter, resp *http.Response, _ string) {
 	for _, h := range []string{"Content-Type", "Retry-After", "WWW-Authenticate"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -532,114 +567,11 @@ func passThrough(w http.ResponseWriter, resp *http.Response) {
 	_, _ = io.Copy(w, resp.Body)
 }
 
-// routeJob resolves the shard a namespaced job ID lives on, writing the
-// error response itself when the ID is malformed or names an unknown shard.
-func (g *Gateway) routeJob(w http.ResponseWriter, id string) (Shard, string, bool) {
-	shardName, local, ok := splitJobID(id)
-	if !ok {
-		service.WriteError(w, http.StatusNotFound,
-			fmt.Errorf("gateway: malformed job id %q (want <shard>%s<id>)", id, idSep))
-		return Shard{}, "", false
-	}
-	sh, ok := g.currentView().shards[shardName]
-	if !ok {
-		service.WriteError(w, http.StatusNotFound,
-			fmt.Errorf("gateway: job %q names unknown shard %q", id, shardName))
-		return Shard{}, "", false
-	}
-	return sh, local, true
-}
-
-// unreachable reports a job route whose owning shard did not answer. Jobs
-// live on exactly one shard, so there is no replica to fall back to — the
-// client gets a clean 502 naming the shard instead of a hung request. A
-// breaker short-circuit lands here too (502 without a dial), but is not
-// counted as a shard error: nothing was attempted.
-func (g *Gateway) unreachable(w http.ResponseWriter, sh Shard, err error) {
-	if !errors.Is(err, errBreakerOpen) {
-		g.shardErrors.Add(1)
-	}
-	service.WriteError(w, http.StatusBadGateway,
-		fmt.Errorf("gateway: shard %s unreachable: %v", sh.Name, err))
-}
-
-func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request) {
-	sh, local, ok := g.routeJob(w, r.PathValue("id"))
-	if !ok {
-		return
-	}
-	resp, err := g.forward(r, sh, http.MethodGet, "/v1/matrices/"+local, "", nil, nil)
-	if err != nil {
-		g.unreachable(w, sh, err)
-		return
-	}
-	w.Header().Set(HeaderShard, sh.Name)
-	g.relayJobStatus(w, resp, sh.Name)
-}
-
-func (g *Gateway) handleCancel(w http.ResponseWriter, r *http.Request) {
-	sh, local, ok := g.routeJob(w, r.PathValue("id"))
-	if !ok {
-		return
-	}
-	resp, err := g.forward(r, sh, http.MethodDelete, "/v1/matrices/"+local, "", nil, nil)
-	if err != nil {
-		g.unreachable(w, sh, err)
-		return
-	}
-	defer resp.Body.Close()
-	w.Header().Set(HeaderShard, sh.Name)
-	if resp.StatusCode != http.StatusOK {
-		passThrough(w, resp)
-		return
-	}
-	var body struct {
-		Cancelled bool `json:"cancelled"`
-		service.JobStatus
-	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body); err != nil {
-		service.WriteError(w, http.StatusBadGateway,
-			fmt.Errorf("gateway: shard %s: undecodable cancel response: %w", sh.Name, err))
-		return
-	}
-	body.ID = sh.Name + idSep + body.ID
-	service.WriteJSON(w, http.StatusOK, body)
-}
-
-// handleResult streams artifact bytes through untouched: the deterministic
-// runner guarantees byte-identical artifacts per spec, and the gateway must
-// not break that property, so no rewriting happens on this route.
-func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
-	sh, local, ok := g.routeJob(w, r.PathValue("id"))
-	if !ok {
-		return
-	}
-	resp, err := g.forward(r, sh, http.MethodGet, "/v1/matrices/"+local+"/result", r.URL.RawQuery, nil, nil)
-	if err != nil {
-		g.unreachable(w, sh, err)
-		return
-	}
-	defer resp.Body.Close()
-	w.Header().Set(HeaderShard, sh.Name)
-	passThrough(w, resp)
-}
-
-// handleEvents relays the shard's SSE stream frame by frame, rewriting the
+// relayEvents relays the shard's SSE stream frame by frame, rewriting the
 // job field of each event to the namespaced gateway ID.
-func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
-	sh, local, ok := g.routeJob(w, r.PathValue("id"))
-	if !ok {
-		return
-	}
-	resp, err := g.forward(r, sh, http.MethodGet, "/v1/matrices/"+local+"/events", "", nil, nil)
-	if err != nil {
-		g.unreachable(w, sh, err)
-		return
-	}
-	defer resp.Body.Close()
-	w.Header().Set(HeaderShard, sh.Name)
+func relayEvents(w http.ResponseWriter, resp *http.Response, shard string) {
 	if resp.StatusCode != http.StatusOK {
-		passThrough(w, resp)
+		passThrough(w, resp, shard)
 		return
 	}
 	flusher, ok := service.StartEventStream(w)
@@ -653,7 +585,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if data, isData := strings.CutPrefix(line, "data: "); isData {
 			var e service.Event
 			if json.Unmarshal([]byte(data), &e) == nil {
-				e.Job = sh.Name + idSep + e.Job
+				e.Job = shard + idSep + e.Job
 				if b, merr := json.Marshal(e); merr == nil {
 					line = "data: " + string(b)
 				}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sync"
 	"time"
 
 	"mrclone/internal/obs"
@@ -221,16 +220,7 @@ func (g *Gateway) probeLoop(interval time.Duration) {
 
 // probePool runs one concurrent probe round over the current membership.
 func (g *Gateway) probePool(ctx context.Context) {
-	view := g.currentView()
-	var wg sync.WaitGroup
-	for _, sh := range view.order {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.probeHealth(ctx, sh)
-		}()
-	}
-	wg.Wait()
+	eachShard(g.currentView().order, func(_ int, sh Shard) { g.probeHealth(ctx, sh) })
 }
 
 // Close stops the background probe loop and waits for it to exit. The

@@ -11,39 +11,67 @@ import (
 	"mrclone/internal/store"
 )
 
-// storeCellCache adapts the store's cells/ tier to runner.CellCache for one
+// flightCellCache adapts the store's cells/ tier to runner.CellCache for one
 // flight. Coordinates are translated to content addresses by the flight's
 // CellHasher, so a cell computed by any earlier matrix — same workload,
 // scheduler row, point, and derived seed — resolves here regardless of where
-// it sat in that matrix. Lookup and Publish run on runner worker goroutines;
-// the store is safe for concurrent use, and counter updates take Service.mu
-// briefly per cell.
+// it sat in that matrix. A flight carrying a peer hint (its hash was
+// relocated by a pool membership change) also asks the previous ring owner
+// for each cell the local store misses: the fetched record is verified
+// against its envelope checksum, installed through the store's crash-atomic
+// cell write path, and only then served as a hit. Lookup and Publish run on
+// runner worker goroutines; the store is safe for concurrent use, and counter
+// updates take Service.mu briefly per cell.
 //
 // Every path degrades to recomputation: a missing, corrupt, or undecodable
-// record is a miss, and a failed Publish only costs the next matrix a rerun
-// of that cell. Neither can fail the flight.
-type storeCellCache struct {
+// record is a miss, so is any peer failure (transport, 404, verification),
+// and a failed Publish only costs the next matrix a rerun of that cell.
+// Neither can fail the flight.
+type flightCellCache struct {
 	svc    *Service
-	st     *store.Store
 	hasher *spec.CellHasher
+	peer   string          // previous ring owner's base URL; "" without a hint
+	ctx    context.Context // flight context: cancelling the flight stops peer fetches
 }
 
-// Lookup resolves cell (si, pi, run) from the cells tier.
-func (c *storeCellCache) Lookup(si, pi, run int) (runner.CellPayload, bool) {
-	p, err := readCell(c.st, c.hasher, si, pi, run)
+// Lookup resolves cell (si, pi, run) from the cells tier, then from the peer.
+func (c *flightCellCache) Lookup(si, pi, run int) (runner.CellPayload, bool) {
+	p, err := readCell(c.svc.storeHandle, c.hasher, si, pi, run)
 	c.svc.mu.Lock()
-	defer c.svc.mu.Unlock()
 	if err != nil {
 		c.svc.m.CellMisses++
 		c.svc.countStoreErr(err)
-		return p, false
+	} else {
+		c.svc.m.CellHits++
 	}
-	c.svc.m.CellHits++
-	return p, true
+	c.svc.mu.Unlock()
+	if err == nil || c.peer == "" {
+		return p, err == nil
+	}
+	hash, err := c.hasher.Hash(si, pi, run)
+	if err != nil {
+		return runner.CellPayload{}, false
+	}
+	// A fresh payload: readCell may have left p partly decoded from a
+	// damaged local record.
+	var fetched runner.CellPayload
+	payload, err := c.svc.fetchPeerCell(c.ctx, c.peer, hash)
+	if err == nil {
+		err = json.Unmarshal(payload, &fetched)
+	}
+	if err != nil {
+		c.svc.countPeerFetch(false, 0)
+		return runner.CellPayload{}, false
+	}
+	// Install locally so the next matrix sharing this cell finds it without
+	// a network hop; a failed install only costs that future lookup.
+	_ = c.svc.storeHandle.PutCell(store.Cell{Hash: hash, Payload: payload, CreatedAt: time.Now()})
+	c.svc.countPeerFetch(true, int64(len(payload)))
+	return fetched, true
 }
 
 // Publish stores a freshly computed cell payload under its content address.
-func (c *storeCellCache) Publish(si, pi, run int, p runner.CellPayload) {
+func (c *flightCellCache) Publish(si, pi, run int, p runner.CellPayload) {
 	hash, err := c.hasher.Hash(si, pi, run)
 	if err != nil {
 		return
@@ -52,7 +80,7 @@ func (c *storeCellCache) Publish(si, pi, run int, p runner.CellPayload) {
 	if err != nil {
 		return
 	}
-	err = c.st.PutCell(store.Cell{
+	err = c.svc.storeHandle.PutCell(store.Cell{
 		Hash:      hash,
 		Payload:   payload,
 		CreatedAt: time.Now(),
@@ -97,10 +125,7 @@ func (s *Service) cellCacheEnabled() bool {
 
 // cellCacheFor builds the runner cell-cache hook for one flight, or nil when
 // cell caching is off. A spec that cannot be hashed (unreachable for specs
-// that passed Submit validation) runs uncached rather than failing. A flight
-// carrying a peer hint (its hash was relocated by a pool membership change)
-// gets the peer-backed cache: local misses try the previous ring owner
-// before falling back to simulation.
+// that passed Submit validation) runs uncached rather than failing.
 func (s *Service) cellCacheFor(fl *flight) runner.CellCache {
 	if !s.cellCacheEnabled() {
 		return nil
@@ -109,55 +134,10 @@ func (s *Service) cellCacheFor(fl *flight) runner.CellCache {
 	if err != nil {
 		return nil
 	}
-	local := &storeCellCache{svc: s, st: s.storeHandle, hasher: h}
-	if fl.peer != "" {
-		return &peerCellCache{local: local, peer: fl.peer, ctx: fl.ctx}
-	}
-	return local
+	return &flightCellCache{svc: s, hasher: h, peer: fl.peer, ctx: fl.ctx}
 }
 
-// peerCellCache layers a peer shard behind the local cells tier for one
-// relocated flight: a cell the local store misses is fetched from the
-// previous ring owner, verified against its envelope checksum, installed
-// through the store's crash-atomic cell write path, and only then served as
-// a hit. Every failure — transport, 404, verification — degrades to the
-// local miss the runner was about to take anyway.
-type peerCellCache struct {
-	local *storeCellCache
-	peer  string
-	ctx   context.Context // flight context: cancelling the flight stops fetches
-}
-
-func (c *peerCellCache) Lookup(si, pi, run int) (runner.CellPayload, bool) {
-	if p, ok := c.local.Lookup(si, pi, run); ok {
-		return p, true
-	}
-	hash, err := c.local.hasher.Hash(si, pi, run)
-	if err != nil {
-		return runner.CellPayload{}, false
-	}
-	payload, err := c.local.svc.fetchPeerCell(c.ctx, c.peer, hash)
-	if err != nil {
-		c.local.svc.countPeerFetch(false, 0)
-		return runner.CellPayload{}, false
-	}
-	var p runner.CellPayload
-	if err := json.Unmarshal(payload, &p); err != nil {
-		c.local.svc.countPeerFetch(false, 0)
-		return runner.CellPayload{}, false
-	}
-	// Install locally so the next matrix sharing this cell finds it without
-	// a network hop; a failed install only costs that future lookup.
-	_ = c.local.st.PutCell(store.Cell{Hash: hash, Payload: payload, CreatedAt: time.Now()})
-	c.local.svc.countPeerFetch(true, int64(len(payload)))
-	return p, true
-}
-
-func (c *peerCellCache) Publish(si, pi, run int, p runner.CellPayload) {
-	c.local.Publish(si, pi, run, p)
-}
-
-// probeCellCache is the silent cousin of storeCellCache used by the
+// probeCellCache is the silent cousin of flightCellCache used by the
 // assembly fast path: lookups leave the hit-rate counters alone (a probe
 // that aborts on its first miss would otherwise skew them) and Publish is a
 // no-op — every cell it reads is already persisted.

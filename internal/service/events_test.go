@@ -1,7 +1,10 @@
 package service
 
 import (
+	"bufio"
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -63,5 +66,41 @@ func TestUnreadSubscriptionBacklogBounded(t *testing.T) {
 			types[i] = e.Type
 		}
 		t.Fatalf("unread subscription held %d frames, want at most %d: %v", len(frames), transitions+2, types)
+	}
+}
+
+// TestEventStreamDisconnectUnsubscribes opens and drops 50 HTTP event
+// streams against a job held running. Each stream's handler must take its
+// subscription off the job once its client goes away, so later frames are
+// not published, under the service lock, to readers that are gone.
+func TestEventStreamDisconnectUnsubscribes(t *testing.T) {
+	s, release, _ := blockingService(Config{Workers: 1, GCInterval: -1})
+	defer closeService(t, s)
+	defer close(release)
+	st, err := s.Submit(testSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, st.ID, StateRunning)
+
+	srv := httptest.NewServer(s.Handler())
+	for i := 0; i < 50; i++ {
+		resp, err := http.Get(srv.URL + "/v1/matrices/" + st.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, err := bufio.NewReader(resp.Body).ReadString('\n')
+		if err != nil || line != "event: queued\n" {
+			t.Fatalf("stream %d opened with %q, %v; want the replayed queued frame", i, line, err)
+		}
+		resp.Body.Close()
+	}
+	srv.Close() // returns once every stream's handler has returned
+
+	s.mu.Lock()
+	n := len(s.jobs[st.ID].subs)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("running job holds %d subscriptions after its 50 streams disconnected, want 0", n)
 	}
 }

@@ -265,11 +265,13 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if _, ok := s.authorize(w, r); !ok {
 		return
 	}
-	sub, err := s.Subscribe(r.PathValue("id"))
+	id := r.PathValue("id")
+	sub, err := s.Subscribe(id)
 	if err != nil {
 		WriteError(w, http.StatusNotFound, err)
 		return
 	}
+	defer s.unsubscribe(id, sub)
 	flusher, ok := StartEventStream(w)
 	if !ok {
 		return

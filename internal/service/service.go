@@ -330,7 +330,6 @@ type flight struct {
 	peer      string    // previous ring owner's base URL; "" without a hint
 	done      int
 	cached    int // landed cells resolved from the cell cache
-	lastDone  int // cells already counted into Service.cellsDone
 	total     int
 }
 
@@ -897,7 +896,6 @@ func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatu
 	// an expansion.
 	fl := s.newFlight(hash, tn, trace, peerFrom(ctx), norm)
 	s.reserved++
-	s.countSubmission(tn)
 	j := s.newJob(hash, tn, trace)
 	s.attach(fl, j)
 	s.mu.Unlock()
@@ -994,7 +992,6 @@ func (s *Service) fastPath(tn, hash, trace string) (JobStatus, bool, error) {
 		s.acct(tn).Rejected++
 		return JobStatus{}, false, qerr
 	}
-	s.countSubmission(tn)
 	s.m.DedupHits++
 	j := s.newJob(hash, tn, trace)
 	s.attach(fl, j)
@@ -1004,7 +1001,6 @@ func (s *Service) fastPath(tn, hash, trace string) (JobStatus, bool, error) {
 // completeCached completes a submission with a stored result: a memory,
 // disk or peer hit, named by source. Caller holds mu.
 func (s *Service) completeCached(tn, hash, trace string, res *CachedResult, source string) JobStatus {
-	s.countSubmission(tn)
 	j := s.newJob(hash, tn, trace)
 	j.cached = true
 	j.result = res
@@ -1082,19 +1078,15 @@ func (s *Service) settle(fl *flight, res *CachedResult, err error, extra ...any)
 	}
 }
 
-// countSubmission counts one accepted submission, attributed to the tenant
-// when named. Caller holds mu.
-func (s *Service) countSubmission(tn string) {
+// newJob allocates the job record of one accepted submission, stamped with
+// its submission time and the submitting request's trace ID, and counts the
+// submission, attributed to the tenant when named. Its state stays "" until
+// the caller's first setState. Caller holds mu.
+func (s *Service) newJob(hash, tn, trace string) *jobState {
 	s.m.Submissions++
 	if tn != "" {
 		s.acct(tn).Submitted++
 	}
-}
-
-// newJob allocates a job record stamped with its submission time and the
-// submitting request's trace ID; its state stays "" until the caller's
-// first setState. Caller holds mu.
-func (s *Service) newJob(hash, tn, trace string) *jobState {
 	s.seq++
 	j := &jobState{
 		id:          fmt.Sprintf("m%06d", s.seq),
@@ -1169,7 +1161,6 @@ func (s *Service) runFlight(fl *flight) {
 
 	res, err := s.runMatrix(fl.ctx, fl.rspec, runner.Options{
 		Parallelism:  s.cfg.CellParallelism,
-		Progress:     func(done, total int) { s.flightProgress(fl, done, total) },
 		CellProgress: func(done, cached, total int) { s.flightCells(fl, done, cached, total) },
 		CellCache:    s.cellCacheFor(fl),
 		CellTime: func(d time.Duration, fromCache bool) {
@@ -1222,29 +1213,18 @@ func (s *Service) runFlight(fl *flight) {
 		"cells", fl.total, "cached_cells", fl.cached, "jobs", njobs)
 }
 
-// flightProgress fans one runner progress callback out to every attached
-// job's subscribers and keeps the global cell counter current.
-func (s *Service) flightProgress(fl *flight, done, total int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fl.done, fl.total = done, total
-	s.m.CellsDone += int64(done - fl.lastDone)
-	fl.lastDone = done
-	for _, j := range fl.jobs {
-		j.done, j.total = done, total
-		j.emit(Event{Type: EventProgress, Done: done, Total: total})
-	}
-}
-
-// flightCells fans one runner cell callback — the streaming partial
-// aggregate — out to every attached job: how much of the matrix has landed
-// and how much of that was resolved from the cell cache.
+// flightCells fans one landed cell out to every attached job — a progress
+// frame, then a cells frame carrying the streaming partial aggregate: how
+// much of the matrix has landed and how much of that was resolved from the
+// cell cache — and keeps the global cell counter current.
 func (s *Service) flightCells(fl *flight, done, cached, total int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.m.CellsDone += int64(done - fl.done)
 	fl.done, fl.cached, fl.total = done, cached, total
 	for _, j := range fl.jobs {
 		j.done, j.cachedCells, j.total = done, cached, total
+		j.emit(Event{Type: EventProgress, Done: done, Total: total})
 		j.emit(Event{Type: EventCells, Done: done, CachedCells: cached, Total: total})
 	}
 }
@@ -1358,6 +1338,16 @@ func (s *Service) Subscribe(id string) (*Subscription, error) {
 		j.subs = append(j.subs, sub)
 	}
 	return sub, nil
+}
+
+// unsubscribe drops a live subscription from its job, so a stream whose
+// reader went away stops receiving frames.
+func (s *Service) unsubscribe(id string, sub *Subscription) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.jobs[id]; ok {
+		j.subs = slices.DeleteFunc(j.subs, func(o *Subscription) bool { return o == sub })
+	}
 }
 
 // Cancel cancels a job. Cancelling is per-submission: a computation shared
