@@ -21,6 +21,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"syscall"
 
 	"mrclone/internal/experiments"
@@ -37,8 +38,33 @@ func main() {
 	}
 }
 
-var allExperiments = []string{
-	"table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "theorem1", "theorem2",
+// result is what every experiment returns; the figures' results also have
+// a WriteCSV method.
+type result interface{ WriteText(io.Writer) error }
+
+// experiment is one entry of the table below: a name on the command line,
+// its run, and, for a CDF comparison, the title of its ASCII plot.
+type experiment struct {
+	name string
+	run  func(experiments.Options) (result, error)
+	plot string
+}
+
+// runAs adapts an experiment function to the table's run signature.
+func runAs[R result](f func(experiments.Options) (R, error)) func(experiments.Options) (result, error) {
+	return func(o experiments.Options) (result, error) { return f(o) }
+}
+
+var table = []experiment{
+	{"table2", runAs(experiments.Table2), ""},
+	{"fig1", runAs(experiments.Fig1), ""},
+	{"fig2", runAs(experiments.Fig2), ""},
+	{"fig3", runAs(experiments.Fig3), ""},
+	{"fig4", runAs(experiments.Fig4), "CDF of small-job flowtime (0-300 s)"},
+	{"fig5", runAs(experiments.Fig5), "CDF of big-job flowtime (300-4000 s)"},
+	{"fig6", runAs(experiments.Fig6), ""},
+	{"theorem1", runAs(experiments.Theorem1), ""},
+	{"theorem2", runAs(experiments.Theorem2), ""},
 }
 
 func run(ctx context.Context, args []string, out io.Writer) error {
@@ -73,122 +99,76 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	opts.Parallelism = *parallel
 	opts.Ctx = ctx
-	names := fs.Args()
-	if len(names) == 0 {
-		names = allExperiments
+	todo, err := resolve(fs.Args())
+	if err != nil {
+		return err
 	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			return err
 		}
 	}
-	for _, name := range names {
-		fmt.Fprintf(out, "\n===== %s (scale=%s) =====\n", name, *scale)
-		if err := runOne(name, opts, out, *csvDir); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+	for _, e := range todo {
+		fmt.Fprintf(out, "\n===== %s (scale=%s) =====\n", e.name, *scale)
+		if err := runOne(e, opts, out, *csvDir); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
 		}
 	}
 	return nil
 }
 
-// csvWriter opens <dir>/<name>.csv, or returns nil when dir is empty.
-func csvWriter(dir, name string) (io.WriteCloser, error) {
-	if dir == "" {
-		return nil, nil
+// resolve looks every name up in the table before anything runs, so a
+// misspelt last name fails at once; no names means the whole table.
+func resolve(names []string) ([]experiment, error) {
+	if len(names) == 0 {
+		return table, nil
 	}
-	return os.Create(filepath.Join(dir, name+".csv"))
+	todo := make([]experiment, len(names))
+	for i, name := range names {
+		j := slices.IndexFunc(table, func(e experiment) bool { return e.name == name })
+		if j < 0 {
+			have := make([]string, len(table))
+			for k, e := range table {
+				have[k] = e.name
+			}
+			return nil, fmt.Errorf("%s: unknown experiment (have %v)", name, have)
+		}
+		todo[i] = table[j]
+	}
+	return todo, nil
 }
 
-func runOne(name string, opts experiments.Options, out io.Writer, csvDir string) error {
-	emitCSV := func(render func(io.Writer) error) error {
-		w, err := csvWriter(csvDir, name)
-		if err != nil || w == nil {
-			return err
-		}
-		defer w.Close()
-		return render(w)
+// runOne runs one experiment, writes its text, fig1's best epsilon or a
+// CDF plot, and then its CSV into csvDir when both exist.
+func runOne(e experiment, opts experiments.Options, out io.Writer, csvDir string) error {
+	res, err := e.run(opts)
+	if err != nil {
+		return err
 	}
-	switch name {
-	case "table2":
-		res, err := experiments.Table2(opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteText(out)
-	case "fig1":
-		res, err := experiments.Fig1(opts)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteText(out); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "best epsilon (min unweighted avg): %g\n", res.BestEpsilon())
-		return emitCSV(res.WriteCSV)
-	case "fig2":
-		res, err := experiments.Fig2(opts)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteText(out); err != nil {
-			return err
-		}
-		return emitCSV(res.WriteCSV)
-	case "fig3":
-		res, err := experiments.Fig3(opts)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteText(out); err != nil {
-			return err
-		}
-		return emitCSV(res.WriteCSV)
-	case "fig4":
-		res, err := experiments.Fig4(opts)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteText(out); err != nil {
-			return err
-		}
-		if err := experiments.ASCIIPlot(out, "CDF of small-job flowtime (0-300 s)", res.Curves); err != nil {
-			return err
-		}
-		return emitCSV(res.WriteCSV)
-	case "fig5":
-		res, err := experiments.Fig5(opts)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteText(out); err != nil {
-			return err
-		}
-		if err := experiments.ASCIIPlot(out, "CDF of big-job flowtime (300-4000 s)", res.Curves); err != nil {
-			return err
-		}
-		return emitCSV(res.WriteCSV)
-	case "fig6":
-		res, err := experiments.Fig6(opts)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteText(out); err != nil {
-			return err
-		}
-		return emitCSV(res.WriteCSV)
-	case "theorem1":
-		res, err := experiments.Theorem1(opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteText(out)
-	case "theorem2":
-		res, err := experiments.Theorem2(opts)
-		if err != nil {
-			return err
-		}
-		return res.WriteText(out)
-	default:
-		return fmt.Errorf("unknown experiment (have %v)", allExperiments)
+	if err := res.WriteText(out); err != nil {
+		return err
 	}
+	switch r := res.(type) {
+	case *experiments.SweepResult:
+		if e.name == "fig1" {
+			fmt.Fprintf(out, "best epsilon (min unweighted avg): %g\n", r.Best())
+		}
+	case *experiments.CDFResult:
+		if err := experiments.ASCIIPlot(out, e.plot, r.Curves); err != nil {
+			return err
+		}
+	}
+	c, ok := res.(interface{ WriteCSV(io.Writer) error })
+	if !ok || csvDir == "" {
+		return nil
+	}
+	f, err := os.Create(filepath.Join(csvDir, e.name+".csv"))
+	if err != nil {
+		return err
+	}
+	if err := c.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 
-	"mrclone/internal/cluster"
 	"mrclone/internal/job"
 )
 
@@ -92,21 +91,6 @@ func SRPTLowerBound(specs []job.Spec, machines int, r float64) (float64, error) 
 	for i := range specs {
 		fs := job.AccumulatedHigherPriorityWorkload(specs, i, r)
 		sum += specs[i].Weight * fs / float64(machines)
-	}
-	return sum, nil
-}
-
-// WeightedFlowtime returns sum_i w_i * flowtime_i of a result.
-func WeightedFlowtime(res *cluster.Result) (float64, error) {
-	if res == nil || len(res.Jobs) == 0 {
-		return 0, fmt.Errorf("%w: empty result", ErrBadArgument)
-	}
-	var sum float64
-	for _, j := range res.Jobs {
-		if j.Flowtime < 0 {
-			return 0, fmt.Errorf("%w: job %d unfinished", ErrBadArgument, j.ID)
-		}
-		sum += j.Weight * float64(j.Flowtime)
 	}
 	return sum, nil
 }

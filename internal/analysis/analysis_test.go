@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"mrclone/internal/cluster"
 	"mrclone/internal/dist"
 	"mrclone/internal/job"
 	"mrclone/internal/rng"
@@ -146,30 +145,13 @@ func TestSRPTLowerBound(t *testing.T) {
 	}
 }
 
-func TestWeightedFlowtimeAndRatio(t *testing.T) {
-	res := &cluster.Result{Jobs: []cluster.JobRecord{
-		{ID: 0, Weight: 2, Flowtime: 10},
-		{ID: 1, Weight: 1, Flowtime: 30},
-	}}
-	wf, err := WeightedFlowtime(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wf != 50 {
-		t.Errorf("weighted flowtime = %v, want 50", wf)
-	}
-	ratio, err := CompetitiveRatio(wf, 25)
+func TestCompetitiveRatio(t *testing.T) {
+	ratio, err := CompetitiveRatio(50, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ratio != 2 {
 		t.Errorf("ratio = %v, want 2", ratio)
-	}
-	if _, err := WeightedFlowtime(nil); err == nil {
-		t.Error("nil accepted")
-	}
-	if _, err := WeightedFlowtime(&cluster.Result{Jobs: []cluster.JobRecord{{Flowtime: -1}}}); err == nil {
-		t.Error("unfinished job accepted")
 	}
 	if _, err := CompetitiveRatio(1, 0); err == nil {
 		t.Error("zero lower bound accepted")

@@ -8,8 +8,9 @@
 //
 //	table2    Table II  — trace statistics
 //	fig1      Figure 1  — avg flowtime vs epsilon (r = 0)
-//	fig2      Figure 2  — avg flowtime vs r (epsilon = 0.6)
-//	fig3      Figure 3  — avg flowtime vs cluster size (eps = 0.6, r = 3)
+//	fig2      Figure 2  — avg flowtime vs r (epsilon = 0.9); flat on the
+//	                      synthetic trace, whose jobs share one CV (see Fig2)
+//	fig3      Figure 3  — avg flowtime vs cluster size (eps = 0.9, r = 3)
 //	fig4      Figure 4  — CDF of small-job flowtime, SRPTMS+C vs SCA vs Mantri
 //	fig5      Figure 5  — CDF of big-job flowtime
 //	fig6      Figure 6  — weighted/unweighted avg flowtime per algorithm
@@ -32,9 +33,12 @@ import (
 // follows the same procedure — sweep epsilon and r first (Figures 1–2), then
 // run the comparisons at the tuned values ("Based on the evaluation results
 // above, we choose..."). On the paper's Google trace the tuning selects
-// epsilon = 0.6, r = 3; on this repository's synthetic trace the Figure 1
-// sweep is flat beyond epsilon ~0.8 with its minimum near 0.9, so the
-// comparisons run at epsilon = 0.9, r = 3 (rerun fig1 to see the sweep).
+// epsilon = 0.6, r = 3. On this repository's synthetic trace the Figure 1
+// minimum sits at epsilon = 0.9 at quick scale (699.9 s against 724.9 s at
+// 1.0), while at full scale the curve keeps falling to epsilon = 1.0
+// (686.7 s against 732.3 s at 0.9). The comparisons keep epsilon = 0.9,
+// r = 3, the quick-scale pick; bench/mrbench reads both values. Rerun fig1
+// to see the sweep; Figure 2 cannot tune r on this trace (see Fig2).
 const (
 	TunedEpsilon         = 0.9
 	TunedDeviationFactor = 3
@@ -44,8 +48,6 @@ const (
 type Options struct {
 	// Trace generation parameters; zero value means trace.GoogleParams().
 	TraceParams trace.Params
-	// Jobs truncates the trace to its first n jobs (0 = all).
-	Jobs int
 	// Machines is the cluster size M (0 = 12000, the paper's cluster).
 	Machines int
 	// Runs averages each configuration over this many independent seeds
@@ -53,8 +55,6 @@ type Options struct {
 	Runs int
 	// Seed offsets the per-run seeds for reproducibility.
 	Seed int64
-	// MaxClonesPerTask caps cloning in the cloning schedulers (0 = default).
-	MaxClonesPerTask int
 	// Parallelism bounds concurrently simulated matrix cells (0 = all
 	// cores). Results are byte-identical at any parallelism level; see
 	// internal/runner.
@@ -65,14 +65,6 @@ type Options struct {
 	// Ctx, when non-nil, cancels in-flight matrix runs (e.g. on SIGINT);
 	// nil means context.Background().
 	Ctx context.Context
-}
-
-// ctx returns the cancellation context of the run.
-func (o Options) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
 }
 
 // FullOptions mirrors the paper's setup: the whole 6064-job trace on 12K
@@ -104,53 +96,36 @@ func (o Options) normalize() Options {
 	return o
 }
 
-// buildTrace generates (and truncates) the workload.
-func (o Options) buildTrace() (*trace.Trace, error) {
-	tr, err := trace.Generate(o.TraceParams)
-	if err != nil {
-		return nil, err
-	}
-	if o.Jobs > 0 && o.Jobs < len(tr.Rows) {
-		tr = tr.Subset(o.Jobs)
-	}
-	return tr, nil
-}
-
-// runMatrix executes a run matrix over the trace via internal/runner: all
-// (scheduler × point × run) cells are simulated on a bounded worker pool,
-// and the assembled result is deterministic at any parallelism level.
-func (o Options) runMatrix(tr *trace.Trace, schedulers []runner.SchedulerSpec,
-	points []runner.Point, keepRaw bool) (*runner.Result, error) {
-	specs, err := tr.Specs()
-	if err != nil {
-		return nil, err
-	}
-	return runner.Run(o.ctx(), runner.Spec{
-		Specs:      specs,
-		Schedulers: schedulers,
-		Points:     points,
-		Runs:       o.Runs,
-		BaseSeed:   o.Seed,
-	}, runner.Options{
+// run executes one run matrix on the runner's worker pool: all (scheduler ×
+// point × run) cells are simulated concurrently, and the assembled result
+// is deterministic at any parallelism level.
+func (o Options) run(spec runner.Spec, keepRaw bool) (*runner.Result, error) {
+	return runner.Run(o.Ctx, spec, runner.Options{
 		Parallelism: o.Parallelism,
 		Progress:    o.Progress,
 		KeepRaw:     keepRaw,
 	})
 }
 
-// sweepSRPTMSC runs the paper's core scheduler over a sweep and extracts
-// the two flowtime averages per point.
-func (o Options) sweepSRPTMSC(tr *trace.Trace, points []runner.Point) ([]SweepPoint, error) {
-	res, err := o.runMatrix(tr, []runner.SchedulerSpec{{Name: "srptms+c"}}, points, false)
+// runMatrix runs the schedulers over the points on the generated trace,
+// o.Runs seeds each.
+func (o Options) runMatrix(schedulers []runner.SchedulerSpec, points []runner.Point,
+	keepRaw bool) (*runner.Result, error) {
+	tr, err := trace.Generate(o.TraceParams)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepPoint, len(points))
-	for pi := range points {
-		agg := res.Aggregate(0, pi)
-		out[pi] = SweepPoint{X: agg.X, Mean: agg.MeanFlowtime, Weighted: agg.WeightedFlowtime}
+	specs, err := tr.Specs()
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return o.run(runner.Spec{
+		Specs:      specs,
+		Schedulers: schedulers,
+		Points:     points,
+		Runs:       o.Runs,
+		BaseSeed:   o.Seed,
+	}, keepRaw)
 }
 
 // ---------------------------------------------------------------------------
@@ -164,8 +139,7 @@ type Table2Result struct {
 
 // Table2 runs experiment T2.
 func Table2(o Options) (*Table2Result, error) {
-	o = o.normalize()
-	tr, err := o.buildTrace()
+	tr, err := trace.Generate(o.normalize().TraceParams)
 	if err != nil {
 		return nil, err
 	}
@@ -177,9 +151,9 @@ func Table2(o Options) (*Table2Result, error) {
 }
 
 // Rows renders paper-vs-measured rows.
-func (r *Table2Result) Rows() [][3]string {
+func (r *Table2Result) Rows() [][]string {
 	f := func(v float64) string { return fmt.Sprintf("%.2f", v) }
-	return [][3]string{
+	return [][]string{
 		{"Total number of jobs", fmt.Sprintf("%d", trace.GoogleJobs), fmt.Sprintf("%d", r.Stats.Jobs)},
 		{"Trace duration (s)", fmt.Sprintf("%d", trace.GoogleSpanSeconds), fmt.Sprintf("%d", r.Stats.SpanSeconds)},
 		{"Average number of tasks per job", f(trace.GoogleMeanTasks), f(r.Stats.MeanTasksPerJob)},
@@ -190,7 +164,7 @@ func (r *Table2Result) Rows() [][3]string {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 1: epsilon sweep
+// Figures 1–3: SRPTMS+C parameter sweeps
 // ---------------------------------------------------------------------------
 
 // SweepPoint is one x-value of a parameter sweep with the two flowtime
@@ -201,38 +175,15 @@ type SweepPoint struct {
 	Weighted float64 // weighted average flowtime (s)
 }
 
-// Fig1Result holds the epsilon sweep of Figure 1.
-type Fig1Result struct {
+// SweepResult holds one SRPTMS+C sweep of Figures 1–3; XLabel names the
+// swept quantity.
+type SweepResult struct {
+	XLabel string
 	Points []SweepPoint
 }
 
-// Fig1 sweeps epsilon in {0.1..1.0} at r = 0 (as in the paper's Figure 1).
-func Fig1(o Options) (*Fig1Result, error) {
-	return Fig1Epsilons(o, []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0})
-}
-
-// Fig1Epsilons sweeps an explicit epsilon grid. All epsilon points (times
-// Runs seeds) are simulated concurrently on the runner's worker pool.
-func Fig1Epsilons(o Options, epsilons []float64) (*Fig1Result, error) {
-	o = o.normalize()
-	tr, err := o.buildTrace()
-	if err != nil {
-		return nil, err
-	}
-	points := make([]runner.Point, len(epsilons))
-	for i, eps := range epsilons {
-		p := sched.Params{Epsilon: eps, DeviationFactor: 0, MaxClonesPerTask: o.MaxClonesPerTask}
-		points[i] = runner.Point{X: eps, Machines: o.Machines, Params: &p}
-	}
-	pts, err := o.sweepSRPTMSC(tr, points)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig1Result{Points: pts}, nil
-}
-
-// BestEpsilon returns the epsilon minimizing the unweighted average.
-func (r *Fig1Result) BestEpsilon() float64 {
+// Best returns the x minimizing the unweighted average.
+func (r *SweepResult) Best() float64 {
 	best, bestV := 0.0, math.Inf(1)
 	for _, p := range r.Points {
 		if p.Mean < bestV {
@@ -242,17 +193,52 @@ func (r *Fig1Result) BestEpsilon() float64 {
 	return best
 }
 
-// ---------------------------------------------------------------------------
-// Figure 2: r sweep
-// ---------------------------------------------------------------------------
-
-// Fig2Result holds the deviation-factor sweep of Figure 2.
-type Fig2Result struct {
-	Points []SweepPoint
+// sweep runs SRPTMS+C at every x of xs, each point's cluster size and
+// tunables given by at under the normalized options. All points (times Runs
+// seeds) are simulated concurrently on the runner's worker pool.
+func sweep(o Options, xLabel string, xs []float64,
+	at func(o Options, x float64) (machines int, p sched.Params)) (*SweepResult, error) {
+	o = o.normalize()
+	points := make([]runner.Point, len(xs))
+	for i, x := range xs {
+		m, p := at(o, x)
+		points[i] = runner.Point{X: x, Machines: m, Params: &p}
+	}
+	res, err := o.runMatrix([]runner.SchedulerSpec{{Name: "srptms+c"}}, points, false)
+	if err != nil {
+		return nil, err
+	}
+	out := &SweepResult{XLabel: xLabel, Points: make([]SweepPoint, len(points))}
+	for pi := range points {
+		agg := res.Aggregate(0, pi)
+		out.Points[pi] = SweepPoint{X: agg.X, Mean: agg.MeanFlowtime, Weighted: agg.WeightedFlowtime}
+	}
+	return out, nil
 }
 
-// Fig2 sweeps r in {1..10} at epsilon = 0.6.
-func Fig2(o Options) (*Fig2Result, error) {
+// Fig1 sweeps epsilon in {0.1..1.0} at r = 0 (as in the paper's Figure 1).
+func Fig1(o Options) (*SweepResult, error) {
+	return Fig1Epsilons(o, []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0})
+}
+
+// Fig1Epsilons sweeps an explicit epsilon grid at r = 0.
+func Fig1Epsilons(o Options, epsilons []float64) (*SweepResult, error) {
+	return sweep(o, "epsilon", epsilons, func(o Options, eps float64) (int, sched.Params) {
+		return o.Machines, sched.Params{Epsilon: eps}
+	})
+}
+
+// Fig2 sweeps r in {1..10} at epsilon = TunedEpsilon.
+//
+// On this repository's synthetic trace Figure 2 is flat. Every generated
+// job phase draws from Scaled(BoundedPareto(1, 5, 2.5)), so sigma/mu is one
+// constant c for every job; each job's remaining effective workload is then
+// its remaining mean workload times the same factor 1 + r*c, and SRPTMS+C's
+// priority order does not depend on r. At quick scale every r prints
+// 699.9 s / 763.2 s, Figure 1's values at epsilon = 0.9 (r = 0); at full
+// scale the averages vary by under 0.05% (731.9–732.3 s). Making r matter
+// needs per-job variety in the coefficient of variation.
+func Fig2(o Options) (*SweepResult, error) {
 	rs := make([]float64, 10)
 	for i := range rs {
 		rs[i] = float64(i + 1)
@@ -260,37 +246,17 @@ func Fig2(o Options) (*Fig2Result, error) {
 	return Fig2Factors(o, rs)
 }
 
-// Fig2Factors sweeps an explicit r grid on the runner's worker pool.
-func Fig2Factors(o Options, factors []float64) (*Fig2Result, error) {
-	o = o.normalize()
-	tr, err := o.buildTrace()
-	if err != nil {
-		return nil, err
-	}
-	points := make([]runner.Point, len(factors))
-	for i, r := range factors {
-		p := sched.Params{Epsilon: TunedEpsilon, DeviationFactor: r, MaxClonesPerTask: o.MaxClonesPerTask}
-		points[i] = runner.Point{X: r, Machines: o.Machines, Params: &p}
-	}
-	pts, err := o.sweepSRPTMSC(tr, points)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig2Result{Points: pts}, nil
+// Fig2Factors sweeps an explicit r grid at epsilon = TunedEpsilon.
+func Fig2Factors(o Options, factors []float64) (*SweepResult, error) {
+	return sweep(o, "r", factors, func(o Options, r float64) (int, sched.Params) {
+		return o.Machines, sched.Params{Epsilon: TunedEpsilon, DeviationFactor: r}
+	})
 }
 
-// ---------------------------------------------------------------------------
-// Figure 3: cluster-size sweep
-// ---------------------------------------------------------------------------
-
-// Fig3Result holds the machine sweep of Figure 3.
-type Fig3Result struct {
-	Points []SweepPoint
-}
-
-// Fig3 sweeps the cluster size from M/2 to M in six steps at eps=0.6, r=3
-// (the paper sweeps 6000..12000 on its 12K baseline).
-func Fig3(o Options) (*Fig3Result, error) {
+// Fig3 sweeps the cluster size from M/2 to M in six steps at epsilon =
+// TunedEpsilon, r = TunedDeviationFactor (the paper sweeps 6000..12000 on
+// its 12K baseline).
+func Fig3(o Options) (*SweepResult, error) {
 	o = o.normalize()
 	var machines []int
 	for i := 6; i <= 12; i++ {
@@ -299,23 +265,15 @@ func Fig3(o Options) (*Fig3Result, error) {
 	return Fig3Machines(o, machines)
 }
 
-// Fig3Machines sweeps an explicit machine grid on the runner's worker pool.
-func Fig3Machines(o Options, machines []int) (*Fig3Result, error) {
-	o = o.normalize()
-	tr, err := o.buildTrace()
-	if err != nil {
-		return nil, err
-	}
-	p := sched.Params{Epsilon: TunedEpsilon, DeviationFactor: TunedDeviationFactor, MaxClonesPerTask: o.MaxClonesPerTask}
-	points := make([]runner.Point, len(machines))
+// Fig3Machines sweeps an explicit machine grid at the tuned operating point.
+func Fig3Machines(o Options, machines []int) (*SweepResult, error) {
+	xs := make([]float64, len(machines))
 	for i, m := range machines {
-		points[i] = runner.Point{X: float64(m), Machines: m, Params: &p}
+		xs[i] = float64(m)
 	}
-	pts, err := o.sweepSRPTMSC(tr, points)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig3Result{Points: pts}, nil
+	return sweep(o, "machines", xs, func(_ Options, m float64) (int, sched.Params) {
+		return int(m), sched.Params{Epsilon: TunedEpsilon, DeviationFactor: TunedDeviationFactor}
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -337,15 +295,21 @@ func Fig4(o Options) (*CDFResult, error) { return cdfCompare(o, 0, 300, 13) }
 // Fig5 compares the big-job flowtime CDF (300–4000 s) across algorithms.
 func Fig5(o Options) (*CDFResult, error) { return cdfCompare(o, 300, 4000, 13) }
 
-func cdfCompare(o Options, lo, hi float64, points int) (*CDFResult, error) {
+// compare runs the three compared algorithms at the tuned operating point
+// on the whole cluster: the matrix of Figures 4–6, one row per algorithm in
+// ComparedAlgorithms order.
+func compare(o Options, keepRaw bool) (*runner.Result, error) {
 	o = o.normalize()
-	tr, err := o.buildTrace()
-	if err != nil {
-		return nil, err
+	p := sched.Params{Epsilon: TunedEpsilon, DeviationFactor: TunedDeviationFactor}
+	rows := make([]runner.SchedulerSpec, len(ComparedAlgorithms))
+	for i, name := range ComparedAlgorithms {
+		rows[i] = runner.SchedulerSpec{Name: name, Params: p}
 	}
-	res, err := o.runMatrix(tr, comparedSchedulerSpecs(o), []runner.Point{
-		{X: 0, Machines: o.Machines},
-	}, true)
+	return o.runMatrix(rows, []runner.Point{{X: 0, Machines: o.Machines}}, keepRaw)
+}
+
+func cdfCompare(o Options, lo, hi float64, points int) (*CDFResult, error) {
+	res, err := compare(o, true)
 	if err != nil {
 		return nil, err
 	}
@@ -358,17 +322,6 @@ func cdfCompare(o Options, lo, hi float64, points int) (*CDFResult, error) {
 		out.Curves[name] = curve
 	}
 	return out, nil
-}
-
-// comparedSchedulerSpecs builds the matrix rows of Figures 4-6: the three
-// compared algorithms at the tuned operating point.
-func comparedSchedulerSpecs(o Options) []runner.SchedulerSpec {
-	p := sched.Params{Epsilon: TunedEpsilon, DeviationFactor: TunedDeviationFactor, MaxClonesPerTask: o.MaxClonesPerTask}
-	specs := make([]runner.SchedulerSpec, len(ComparedAlgorithms))
-	for i, name := range ComparedAlgorithms {
-		specs[i] = runner.SchedulerSpec{Name: name, Params: p}
-	}
-	return specs
 }
 
 // ---------------------------------------------------------------------------
@@ -389,17 +342,11 @@ type Fig6Result struct {
 	Summaries []AlgoSummary
 }
 
-// Fig6 compares SRPTMS+C, SCA, and Mantri (eps=0.6, r=3, Section VI-C).
-// All algorithm × seed cells run concurrently on the runner's worker pool.
+// Fig6 compares SRPTMS+C, SCA, and Mantri at epsilon = TunedEpsilon, r =
+// TunedDeviationFactor (Section VI-C). All algorithm × seed cells run
+// concurrently on the runner's worker pool.
 func Fig6(o Options) (*Fig6Result, error) {
-	o = o.normalize()
-	tr, err := o.buildTrace()
-	if err != nil {
-		return nil, err
-	}
-	res, err := o.runMatrix(tr, comparedSchedulerSpecs(o), []runner.Point{
-		{X: 0, Machines: o.Machines},
-	}, false)
+	res, err := compare(o, false)
 	if err != nil {
 		return nil, err
 	}

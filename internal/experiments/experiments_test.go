@@ -50,7 +50,7 @@ func TestFig1SweepShape(t *testing.T) {
 			t.Fatalf("non-positive flowtime at eps=%v: %+v", p.X, p)
 		}
 	}
-	best := res.BestEpsilon()
+	best := res.Best()
 	if best != 0.2 && best != 0.6 && best != 1.0 {
 		t.Fatalf("best epsilon %v not on grid", best)
 	}

@@ -49,34 +49,21 @@ func RenderTable(w io.Writer, header []string, rows [][]string) error {
 
 // WriteText renders Table II as paper-vs-measured rows.
 func (r *Table2Result) WriteText(w io.Writer) error {
-	rows := make([][]string, 0, 6)
-	for _, row := range r.Rows() {
-		rows = append(rows, []string{row[0], row[1], row[2]})
-	}
-	return RenderTable(w, []string{"Statistic", "Paper (Table II)", "Measured"}, rows)
+	return RenderTable(w, []string{"Statistic", "Paper (Table II)", "Measured"}, r.Rows())
 }
 
-// writeSweep renders a sweep result with an x-axis label.
-func writeSweep(w io.Writer, xLabel string, points []SweepPoint) error {
-	rows := make([][]string, 0, len(points))
-	for _, p := range points {
+// WriteText renders a sweep, one row per x.
+func (r *SweepResult) WriteText(w io.Writer) error {
+	rows := make([][]string, 0, len(r.Points))
+	for _, p := range r.Points {
 		rows = append(rows, []string{
 			fmt.Sprintf("%g", p.X),
 			fmt.Sprintf("%.1f", p.Mean),
 			fmt.Sprintf("%.1f", p.Weighted),
 		})
 	}
-	return RenderTable(w, []string{xLabel, "Avg flowtime (s)", "Weighted avg flowtime (s)"}, rows)
+	return RenderTable(w, []string{r.XLabel, "Avg flowtime (s)", "Weighted avg flowtime (s)"}, rows)
 }
-
-// WriteText renders the Figure 1 sweep.
-func (r *Fig1Result) WriteText(w io.Writer) error { return writeSweep(w, "epsilon", r.Points) }
-
-// WriteText renders the Figure 2 sweep.
-func (r *Fig2Result) WriteText(w io.Writer) error { return writeSweep(w, "r", r.Points) }
-
-// WriteText renders the Figure 3 sweep.
-func (r *Fig3Result) WriteText(w io.Writer) error { return writeSweep(w, "machines", r.Points) }
 
 // WriteText renders a CDF comparison with one column per algorithm.
 func (r *CDFResult) WriteText(w io.Writer) error {
@@ -163,26 +150,17 @@ func (r *Theorem2Result) WriteText(w io.Writer) error {
 }
 
 // WriteCSV emits a sweep as CSV.
-func writeSweepCSV(w io.Writer, xLabel string, points []SweepPoint) error {
-	if _, err := fmt.Fprintf(w, "%s,mean_flowtime,weighted_flowtime\n", xLabel); err != nil {
+func (r *SweepResult) WriteCSV(w io.Writer) error {
+	if _, err := fmt.Fprintf(w, "%s,mean_flowtime,weighted_flowtime\n", r.XLabel); err != nil {
 		return err
 	}
-	for _, p := range points {
+	for _, p := range r.Points {
 		if _, err := fmt.Fprintf(w, "%g,%.4f,%.4f\n", p.X, p.Mean, p.Weighted); err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-// WriteCSV emits Figure 1 data.
-func (r *Fig1Result) WriteCSV(w io.Writer) error { return writeSweepCSV(w, "epsilon", r.Points) }
-
-// WriteCSV emits Figure 2 data.
-func (r *Fig2Result) WriteCSV(w io.Writer) error { return writeSweepCSV(w, "r", r.Points) }
-
-// WriteCSV emits Figure 3 data.
-func (r *Fig3Result) WriteCSV(w io.Writer) error { return writeSweepCSV(w, "machines", r.Points) }
 
 // WriteCSV emits a CDF comparison.
 func (r *CDFResult) WriteCSV(w io.Writer) error {

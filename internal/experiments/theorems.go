@@ -4,12 +4,11 @@ import (
 	"fmt"
 
 	"mrclone/internal/analysis"
-	"mrclone/internal/cluster"
 	"mrclone/internal/dist"
 	"mrclone/internal/job"
 	"mrclone/internal/runner"
 	"mrclone/internal/sched"
-	"mrclone/internal/sched/offline"
+	"mrclone/internal/sched/srptms"
 )
 
 // ---------------------------------------------------------------------------
@@ -74,16 +73,17 @@ func Theorem1(o Options) (*Theorem1Result, error) {
 
 	// The replicate axis runs on the runner's worker pool: one cell per
 	// seed, with unit seed stride matching the historical sequential loop.
-	matrix, err := runner.Run(o.ctx(), runner.Spec{
+	point := []runner.Point{{X: 0, Machines: machines}}
+	matrix, err := o.run(runner.Spec{
 		Specs: specs,
 		Schedulers: []runner.SchedulerSpec{
 			{Name: "offline", Params: sched.Params{DeviationFactor: rFactor, GateReduces: true}},
 		},
-		Points:     []runner.Point{{X: 0, Machines: machines}},
+		Points:     point,
 		Runs:       out.Runs,
 		BaseSeed:   o.Seed,
 		SeedStride: 1,
-	}, runner.Options{Parallelism: o.Parallelism, Progress: o.Progress, KeepRaw: true})
+	}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -128,19 +128,12 @@ func Theorem1(o Options) (*Theorem1Result, error) {
 			detSpecs[i].ReduceDist = d
 		}
 	}
-	zeroSched, err := offline.New(offline.Config{GateReduces: true})
-	if err != nil {
-		return nil, err
-	}
-	eng, err := cluster.New(cluster.Config{Machines: machines, Seed: o.Seed}, zeroSched, detSpecs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := eng.Run()
-	if err != nil {
-		return nil, err
-	}
-	measured, err := analysis.WeightedFlowtime(res)
+	zero, err := o.run(runner.Spec{
+		Specs:      detSpecs,
+		Schedulers: []runner.SchedulerSpec{{Name: "offline", Params: sched.Params{GateReduces: true}}},
+		Points:     point,
+		BaseSeed:   o.Seed,
+	}, false)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +141,7 @@ func Theorem1(o Options) (*Theorem1Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.ZeroVarianceRatio, err = analysis.CompetitiveRatio(measured, lower)
+	out.ZeroVarianceRatio, err = analysis.CompetitiveRatio(zero.Cell(0, 0, 0).Summary.TotalWeighted, lower)
 	if err != nil {
 		return nil, err
 	}
@@ -184,63 +177,36 @@ func Theorem2(o Options) (*Theorem2Result, error) {
 	return Theorem2Epsilons(o, []float64{0.2, 0.4, 0.6, 0.8})
 }
 
-// Theorem2Epsilons sweeps an explicit epsilon grid.
+// Theorem2Epsilons sweeps an explicit epsilon grid. Each ratio compares one
+// run of each side, and the ceiling's C is SRPTMS+C's default clone cap.
 func Theorem2Epsilons(o Options, epsilons []float64) (*Theorem2Result, error) {
 	o = o.normalize()
-	tr, err := o.buildTrace()
-	if err != nil {
-		return nil, err
-	}
-	maxClones := o.MaxClonesPerTask
-	if maxClones == 0 {
-		maxClones = 8
-	}
-	specs, err := tr.Specs()
-	if err != nil {
-		return nil, err
-	}
-	// One matrix covers the whole sweep: the srpt row is the unit-speed
-	// baseline (identical at every epsilon, so it is a single point), and
-	// the srptms+c row sweeps epsilon with speed 1+eps per point.
+	o.Runs = 1
 	points := make([]runner.Point, len(epsilons))
 	for i, eps := range epsilons {
-		p := sched.Params{Epsilon: eps, DeviationFactor: 3, MaxClonesPerTask: maxClones}
+		p := sched.Params{Epsilon: eps, DeviationFactor: 3}
 		points[i] = runner.Point{X: eps, Machines: o.Machines, Speed: 1 + eps, Params: &p}
 	}
-	runOpts := runner.Options{Parallelism: o.Parallelism, Progress: o.Progress, KeepRaw: true}
-	aug, err := runner.Run(o.ctx(), runner.Spec{
-		Specs:      specs,
-		Schedulers: []runner.SchedulerSpec{{Name: "srptms+c"}},
-		Points:     points,
-		BaseSeed:   o.Seed,
-	}, runOpts)
+	aug, err := o.runMatrix([]runner.SchedulerSpec{{Name: "srptms+c"}}, points, false)
 	if err != nil {
 		return nil, fmt.Errorf("theorem2 augmented sweep: %w", err)
 	}
-	base, err := runner.Run(o.ctx(), runner.Spec{
-		Specs:      specs,
-		Schedulers: []runner.SchedulerSpec{{Name: "srpt", Params: sched.Params{DeviationFactor: 0}}},
-		Points:     []runner.Point{{X: 0, Machines: o.Machines, Speed: 1}},
-		BaseSeed:   o.Seed,
-	}, runOpts)
+	// The unit-speed baseline is the same at every epsilon, so it is a
+	// single point.
+	base, err := o.runMatrix([]runner.SchedulerSpec{{Name: "srpt"}},
+		[]runner.Point{{X: 0, Machines: o.Machines, Speed: 1}}, false)
 	if err != nil {
 		return nil, fmt.Errorf("theorem2 baseline: %w", err)
 	}
-	baseW, err := analysis.WeightedFlowtime(base.Cell(0, 0, 0).Raw)
-	if err != nil {
-		return nil, err
-	}
+	baseW := base.Cell(0, 0, 0).Summary.TotalWeighted
 	out := &Theorem2Result{}
 	for i, eps := range epsilons {
-		augW, err := analysis.WeightedFlowtime(aug.Cell(0, i, 0).Raw)
-		if err != nil {
-			return nil, err
-		}
+		augW := aug.Cell(0, i, 0).Summary.TotalWeighted
 		ratio, err := analysis.CompetitiveRatio(augW, baseW)
 		if err != nil {
 			return nil, err
 		}
-		ceiling, err := analysis.Theorem2CompetitiveCeiling(eps, maxClones)
+		ceiling, err := analysis.Theorem2CompetitiveCeiling(eps, srptms.DefaultMaxClones)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mrclone/internal/cluster"
+	"mrclone/internal/dist"
 	"mrclone/internal/job"
 	"mrclone/internal/metrics"
 	"mrclone/internal/sched"
@@ -158,6 +159,65 @@ func TestCDFAveraging(t *testing.T) {
 	}
 	if _, err := lean.CDF(0, 0, 0, 300, 7); !errors.Is(err, ErrNoRaw) {
 		t.Fatalf("want ErrNoRaw, got %v", err)
+	}
+}
+
+// TestDeviationFactorReachesPriority checks that a point's r reaches
+// SRPTMS+C's priority. On one machine two single-map-task jobs arriving
+// together run one after the other, the one with the smaller mean + r*sigma
+// first, so the order flips with r only when their coefficients of
+// variation differ.
+func TestDeviationFactorReachesPriority(t *testing.T) {
+	mustDist := func(d dist.Distribution, err error) dist.Distribution {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	// firstDone returns, per r, the ID of the job that finishes first.
+	firstDone := func(d0, d1 dist.Distribution, rs ...float64) []int {
+		t.Helper()
+		points := make([]Point, len(rs))
+		for i, r := range rs {
+			points[i] = Point{X: r, Machines: 1, Params: &sched.Params{Epsilon: 0.5, DeviationFactor: r}}
+		}
+		res, err := Run(context.Background(), Spec{
+			Specs: []job.Spec{
+				{ID: 0, Weight: 1, MapTasks: 1, MapDist: d0},
+				{ID: 1, Weight: 1, MapTasks: 1, MapDist: d1},
+			},
+			Schedulers: []SchedulerSpec{{Name: "srptms+c"}},
+			Points:     points,
+			BaseSeed:   1,
+		}, Options{KeepRaw: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := make([]int, len(rs))
+		for i := range rs {
+			jobs := res.Cell(0, i, 0).Raw.Jobs
+			if jobs[0].Finish == jobs[1].Finish {
+				t.Fatalf("r=%v: both jobs finish at slot %d", rs[i], jobs[0].Finish)
+			}
+			if jobs[1].Finish < jobs[0].Finish {
+				first[i] = jobs[1].ID
+			} else {
+				first[i] = jobs[0].ID
+			}
+		}
+		return first
+	}
+	u20 := mustDist(dist.NewUniform(0, 20)) // mean 10, sigma 5.77
+	u24 := mustDist(dist.NewUniform(0, 24)) // mean 12, sigma 6.93: the same CV
+	det12 := mustDist(dist.NewDeterministic(12))
+
+	// 10 < 12 at r = 0, but 10 + 5.77 > 12 at r = 1.
+	if got := firstDone(u20, det12, 0, 1); got[0] != 0 || got[1] != 1 {
+		t.Errorf("U(0,20) vs Deterministic(12): first done at r = 0, 1 is %v, want [0 1]", got)
+	}
+	if got := firstDone(u20, u24, 0, 1, 8); got[0] != 0 || got[1] != 0 || got[2] != 0 {
+		t.Errorf("U(0,20) vs U(0,24): first done at r = 0, 1, 8 is %v, want [0 0 0]", got)
 	}
 }
 

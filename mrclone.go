@@ -52,8 +52,6 @@ type (
 	FlowtimeSummary = metrics.FlowtimeSummary
 	// CDFPoint is one point of an empirical flowtime CDF.
 	CDFPoint = metrics.CDFPoint
-	// ExperimentOptions configures the paper-reproduction experiments.
-	ExperimentOptions = experiments.Options
 	// MatrixSpec describes a run matrix: schedulers × sweep points × seed
 	// replicates over one workload (see internal/runner).
 	MatrixSpec = runner.Spec
@@ -389,11 +387,3 @@ func ParseServiceSpec(data []byte) (ServiceSpec, error) { return svcspec.Parse(d
 
 // ServiceSpecVersion is the current spec schema version.
 const ServiceSpecVersion = svcspec.Version
-
-// Experiment presets mirroring the paper's evaluation scale.
-var (
-	// FullExperimentOptions is the paper's setup (6064 jobs, 12K machines).
-	FullExperimentOptions = experiments.FullOptions
-	// QuickExperimentOptions is a laptop-scale preset with the same load.
-	QuickExperimentOptions = experiments.QuickOptions
-)

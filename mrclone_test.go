@@ -254,14 +254,3 @@ func TestRunMatrixPublicAPI(t *testing.T) {
 		t.Error("negative parallelism accepted")
 	}
 }
-
-func TestExperimentPresets(t *testing.T) {
-	full := FullExperimentOptions()
-	if full.Machines != 12000 {
-		t.Errorf("full machines %d", full.Machines)
-	}
-	quick := QuickExperimentOptions()
-	if quick.Machines != 1600 {
-		t.Errorf("quick machines %d", quick.Machines)
-	}
-}
