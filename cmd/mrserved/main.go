@@ -8,7 +8,7 @@
 //
 //	mrserved [-addr :8080] [-parallel NumCPU] [-workers 2] [-queue 16]
 //	         [-data-dir DIR] [-cache-bytes 256MiB] [-cache-ttl 0]
-//	         [-cell-cache] [-cell-cache-bytes 0]
+//	         [-cell-cache-bytes 0]
 //	         [-tenants FILE] [-tenants-poll 30s] [-queue-policy fifo|fair|srpt]
 //	         [-job-retention 24h] [-gc-interval 1m] [-peer-timeout 5s]
 //	         [-log-format text|json] [-log-level info]
@@ -18,12 +18,11 @@
 // the process. With -data-dir it becomes durable — completed artifacts and
 // the job table persist on disk, so a restart serves previously computed
 // specs straight from the store and keeps terminal-job history visible.
-// Durable mode also enables the per-cell content-addressed cache (disable
-// with -cell-cache=false): every simulated matrix cell persists under its
-// cell hash, overlapping matrices recompute only the cells they don't
-// share, and a matrix interrupted by a crash is requeued on restart and
-// refills from its persisted cells. See docs/OPERATIONS.md for the data-dir
-// layout and tuning guidance.
+// Durable mode also keeps the per-cell content-addressed cache: every
+// simulated matrix cell persists under its cell hash, overlapping matrices
+// recompute only the cells they don't share, and a matrix interrupted by a
+// crash is requeued on restart and refills from its persisted cells. See
+// docs/OPERATIONS.md for the data-dir layout and tuning guidance.
 //
 // Behind an mrgated pool with elastic membership, a submission relocated by
 // a membership change arrives stamped with its previous owner's base URL;
@@ -110,8 +109,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		"in-memory result-cache budget in artifact bytes, e.g. 64MiB or 1GiB (0 disables caching)")
 	cacheTTL := fs.Duration("cache-ttl", 0,
 		"expire cached artifacts (memory and disk) this long after computation (0 = never)")
-	cellCache := fs.Bool("cell-cache", true,
-		"persist and reuse per-cell results in the data dir (needs -data-dir; enables cross-matrix reuse and crash resume)")
 	cellCacheBytes := fs.String("cell-cache-bytes", "0",
 		"disk budget for the per-cell tier; GC evicts oldest cells beyond it (0 = unbounded)")
 	tenantsFile := fs.String("tenants", "",
@@ -196,20 +193,19 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	}
 
 	cfg := service.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheBytes:       cacheBudget,
-		CacheTTL:         *cacheTTL,
-		CellParallelism:  *parallel,
-		DisableCellCache: !*cellCache,
-		CellCacheBytes:   cellBudget,
-		JobRetention:     *jobRetention,
-		GCInterval:       *gcInterval,
-		PeerTimeout:      *peerTimeout,
-		Tenants:          registry,
-		QueuePolicy:      policy,
-		Logger:           logger,
-		ShardName:        *shardName,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		CacheBytes:      cacheBudget,
+		CacheTTL:        *cacheTTL,
+		CellParallelism: *parallel,
+		CellCacheBytes:  cellBudget,
+		JobRetention:    *jobRetention,
+		GCInterval:      *gcInterval,
+		PeerTimeout:     *peerTimeout,
+		Tenants:         registry,
+		QueuePolicy:     policy,
+		Logger:          logger,
+		ShardName:       *shardName,
 	}
 	if cacheBudget == 0 {
 		cfg.CacheBytes = -1 // Config treats 0 as "default"; negative disables.

@@ -116,18 +116,11 @@ func readCell(st *store.Store, h *spec.CellHasher, si, pi, run int) (runner.Cell
 	return p, nil
 }
 
-// cellCacheEnabled reports whether this service persists and reuses
-// per-cell results: a disk store is configured and cell caching was not
-// disabled.
-func (s *Service) cellCacheEnabled() bool {
-	return s.storeHandle != nil && !s.cfg.DisableCellCache
-}
-
-// cellCacheFor builds the runner cell-cache hook for one flight, or nil when
-// cell caching is off. A spec that cannot be hashed (unreachable for specs
-// that passed Submit validation) runs uncached rather than failing.
+// cellCacheFor builds the runner cell-cache hook for one flight, or nil
+// without a store. A spec that cannot be hashed (unreachable for specs that
+// passed Submit validation) runs uncached rather than failing.
 func (s *Service) cellCacheFor(fl *flight) runner.CellCache {
-	if !s.cellCacheEnabled() {
+	if s.storeHandle == nil {
 		return nil
 	}
 	h, err := fl.sp.CellHasher()
@@ -162,7 +155,7 @@ func (c *probeCellCache) Publish(si, pi, run int, p runner.CellPayload) {}
 // returns the status. On a miss it leaves the reservation for the caller's
 // normal enqueue path.
 func (s *Service) tryAssemble(fl *flight, j *jobState) (JobStatus, bool) {
-	if !s.cellCacheEnabled() {
+	if s.storeHandle == nil {
 		return JobStatus{}, false
 	}
 	h, err := fl.sp.CellHasher()

@@ -403,37 +403,6 @@ func TestCellGCBudgetEvictsOldestFirst(t *testing.T) {
 	}
 }
 
-// TestCellCacheDisabled: -cell-cache=false keeps the durable service on its
-// pre-cell behavior — no cell records, no spec records, no cell metrics.
-func TestCellCacheDisabled(t *testing.T) {
-	dir := t.TempDir()
-	s := New(Config{Workers: 1, Store: openTestStore(t, dir), DisableCellCache: true, GCInterval: -1})
-	defer closeService(t, s)
-	st, err := s.Submit(overlapSpec([]spec.Point{pointA}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, s, st.ID, StateDone)
-	m := s.Metrics()
-	if m.CellHits != 0 || m.CellMisses != 0 || m.CellBytes != 0 {
-		t.Fatalf("disabled cell cache still counted: %+v", m)
-	}
-	infos, err := s.storeHandle.ListCells()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(infos) != 0 {
-		t.Fatalf("disabled cell cache persisted %d cells", len(infos))
-	}
-	specs, err := s.storeHandle.ListSpecs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs) != 0 {
-		t.Fatalf("disabled cell cache persisted %d spec records", len(specs))
-	}
-}
-
 // testCellPayload is a syntactically valid cell payload (the store requires
 // JSON) distinguished by a marker string.
 func testCellPayload(marker string) []byte {

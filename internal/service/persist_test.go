@@ -129,10 +129,13 @@ func TestCorruptEntryTriggersRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Cell caching off: with the cells intact the service would assemble
+	// Drop the cell tier: with the cells intact the service would assemble
 	// the matrix from them instead (covered by the assembly-path tests);
 	// this test pins the recompute fallback.
-	svc2 := New(Config{Workers: 1, Store: openTestStore(t, dir), GCInterval: -1, DisableCellCache: true})
+	if err := os.RemoveAll(filepath.Join(dir, "cells")); err != nil {
+		t.Fatal(err)
+	}
+	svc2 := New(Config{Workers: 1, Store: openTestStore(t, dir), GCInterval: -1})
 	defer closeService(t, svc2)
 	ts2 := httptest.NewServer(svc2.Handler())
 	defer ts2.Close()
@@ -347,5 +350,117 @@ func TestInMemoryModeUnchanged(t *testing.T) {
 	defer closeService(t, s2)
 	if _, err := s2.Get(st.ID); !errors.Is(err, ErrUnknownJob) {
 		t.Fatalf("in-memory job survived restart: %v", err)
+	}
+}
+
+// TestResultOutcomes pins every outcome of Result on a durable service, in
+// process and as the GET /result status: unknown 404, queued and running
+// 409, failed and cancelled 410, a done job whose result GC cleared
+// reloaded from disk (the memory cache is off), and 410 once that artifact
+// is gone too.
+func TestResultOutcomes(t *testing.T) {
+	st := openTestStore(t, t.TempDir())
+	s := New(Config{Workers: 1, CacheBytes: -1, GCInterval: -1, Store: st})
+	defer closeService(t, s)
+	hold := make(chan struct{})
+	defer close(hold)
+	s.runMatrix = func(ctx context.Context, rs runner.Spec, opts runner.Options) (*runner.Result, error) {
+		switch rs.BaseSeed {
+		case 2:
+			return nil, errors.New("runner exploded")
+		case 3, 4, 5:
+			select {
+			case <-hold:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		}
+		return runner.Run(ctx, rs, opts)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	submit := func(seed int64) string {
+		t.Helper()
+		js, err := s.Submit(testSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js.ID
+	}
+	done := submit(1)
+	waitState(t, s, done, StateDone)
+	failed := submit(2)
+	waitState(t, s, failed, StateFailed)
+	running := submit(3)
+	waitState(t, s, running, StateRunning)
+	queued := submit(4)
+	cancelled := submit(5)
+	if ok, err := s.Cancel(cancelled); !ok || err != nil {
+		t.Fatalf("cancel: %v %v", ok, err)
+	}
+	first, err := s.Result(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(first.JSON)
+
+	for _, c := range []struct {
+		name string
+		id   string
+		prep func()
+		is   error // sentinel the in-process error wraps; nil when none
+		code int
+		msg  string // in the error text; unused for 200
+		hits int64  // disk hits one read adds
+	}{
+		{"unknown", "m999999", nil, ErrUnknownJob, http.StatusNotFound, "m999999", 0},
+		{"queued", queued, nil, ErrNotReady, http.StatusConflict, "is queued", 0},
+		{"running", running, nil, ErrNotReady, http.StatusConflict, "is running", 0},
+		{"failed", failed, nil, nil, http.StatusGone, "runner exploded", 0},
+		{"cancelled", cancelled, nil, nil, http.StatusGone, "was cancelled", 0},
+		{"done, reloaded from disk", done, func() { s.GC() }, nil, http.StatusOK, "", 1},
+		{"done, artifact deleted", done, func() {
+			if err := st.DeleteArtifacts(first.Hash); err != nil {
+				t.Fatal(err)
+			}
+			s.GC()
+		}, nil, http.StatusGone, "resubmit the spec", 0},
+	} {
+		for _, viaHTTP := range []bool{false, true} {
+			if c.prep != nil {
+				c.prep()
+			}
+			before := s.Metrics()
+			var body []byte
+			if viaHTTP {
+				body = getBody(t, ts.Client(), ts.URL+"/v1/matrices/"+c.id+"/result", c.code)
+			} else {
+				res, err := s.Result(c.id)
+				switch {
+				case c.code == http.StatusOK && err != nil:
+					t.Fatalf("%s: Result: %v", c.name, err)
+				case c.code == http.StatusOK:
+					body = res.JSON
+				case err == nil:
+					t.Fatalf("%s: Result succeeded, want an error", c.name)
+				case c.is != nil && !errors.Is(err, c.is),
+					c.is == nil && (errors.Is(err, ErrUnknownJob) || errors.Is(err, ErrNotReady)):
+					t.Fatalf("%s: Result error %v, want sentinel %v", c.name, err, c.is)
+				default:
+					body = []byte(err.Error())
+				}
+			}
+			if c.code == http.StatusOK && !bytes.Equal(body, want) {
+				t.Fatalf("%s (http %v): reloaded bytes differ from the first read", c.name, viaHTTP)
+			}
+			if c.code != http.StatusOK && !strings.Contains(string(body), c.msg) {
+				t.Fatalf("%s (http %v): error %s, want it to mention %q", c.name, viaHTTP, body, c.msg)
+			}
+			after := s.Metrics()
+			if after.DiskHits != before.DiskHits+c.hits || after.StoreErrors != before.StoreErrors {
+				t.Fatalf("%s (http %v): disk hits %d -> %d (want +%d), store errors %d -> %d",
+					c.name, viaHTTP, before.DiskHits, after.DiskHits, c.hits, before.StoreErrors, after.StoreErrors)
+			}
+		}
 	}
 }

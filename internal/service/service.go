@@ -22,7 +22,7 @@
 //
 // With a Store configured, job state transitions are appended to a durable
 // job log: on startup the service replays it, keeping terminal-job history
-// visible across restarts. Unless disabled, the store also backs a per-cell
+// visible across restarts. The store also backs a per-cell
 // content-addressed cache (keyed by spec.CellHash): every computed cell is
 // persisted individually, matrices resolve cells they share with earlier
 // matrices from disk instead of recomputing them, and a job that was queued
@@ -110,14 +110,11 @@ type Config struct {
 	// (default runtime.GOMAXPROCS(0)). Results do not depend on it.
 	CellParallelism int
 	// Store, when non-nil, persists artifacts and the job table across
-	// restarts. The service takes ownership: Close closes it.
+	// restarts, and with them every computed cell under its cell hash
+	// (spec.CellHash): matrices resolve cells shared with earlier matrices —
+	// or with their own interrupted previous run — from disk instead of
+	// recomputing them. The service takes ownership: Close closes it.
 	Store *store.Store
-	// DisableCellCache turns off the per-cell content-addressed cache that
-	// is otherwise on whenever a Store is configured: with it on, every
-	// computed cell is persisted under its cell hash (spec.CellHash) and
-	// matrices resolve cells shared with earlier matrices — or with their
-	// own interrupted previous run — from disk instead of recomputing them.
-	DisableCellCache bool
 	// CellCacheBytes bounds the disk cells tier: when a GC sweep finds the
 	// tier above this budget, oldest cells are evicted first until it fits
 	// (0 = unbounded).
@@ -486,11 +483,11 @@ func (s *Service) ReloadTenants(reg *tenant.Registry) error {
 // running at crash time is reset and decided afresh by this process: it is
 // requeued when its canonical spec survived in the specs/ tier — its new
 // flight refills from the cells the dead process persisted, recomputing
-// only the remainder — and failed otherwise (the only option with cell
-// caching off). Both verdicts go through setState, so they are persisted,
-// counted and logged like any transition of this process; recovered jobs do
-// not count as submissions, but requeued flights count as flights because
-// they run here. Called from New before any worker starts.
+// only the remainder — and failed otherwise. Both verdicts go through
+// setState, so they are persisted, counted and logged like any transition
+// of this process; recovered jobs do not count as submissions, but requeued
+// flights count as flights because they run here. Called from New before
+// any worker starts.
 func (s *Service) recoverJobs() {
 	recs, err := s.storeHandle.ReplayJobs()
 	if err != nil {
@@ -547,12 +544,9 @@ func (s *Service) recoverJobs() {
 // recoveredFlight returns the flight an interrupted job is requeued on: the
 // one an earlier interrupted job of the same matrix rebuilt, or a new one
 // built from the persisted spec record and pushed on the queue. It returns
-// nil — the caller then fails the job — when cell caching is off or the
-// record is missing, corrupt, or no longer parses.
+// nil — the caller then fails the job — when the record is missing,
+// corrupt, or no longer parses.
 func (s *Service) recoveredFlight(j *jobState) *flight {
-	if !s.cellCacheEnabled() {
-		return nil
-	}
 	if fl, ok := s.inflight[j.hash]; ok {
 		return fl
 	}
@@ -699,7 +693,7 @@ func (s *Service) jobSize(norm spec.Spec, total int) float64 {
 		wsize = 1
 	}
 	uncached := total
-	if s.cfg.QueuePolicy == tenant.PolicySRPT && s.cellCacheEnabled() {
+	if s.cfg.QueuePolicy == tenant.PolicySRPT && s.storeHandle != nil {
 		if hasher, err := norm.CellHasher(); err == nil {
 			runs := norm.Runs
 			if runs < 1 {
@@ -818,9 +812,9 @@ func traceIDFrom(ctx context.Context) string {
 // the disk store or a peer shard — completes the job immediately, an equal
 // in-flight spec shares its computation, and otherwise the job is queued
 // (failing fast with ErrQueueFull when the queue is at capacity, or
-// ErrTenantQuota when the tenant is over its own limits). With the cell
-// cache on, a matrix whose every cell is already persisted is assembled
-// from cells right here — completing without ever occupying a worker slot.
+// ErrTenantQuota when the tenant is over its own limits). In persistent
+// mode, a matrix whose every cell is already persisted is assembled from
+// cells right here — completing without ever occupying a worker slot.
 // Only accepted submissions count toward the submissions metric.
 func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatus, error) {
 	trace := traceIDFrom(ctx)
@@ -916,7 +910,7 @@ func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatu
 	var specErr error
 	var size float64
 	if rerr == nil {
-		if s.cellCacheEnabled() {
+		if s.storeHandle != nil {
 			if canon, cerr := norm.Canonical(); cerr == nil {
 				specErr = s.storeHandle.PutSpec(hash, canon)
 			}
@@ -1186,7 +1180,7 @@ func (s *Service) runFlight(fl *flight) {
 	// (crash-resume needs it only while the matrix is in flight — on success
 	// the cells and artifacts carry the result, on failure a resubmission
 	// writes a fresh record).
-	if s.cellCacheEnabled() {
+	if s.storeHandle != nil {
 		_ = s.storeHandle.DeleteSpec(fl.hash)
 	}
 
@@ -1272,52 +1266,42 @@ func (s *Service) Get(id string) (JobStatus, error) {
 func (s *Service) Result(id string) (*CachedResult, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
+	var snap jobState
+	if ok {
+		if j.state == StateDone && j.result == nil {
+			j.result, _ = s.cache.get(j.hash)
+		}
+		snap = *j
 	}
-	switch j.state {
-	case StateDone:
-		if j.result != nil {
-			res := j.result
-			s.mu.Unlock()
-			return res, nil
-		}
-		hash := j.hash
-		if res, ok := s.cache.get(hash); ok {
-			j.result = res
-			s.mu.Unlock()
-			return res, nil
-		}
-		st := s.storeHandle
-		s.mu.Unlock()
-		if st == nil {
-			return nil, fmt.Errorf("service: job %s: result no longer available", id)
-		}
-		art, err := st.GetArtifacts(hash)
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if err == nil {
-			s.cache.add(&art)
-			s.m.DiskHits++
-			if j2, ok := s.jobs[id]; ok && j2.state == StateDone {
-				j2.result = &art
-			}
-			return &art, nil
-		}
+	s.mu.Unlock()
+	switch {
+	case !ok:
+		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
+	case snap.state == StateFailed:
+		return nil, fmt.Errorf("service: job %s failed: %s", id, snap.errMsg)
+	case snap.state == StateCancelled:
+		return nil, fmt.Errorf("service: job %s was cancelled", id)
+	case snap.state != StateDone:
+		return nil, fmt.Errorf("%w: job %s is %s", ErrNotReady, id, snap.state)
+	case snap.result != nil:
+		return snap.result, nil
+	case s.storeHandle == nil:
+		return nil, fmt.Errorf("service: job %s: result no longer available", id)
+	}
+	art, err := s.storeHandle.GetArtifacts(snap.hash)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err != nil {
 		s.countStoreErr(err)
 		return nil, fmt.Errorf(
 			"service: job %s: result no longer available (expired or quarantined); resubmit the spec", id)
-	case StateFailed:
-		defer s.mu.Unlock()
-		return nil, fmt.Errorf("service: job %s failed: %s", id, j.errMsg)
-	case StateCancelled:
-		defer s.mu.Unlock()
-		return nil, fmt.Errorf("service: job %s was cancelled", id)
-	default:
-		defer s.mu.Unlock()
-		return nil, fmt.Errorf("%w: job %s is %s", ErrNotReady, id, j.state)
 	}
+	s.cache.add(&art)
+	s.m.DiskHits++
+	if j, ok := s.jobs[id]; ok && j.state == StateDone {
+		j.result = &art
+	}
+	return &art, nil
 }
 
 // Subscribe returns the job's event stream. The stream replays past state
@@ -1399,11 +1383,11 @@ func (s *Service) gcLoop(interval time.Duration) {
 // replayable event history with them — the unbounded-growth fix), the job
 // log is compacted to the surviving jobs, TTL-expired entries leave the
 // in-memory cache, and TTL-expired artifacts are deleted from the disk
-// store. With cell caching on, the cells tier is swept too — TTL-expired
-// cells are deleted, then oldest cells are evicted until the tier fits
-// CellCacheBytes — and spec records orphaned by a crash (no live flight,
-// older than JobRetention) are dropped. The background loop calls this
-// every GCInterval; it is also safe to invoke manually.
+// store. The cells tier is swept too — TTL-expired cells are deleted, then
+// oldest cells are evicted until the tier fits CellCacheBytes — and spec
+// records orphaned by a crash (no live flight, older than JobRetention)
+// are dropped. The background loop calls this every GCInterval; it is also
+// safe to invoke manually.
 func (s *Service) GC() (jobsRemoved, artifactsRemoved int) {
 	now := time.Now()
 	s.mu.Lock()
@@ -1434,7 +1418,6 @@ func (s *Service) GC() (jobsRemoved, artifactsRemoved int) {
 	s.m.JobsGCed += int64(jobsRemoved)
 	st := s.storeHandle
 	ttl := s.cfg.CacheTTL
-	cellsOn := s.cellCacheEnabled()
 	inflightHashes := make(map[string]bool, len(s.inflight))
 	for h := range s.inflight {
 		inflightHashes[h] = true
@@ -1459,19 +1442,16 @@ func (s *Service) GC() (jobsRemoved, artifactsRemoved int) {
 	if ttl > 0 {
 		_, artifactsRemoved = sweep(st.ListArtifacts, st.DeleteArtifacts, expired, &storeErrs)
 	}
-	var cellsRemoved int
-	if cellsOn {
-		live, n := sweep(st.ListCells, st.DeleteCell, expired, &storeErrs)
-		cellsRemoved = n + evictOldest(live, s.cfg.CellCacheBytes, st.DeleteCell, &storeErrs)
-		// A spec record with no live flight that has outlived JobRetention
-		// was orphaned by a crash and will never be requeued (its job either
-		// recovered already or aged out of the table). Flights delete their
-		// own record on completion; keep-forever retention keeps orphans too.
-		if retention := s.cfg.JobRetention; retention >= 0 {
-			sweep(st.ListSpecs, st.DeleteSpec, func(info store.Info) bool {
-				return !inflightHashes[info.Hash] && now.Sub(info.CreatedAt) > retention
-			}, &storeErrs)
-		}
+	live, n := sweep(st.ListCells, st.DeleteCell, expired, &storeErrs)
+	cellsRemoved := n + evictOldest(live, s.cfg.CellCacheBytes, st.DeleteCell, &storeErrs)
+	// A spec record with no live flight that has outlived JobRetention was
+	// orphaned by a crash and will never be requeued (its job either
+	// recovered already or aged out of the table). Flights delete their own
+	// record on completion; keep-forever retention keeps orphans too.
+	if retention := s.cfg.JobRetention; retention >= 0 {
+		sweep(st.ListSpecs, st.DeleteSpec, func(info store.Info) bool {
+			return !inflightHashes[info.Hash] && now.Sub(info.CreatedAt) > retention
+		}, &storeErrs)
 	}
 	s.mu.Lock()
 	s.m.ArtifactsGCed += int64(artifactsRemoved)

@@ -85,8 +85,9 @@ func (s *Store) ReplayJobs() ([]JobRecord, error) {
 
 // CompactJobs rewrites the log with only the latest record of each job for
 // which keep returns true, and reports how many jobs were dropped. The
-// rewrite is atomic (temp file + rename) and the append handle is reopened
-// on the new file.
+// rewrite goes through publishFile like every record write (staged under
+// tmp/, fsync'd, renamed over the log), so a failed compaction keeps the
+// old log, and the append handle is reopened on the new file.
 func (s *Store) CompactJobs(keep func(JobRecord) bool) (dropped int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -110,16 +111,8 @@ func (s *Store) CompactJobs(keep func(JobRecord) bool) (dropped int, err error) 
 		out.Write(line)
 		out.WriteByte('\n')
 	}
-	tmpPath := s.jobLogPath() + ".tmp"
-	if err := writeFileSync(tmpPath, out.Bytes()); err != nil {
-		return 0, fmt.Errorf("store: write compacted log: %w", err)
-	}
-	if err := os.Rename(tmpPath, s.jobLogPath()); err != nil {
-		os.Remove(tmpPath)
-		return 0, fmt.Errorf("store: publish compacted log: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
-		return 0, fmt.Errorf("store: sync data dir: %w", err)
+	if err := s.publishFile(s.jobLogPath(), out.Bytes()); err != nil {
+		return 0, err
 	}
 	// The old append handle points at the unlinked file; reopen on the new one.
 	old := s.logf

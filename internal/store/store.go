@@ -16,10 +16,10 @@
 // directories left behind by a crash are swept on Open.
 //
 // All three tiers share one path for each of these steps: entry validates a
-// hash key and locates it, publish renames a synced stage into place, remove
-// deletes, quarantine moves a damaged entry aside, and list walks a tier for
-// GC. Only what an entry is (a directory or one record file) and how it
-// verifies differ per tier.
+// hash key and locates it, publish renames a synced stage into place (the
+// compacted job log goes through it too), remove deletes, quarantine moves
+// a damaged entry aside, and list walks a tier for GC. Only what an entry
+// is (a directory or one record file) and how it verifies differ per tier.
 //
 // Layout under the data directory:
 //
@@ -32,10 +32,9 @@
 //
 // Entries are sharded by the first two hex digits of the hash (<hh>), so
 // entry counts per directory stay ~1/256th of the total and never brush
-// filesystem per-directory limits. Data directories written by builds that
-// used the older flat layout (artifacts/<hash>/) are migrated transparently:
-// Open renames every flat entry into its prefix directory before serving
-// reads, so old stores keep their warm cache.
+// filesystem per-directory limits. An entry in the flat layout of builds
+// before sharding (artifacts/<hash>/) is not read: walks skip every name
+// under a tier root that is not a 2-character prefix, and lookups miss.
 //
 // The spec hash is the on-disk key: internal/service/spec guarantees its
 // stability across releases (see the package documentation there), which is
@@ -160,9 +159,6 @@ func Open(dir string) (*Store, error) {
 			return nil, fmt.Errorf("store: sweep tmp: %w", err)
 		}
 	}
-	if err := s.migrateFlatLayout(); err != nil {
-		return nil, err
-	}
 	if err := healJobLog(s.jobLogPath()); err != nil {
 		return nil, err
 	}
@@ -203,53 +199,6 @@ func healJobLog(path string) error {
 		return fmt.Errorf("store: heal job log: %w", err)
 	}
 	return f.Sync()
-}
-
-// migrateFlatLayout upgrades a data directory written by a pre-sharding
-// build: every entry sitting directly under artifacts/ (its name is a full
-// hash, which can never collide with the two-character prefix directories)
-// is renamed into its hash-prefix subdirectory. Runs before the job log
-// opens, so a migrated store is indistinguishable from a natively sharded
-// one by the time any read can happen.
-func (s *Store) migrateFlatLayout() error {
-	dirents, err := os.ReadDir(s.artDir)
-	if err != nil {
-		return fmt.Errorf("store: migrate layout: %w", err)
-	}
-	moved := false
-	for _, e := range dirents {
-		hash := e.Name()
-		if !e.IsDir() || validHash(hash) != nil {
-			continue // prefix dirs (2 chars) and junk fail validHash
-		}
-		pfx := filepath.Join(s.artDir, hash[:2])
-		if err := os.MkdirAll(pfx, 0o755); err != nil {
-			return fmt.Errorf("store: migrate layout: %w", err)
-		}
-		dst := filepath.Join(pfx, hash)
-		// A destination can only pre-exist if a previous migration crashed
-		// between rename and sync; equal hashes mean equal bytes, so the
-		// already-migrated copy wins and the flat leftover is dropped.
-		if _, statErr := os.Stat(dst); statErr == nil {
-			if err := os.RemoveAll(filepath.Join(s.artDir, hash)); err != nil {
-				return fmt.Errorf("store: migrate layout: %w", err)
-			}
-			continue
-		}
-		if err := os.Rename(filepath.Join(s.artDir, hash), dst); err != nil {
-			return fmt.Errorf("store: migrate layout: %w", err)
-		}
-		if err := syncDir(pfx); err != nil {
-			return fmt.Errorf("store: migrate layout: %w", err)
-		}
-		moved = true
-	}
-	if moved {
-		if err := syncDir(s.artDir); err != nil {
-			return fmt.Errorf("store: migrate layout: %w", err)
-		}
-	}
-	return nil
 }
 
 // Dir returns the data directory the store is rooted at.
@@ -341,14 +290,7 @@ func (s *Store) PutArtifacts(a Artifacts) error {
 		os.RemoveAll(stage)
 		return fmt.Errorf("store: sync stage: %w", err)
 	}
-	if err := publish(stage, dst); err != nil {
-		return err
-	}
-	// Sync artifacts/ too, in case publish just created the prefix dir.
-	if err := syncDir(s.artDir); err != nil {
-		return fmt.Errorf("store: sync artifacts dir: %w", err)
-	}
-	return nil
+	return publish(stage, dst)
 }
 
 // GetArtifacts reads and verifies the entry stored under hash. A missing
@@ -476,17 +418,24 @@ func (s *Store) list(root string, dirs bool, info func(hash, path string) (Info,
 
 // publish moves a fully synced stage — an entry directory or a record file
 // under tmp/ — to dst and fsyncs dst's prefix directory so the rename
-// survives a crash. When the rename fails because dst exists (a concurrent
-// writer won the race, a TTL-expired entry is being refreshed, or a stray
-// directory sits at a record path), dst is cleared and the rename retried
-// once: entries are content-addressed, so the replacement is byte-identical.
-// The stage is removed on failure.
+// survives a crash, and the tier root too when publish created the prefix.
+// A rename over an existing dst fails only when a directory is involved (a
+// concurrent writer won the race, a TTL-expired entry is being refreshed,
+// or a stray directory or file is in the way); then dst is cleared and the
+// rename retried once: entries are content-addressed, so the replacement
+// is byte-identical. A file stage never clears a file it failed to
+// replace, so a failed compaction keeps jobs.log. The stage is removed on
+// failure.
 func publish(stage, dst string) error {
 	pfx := filepath.Dir(dst)
+	_, statErr := os.Stat(pfx)
 	err := os.MkdirAll(pfx, 0o755)
-	if err == nil && os.Rename(stage, dst) != nil {
-		if err = os.RemoveAll(dst); err == nil {
-			err = os.Rename(stage, dst)
+	if err == nil {
+		err = os.Rename(stage, dst)
+		if err != nil && (isDir(dst) || isDir(stage)) {
+			if err = os.RemoveAll(dst); err == nil {
+				err = os.Rename(stage, dst)
+			}
 		}
 	}
 	if err != nil {
@@ -496,7 +445,18 @@ func publish(stage, dst string) error {
 	if err := syncDir(pfx); err != nil {
 		return fmt.Errorf("store: sync prefix dir: %w", err)
 	}
+	if statErr != nil { // publish created the prefix in the tier root
+		if err := syncDir(filepath.Dir(pfx)); err != nil {
+			return fmt.Errorf("store: sync tier dir: %w", err)
+		}
+	}
 	return nil
+}
+
+// isDir reports whether path is a directory, not following a symlink.
+func isDir(path string) bool {
+	fi, err := os.Lstat(path)
+	return err == nil && fi.IsDir()
 }
 
 // remove deletes the entry stored under hash in root — a directory or a

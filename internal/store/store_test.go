@@ -364,109 +364,113 @@ func TestClosedStore(t *testing.T) {
 	}
 }
 
-// TestFlatLayoutMigration pre-seeds a data directory in the pre-sharding
-// flat layout (artifacts/<hash>/) and proves Open upgrades it in place:
-// every entry is readable and listable afterwards, lives under its
-// 2-hex-prefix subdirectory, and the flat path is gone — the warm cache
-// survives the layout change.
-func TestFlatLayoutMigration(t *testing.T) {
-	dir := t.TempDir()
-	// Write entries with the current store, then demote them to the flat
-	// layout a previous build would have left behind.
-	seed, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arts := []Artifacts{testArtifacts(1), testArtifacts(2), testArtifacts(3)}
-	for _, a := range arts {
-		if err := seed.PutArtifacts(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := seed.Close(); err != nil {
-		t.Fatal(err)
-	}
-	artRoot := filepath.Join(dir, "artifacts")
-	for _, a := range arts {
-		flat := filepath.Join(artRoot, a.Hash)
-		if err := os.Rename(filepath.Join(artRoot, a.Hash[:2], a.Hash), flat); err != nil {
-			t.Fatal(err)
-		}
-		// All test hashes share the "ab" prefix; the dir goes once empty.
-		_ = os.Remove(filepath.Join(artRoot, a.Hash[:2]))
-	}
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	for _, a := range arts {
-		got, err := s2.GetArtifacts(a.Hash)
-		if err != nil {
-			t.Fatalf("migrated entry %s: %v", a.Hash, err)
-		}
-		if !bytes.Equal(got.JSON, a.JSON) || got.Cells != a.Cells || !got.CreatedAt.Equal(a.CreatedAt) {
-			t.Fatalf("migrated entry %s changed", a.Hash)
-		}
-		if _, err := os.Stat(filepath.Join(artRoot, a.Hash[:2], a.Hash, "meta.json")); err != nil {
-			t.Fatalf("entry %s not under its prefix dir: %v", a.Hash, err)
-		}
-		if _, err := os.Stat(filepath.Join(artRoot, a.Hash)); !os.IsNotExist(err) {
-			t.Fatalf("flat path for %s still present (%v)", a.Hash, err)
-		}
-	}
-	infos, err := s2.ListArtifacts()
-	if err != nil || len(infos) != len(arts) {
-		t.Fatalf("listed %d entries after migration (%v), want %d", len(infos), err, len(arts))
-	}
-}
-
-// TestFlatMigrationCrashDuplicate models a crash between a migration rename
-// and the next Open: the destination already holds the entry while a stale
-// flat copy remains. Open keeps the migrated copy and drops the leftover.
-func TestFlatMigrationCrashDuplicate(t *testing.T) {
+// TestPreShardingEntryInert: an entry in the flat layout that builds before
+// hash-prefix sharding wrote (artifacts/<hash>/) is not read. Open leaves
+// it where it is, lookups miss and listings skip it, and nothing is
+// quarantined: a recompute writes the sharded entry.
+func TestPreShardingEntryInert(t *testing.T) {
 	dir := t.TempDir()
 	seed, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := testArtifacts(4)
+	a := testArtifacts(1)
 	if err := seed.PutArtifacts(a); err != nil {
 		t.Fatal(err)
 	}
 	if err := seed.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Duplicate the sharded entry back to the flat location.
 	artRoot := filepath.Join(dir, "artifacts")
 	flat := filepath.Join(artRoot, a.Hash)
-	if err := os.MkdirAll(flat, 0o755); err != nil {
+	if err := os.Rename(filepath.Join(artRoot, a.Hash[:2], a.Hash), flat); err != nil {
 		t.Fatal(err)
 	}
-	src := filepath.Join(artRoot, a.Hash[:2], a.Hash)
-	ents, err := os.ReadDir(src)
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
+	if _, err := s.GetArtifacts(a.Hash); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("flat entry read: %v, want ErrNotFound", err)
+	}
+	if infos, err := s.ListArtifacts(); err != nil || len(infos) != 0 {
+		t.Fatalf("listing surfaced the flat entry: %+v (%v)", infos, err)
+	}
+	if q, err := os.ReadDir(filepath.Join(dir, "quarantine")); err != nil || len(q) != 0 {
+		t.Fatalf("quarantine holds %d entries (%v), want none", len(q), err)
+	}
+	if _, err := os.Stat(filepath.Join(flat, metaFile)); err != nil {
+		t.Fatalf("flat entry moved: %v", err)
+	}
+}
+
+// TestCompactionLeavesNoStrayFiles: compaction stages the new log under tmp/
+// like every other store write, so afterwards the data directory holds only
+// the documented layout and tmp/ is empty.
+func TestCompactionLeavesNoStrayFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, state := range []string{"queued", "running", "done"} {
+		if err := s.AppendJob(JobRecord{ID: "m000001", Hash: testHash(1), State: state}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.CompactJobs(nil); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
 	for _, e := range ents {
-		b, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(flat, e.Name()), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		names = append(names, e.Name())
 	}
-	s2, err := Open(dir)
-	if err != nil {
+	if got, want := strings.Join(names, " "), "artifacts cells jobs.log quarantine specs tmp"; got != want {
+		t.Fatalf("data dir holds %q, want %q", got, want)
+	}
+	if leftovers, err := os.ReadDir(filepath.Join(dir, "tmp")); err != nil || len(leftovers) != 0 {
+		t.Fatalf("tmp/ holds %d entries after compaction (%v)", len(leftovers), err)
+	}
+	if recs, err := s.ReplayJobs(); err != nil || len(recs) != 1 || recs[0].State != "done" {
+		t.Fatalf("compacted log replays %+v (%v)", recs, err)
+	}
+}
+
+// TestPublishReplacesStrayEntries: a rename cannot replace a directory with
+// a record file, nor a file with an entry directory, so publish clears what
+// sits at the destination and retries. A stray directory at a cell's path
+// and a stray file at an artifact's path are both replaced.
+func TestPublishReplacesStrayEntries(t *testing.T) {
+	s := openStore(t)
+	c := testCell(1)
+	cellPath := filepath.Join(s.cellDir, c.Hash[:2], c.Hash)
+	if err := os.MkdirAll(filepath.Join(cellPath, "junk"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	defer s2.Close()
-	if _, err := os.Stat(flat); !os.IsNotExist(err) {
-		t.Fatalf("flat duplicate survived Open (%v)", err)
+	if err := s.PutCell(c); err != nil {
+		t.Fatalf("put cell over a stray directory: %v", err)
 	}
-	got, err := s2.GetArtifacts(a.Hash)
-	if err != nil || !bytes.Equal(got.JSON, a.JSON) {
-		t.Fatalf("entry unreadable after duplicate cleanup: %v", err)
+	if got, err := s.GetCell(c.Hash); err != nil || !bytes.Equal(got.Payload, c.Payload) {
+		t.Fatalf("cell after replacing a stray directory: %v", err)
+	}
+	a := testArtifacts(1)
+	artPath := filepath.Join(s.artDir, a.Hash[:2], a.Hash)
+	if err := os.MkdirAll(filepath.Dir(artPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(artPath, []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutArtifacts(a); err != nil {
+		t.Fatalf("put artifacts over a stray file: %v", err)
+	}
+	if got, err := s.GetArtifacts(a.Hash); err != nil || !bytes.Equal(got.JSON, a.JSON) {
+		t.Fatalf("artifacts after replacing a stray file: %v", err)
 	}
 }

@@ -368,9 +368,8 @@ func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 // simulated matrix cell persists under its own content address, so
 // overlapping matrices reuse shared cells and jobs that were in flight when
 // the previous process died are requeued and refill from their persisted
-// cells (set ServiceConfig.DisableCellCache to fail them instead). The
-// service owns the store; Service.Close closes it. See cmd/mrserved and
-// docs/OPERATIONS.md for the operational details.
+// cells. The service owns the store; Service.Close closes it. See
+// cmd/mrserved and docs/OPERATIONS.md for the operational details.
 func NewPersistentService(dataDir string, cfg ServiceConfig) (*Service, error) {
 	st, err := store.Open(dataDir)
 	if err != nil {
