@@ -65,6 +65,29 @@ func TestStatsGenerated(t *testing.T) {
 	}
 }
 
+// TestStatsRejectsInvalidRow: a row no simulation can build (ratio 1 gives
+// an empty bounded-Pareto support) fails the read with its line number,
+// instead of printing a NaN mean task duration.
+func TestStatsRejectsInvalidRow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "bad.csv")
+	csv := "id,arrival,priority,map_tasks,reduce_tasks,map_scale,reduce_scale,ratio,alpha\n" +
+		"0,0,1,2,0,5,0,1,0\n"
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := run([]string{"stats", "-i", path}, &buf)
+	if err == nil {
+		t.Fatalf("invalid row accepted; printed:\n%s", buf.String())
+	}
+	if !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("error %q does not name line 2", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("stats printed output for a rejected trace:\n%s", buf.String())
+	}
+}
+
 func TestStatsMissingFile(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"stats", "-i", "/nonexistent/x.csv"}, &buf); err == nil {

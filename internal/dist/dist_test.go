@@ -244,8 +244,6 @@ func TestConstructorErrorPaths(t *testing.T) {
 		{"bp-zero-lo", errOf(NewBoundedPareto(0, 10, 1))},
 		{"bp-lo>=hi", errOf(NewBoundedPareto(10, 10, 1))},
 		{"bp-alpha<=0", errOf(NewBoundedPareto(1, 10, 0))},
-		{"lognormal-nan-mu", errOf(NewLognormal(nan, 1))},
-		{"lognormal-negative-sigma", errOf(NewLognormal(0, -1))},
 		{"lognormal-moments-zero-mean", errOf(LognormalFromMoments(0, 1))},
 		{"lognormal-moments-negative-sd", errOf(LognormalFromMoments(1, -1))},
 		{"scaled-nil", errOf(NewScaled(nil, 2))},

@@ -17,18 +17,6 @@ type Lognormal struct {
 
 var _ Distribution = Lognormal{}
 
-// NewLognormal returns a lognormal distribution from its log-space
-// parameters; sigmaLog must be non-negative and both must be finite.
-func NewLognormal(muLog, sigmaLog float64) (Distribution, error) {
-	if math.IsNaN(muLog) || math.IsInf(muLog, 0) {
-		return nil, fmt.Errorf("%w: lognormal mu %v", ErrBadParam, muLog)
-	}
-	if math.IsNaN(sigmaLog) || math.IsInf(sigmaLog, 0) || sigmaLog < 0 {
-		return nil, fmt.Errorf("%w: lognormal sigma %v", ErrBadParam, sigmaLog)
-	}
-	return Lognormal{MuLog: muLog, SigmaLog: sigmaLog}, nil
-}
-
 // LognormalFromMoments returns the lognormal distribution with the given
 // real-space mean > 0 and standard deviation >= 0, inverting
 //

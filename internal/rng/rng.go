@@ -57,12 +57,6 @@ func (s *Source) Intn(n int) int { return s.rnd.Intn(n) }
 // NormFloat64 returns a standard normal variate.
 func (s *Source) NormFloat64() float64 { return s.rnd.NormFloat64() }
 
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rnd.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rnd.Shuffle(n, swap) }
-
 // deriveSeed mixes a parent seed and a label into a child seed using FNV-1a.
 // FNV is not cryptographic but provides excellent avalanche behaviour for
 // stream separation, which is all that simulation reproducibility requires.

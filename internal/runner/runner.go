@@ -48,34 +48,41 @@ var (
 )
 
 // SchedulerSpec is one row of the matrix: a registered scheduler name plus
-// its tunables.
+// its tunables. It is also the wire form of a row: internal/service/spec
+// sends it unchanged, and its fields and json tags are part of the frozen
+// encoding that names every stored spec and cell, so changing either
+// re-keys them all.
 type SchedulerSpec struct {
 	// Name is the registry name passed to sched.Build ("srptms+c", "sca",
 	// "mantri", ...).
-	Name string
+	Name string `json:"name"`
 	// Params are the scheduler tunables; a sweep point may override them.
-	Params sched.Params
+	Params sched.Params `json:"params,omitzero"`
 }
 
 // Point is one column of the matrix: a sweep coordinate with the cluster
 // shape (and optionally the scheduler tunables) it maps to. Sweeping
 // epsilon or r varies Params; sweeping cluster size varies Machines;
-// speed-augmentation studies vary Speed.
+// speed-augmentation studies vary Speed. Like SchedulerSpec it is the wire
+// form of a column, so changing a field or a json tag re-keys every stored
+// spec and cell.
 type Point struct {
 	// X is the coordinate as plotted (epsilon, r, machine count, ...).
-	X float64
+	X float64 `json:"x"`
 	// Machines is the cluster size M for this point. Required > 0.
-	Machines int
+	Machines int `json:"machines"`
 	// Speed is the machine speed (0 means unit speed).
-	Speed float64
+	Speed float64 `json:"speed,omitempty"`
 	// Params, when non-nil, replaces the scheduler's Params at this point.
-	Params *sched.Params
+	Params *sched.Params `json:"params,omitempty"`
 }
 
-// Spec describes a run matrix over one workload.
+// Spec describes a run matrix over one workload. Everything it holds is
+// read-only once it reaches Run or Assemble: cells running concurrently
+// share it, and internal/service/spec.Axes hands over the wire spec's own
+// axis slices.
 type Spec struct {
 	// Specs is the shared workload; every cell simulates the same jobs.
-	// Treated as read-only: cells running concurrently share it.
 	Specs []job.Spec
 	// Schedulers is the scheduler axis. Required non-empty.
 	Schedulers []SchedulerSpec
@@ -265,27 +272,14 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	total := len(spec.Schedulers) * len(spec.Points) * spec.Runs
+	res := spec.newResult()
+	total := len(res.Cells)
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > total {
 		workers = total
-	}
-
-	res := &Result{
-		Schedulers: make([]string, len(spec.Schedulers)),
-		Points:     make([]float64, len(spec.Points)),
-		Runs:       spec.Runs,
-		BaseSeed:   spec.BaseSeed,
-		Cells:      make([]CellResult, total),
-	}
-	for i, s := range spec.Schedulers {
-		res.Schedulers[i] = s.Name
-	}
-	for i, p := range spec.Points {
-		res.Points[i] = p.X
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -394,22 +388,9 @@ func Assemble(spec Spec, cache CellCache) (*Result, bool) {
 	if len(spec.Schedulers) == 0 || len(spec.Points) == 0 {
 		return nil, false
 	}
-	total := spec.Total()
-	res := &Result{
-		Schedulers: make([]string, len(spec.Schedulers)),
-		Points:     make([]float64, len(spec.Points)),
-		Runs:       spec.Runs,
-		BaseSeed:   spec.BaseSeed,
-		Cells:      make([]CellResult, total),
-	}
-	for i, s := range spec.Schedulers {
-		res.Schedulers[i] = s.Name
-	}
-	for i, p := range spec.Points {
-		res.Points[i] = p.X
-	}
+	res := spec.newResult()
 	opts := Options{CellCache: cache}
-	for idx := 0; idx < total; idx++ {
+	for idx := range res.Cells {
 		cell, ok := spec.cachedCell(idx, opts)
 		if !ok {
 			return nil, false
@@ -417,6 +398,25 @@ func Assemble(spec Spec, cache CellCache) (*Result, bool) {
 		res.Cells[idx] = *cell
 	}
 	return res, true
+}
+
+// newResult allocates the result of the normalized matrix: its axis labels
+// and one empty slot per cell.
+func (s *Spec) newResult() *Result {
+	res := &Result{
+		Schedulers: make([]string, len(s.Schedulers)),
+		Points:     make([]float64, len(s.Points)),
+		Runs:       s.Runs,
+		BaseSeed:   s.BaseSeed,
+		Cells:      make([]CellResult, s.Total()),
+	}
+	for i, sc := range s.Schedulers {
+		res.Schedulers[i] = sc.Name
+	}
+	for i, p := range s.Points {
+		res.Points[i] = p.X
+	}
+	return res
 }
 
 // cellCoords maps a flat cell index to its (scheduler, point, run)

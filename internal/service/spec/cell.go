@@ -20,7 +20,8 @@ package spec
 //   - the single-cell projection rules of CellSpec below (point-level Params
 //     overrides collapsed into the scheduler row, Runs pinned to 1, BaseSeed
 //     replaced by the replicate's CellSeed, SeedStride omitted);
-//   - the cellKey struct's field order and json tags, with the workload
+//   - the cellKey struct's field order and json tags (its scheduler and
+//     point are runner.SchedulerSpec and runner.Point), with the workload
 //     replaced by the SHA-256 of its canonical encoding so per-cell hashing
 //     costs O(axes), not O(workload);
 //   - the cellDomain prefix that separates cell hashes from matrix hashes;

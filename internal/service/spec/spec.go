@@ -22,8 +22,10 @@
 // caches silently die on upgrade. Concretely, the following are frozen for
 // spec version 1:
 //
-//   - the canonical JSON field order (the Spec/Workload/Scheduler/Point
-//     struct field order below) and their json tags;
+//   - the canonical JSON field order and json tags of the Spec and Workload
+//     structs below and of the types they carry on the wire unchanged:
+//     runner.SchedulerSpec and runner.Point (the row and column encoding),
+//     trace.Params and trace.JobRow;
 //   - the normalization rules (version pinned, Runs defaulted to 1, default
 //     seed stride and unit machine speed collapsed to their omitted forms);
 //   - encoding/json's shortest round-trip float encoding; and
@@ -34,7 +36,7 @@
 // normalization — MUST bump Version instead of mutating version 1; old
 // hashes then remain valid names for old artifacts. Adding a field that is
 // omitted when unset (omitempty/omitzero) keeps existing hashes intact and
-// is allowed. spec_test.go pins a golden hash to catch accidental drift.
+// is allowed. spec_test.go pins golden hashes to catch accidental drift.
 package spec
 
 import (
@@ -45,7 +47,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 
 	"mrclone/internal/job"
@@ -80,20 +81,13 @@ type Workload struct {
 }
 
 // Scheduler is one row of the matrix: a registered scheduler name plus its
-// tunables.
-type Scheduler struct {
-	Name   string       `json:"name"`
-	Params sched.Params `json:"params,omitzero"`
-}
+// tunables. It is the runner's own row type, sent on the wire unchanged.
+type Scheduler = runner.SchedulerSpec
 
 // Point is one column of the matrix: a sweep coordinate and the cluster
-// shape it maps to, optionally overriding the scheduler tunables.
-type Point struct {
-	X        float64       `json:"x"`
-	Machines int           `json:"machines"`
-	Speed    float64       `json:"speed,omitempty"`
-	Params   *sched.Params `json:"params,omitempty"`
-}
+// shape it maps to, optionally overriding the scheduler tunables. It is the
+// runner's own column type, sent on the wire unchanged.
+type Point = runner.Point
 
 // Spec is the versioned wire form of a run matrix.
 type Spec struct {
@@ -266,47 +260,20 @@ func (s Spec) Validate() error {
 	if s.MaxSlots < 0 {
 		return fmt.Errorf("spec: max slots %d", s.MaxSlots)
 	}
-	// Explicit rows are checked structurally (mirroring the job.Spec and
-	// dist constructor invariants) without building the per-job
-	// distributions — Validate runs several times on the submission path
-	// and a full expansion of a 6000-row workload is wasted work here;
-	// Runner's jobSpecs expansion remains the authoritative check.
+	// Explicit rows are checked by the trace row rule without building the
+	// per-job distributions: Validate runs several times on the submission
+	// path, and expanding a 6000-row workload here would be wasted work.
 	// Row ids become job IDs, which schedulers use as their unique
 	// tie-break.
 	rowOf := make(map[int]int, len(s.Workload.Rows))
 	for i, r := range s.Workload.Rows {
-		if err := validateRow(r); err != nil {
+		if err := r.Validate(); err != nil {
 			return fmt.Errorf("spec: workload rows: row %d (id %d): %w", i, r.ID, err)
 		}
 		if prev, dup := rowOf[r.ID]; dup {
 			return fmt.Errorf("spec: workload rows: rows %d and %d share id %d", prev, i, r.ID)
 		}
 		rowOf[r.ID] = i
-	}
-	return nil
-}
-
-// validateRow mirrors the structural invariants JobRow.Spec enforces via
-// job.Spec.Validate and the dist constructors. Strict inequalities on the
-// float fields double as NaN rejection.
-func validateRow(r trace.JobRow) error {
-	switch {
-	case r.Arrival < 0:
-		return fmt.Errorf("arrival %d", r.Arrival)
-	case r.Priority < 0 || r.Priority > trace.GoogleMaxPriority:
-		return fmt.Errorf("priority %d outside 0..%d", r.Priority, trace.GoogleMaxPriority)
-	case r.MapTasks < 0 || r.ReduceTasks < 0:
-		return fmt.Errorf("negative task counts (%d map, %d reduce)", r.MapTasks, r.ReduceTasks)
-	case r.MapTasks == 0 && r.ReduceTasks == 0:
-		return errors.New("no tasks")
-	case r.MapTasks > 0 && !(r.MapScale > 0 && !math.IsInf(r.MapScale, 0)):
-		return fmt.Errorf("map scale %v", r.MapScale)
-	case r.ReduceTasks > 0 && !(r.ReduceScale > 0 && !math.IsInf(r.ReduceScale, 0)):
-		return fmt.Errorf("reduce scale %v", r.ReduceScale)
-	case !(r.Ratio > 1 && !math.IsInf(r.Ratio, 0)):
-		return fmt.Errorf("ratio %v (need > 1)", r.Ratio)
-	case !(r.Alpha > 0 && !math.IsInf(r.Alpha, 0)):
-		return fmt.Errorf("alpha %v (need > 0)", r.Alpha)
 	}
 	return nil
 }
@@ -373,32 +340,21 @@ func (s Spec) jobSpecs() ([]job.Spec, error) {
 // Specs left nil. The result is enough to enumerate cell coordinates (for
 // runner.Assemble and cell-count estimates) without paying for trace
 // generation and per-job distribution construction; callers that will
-// actually simulate use Runner, which fills the workload in.
+// actually simulate use Runner, which fills the workload in. The result
+// shares the normalized spec's axis slices; the runner only reads them.
 func (s Spec) Axes() (runner.Spec, error) {
 	s = s.Normalize()
 	if err := s.Validate(); err != nil {
 		return runner.Spec{}, err
 	}
-	rs := runner.Spec{
-		Schedulers: make([]runner.SchedulerSpec, len(s.Schedulers)),
-		Points:     make([]runner.Point, len(s.Points)),
+	return runner.Spec{
+		Schedulers: s.Schedulers,
+		Points:     s.Points,
 		Runs:       s.Runs,
 		BaseSeed:   s.BaseSeed,
 		SeedStride: s.SeedStride,
 		MaxSlots:   s.MaxSlots,
-	}
-	for i, sc := range s.Schedulers {
-		rs.Schedulers[i] = runner.SchedulerSpec{Name: sc.Name, Params: sc.Params}
-	}
-	for i, p := range s.Points {
-		pt := runner.Point{X: p.X, Machines: p.Machines, Speed: p.Speed}
-		if p.Params != nil {
-			params := *p.Params
-			pt.Params = &params
-		}
-		rs.Points[i] = pt
-	}
-	return rs, nil
+	}, nil
 }
 
 // WorkloadJobs returns the number of jobs every cell of the matrix
@@ -434,33 +390,4 @@ func (s Spec) Runner() (runner.Spec, error) {
 		return runner.Spec{}, err
 	}
 	return rs, nil
-}
-
-// FromRunner lifts a runner-level matrix description (with an explicit
-// trace workload) into the wire form. It is the inverse of Runner for
-// row-based workloads and exists so in-process callers can obtain the
-// content hash of a matrix they already built.
-func FromRunner(rows []trace.JobRow, rs runner.Spec) Spec {
-	s := Spec{
-		Version:    Version,
-		Workload:   Workload{Rows: rows},
-		Schedulers: make([]Scheduler, len(rs.Schedulers)),
-		Points:     make([]Point, len(rs.Points)),
-		Runs:       rs.Runs,
-		BaseSeed:   rs.BaseSeed,
-		SeedStride: rs.SeedStride,
-		MaxSlots:   rs.MaxSlots,
-	}
-	for i, sc := range rs.Schedulers {
-		s.Schedulers[i] = Scheduler{Name: sc.Name, Params: sc.Params}
-	}
-	for i, p := range rs.Points {
-		pt := Point{X: p.X, Machines: p.Machines, Speed: p.Speed}
-		if p.Params != nil {
-			params := *p.Params
-			pt.Params = &params
-		}
-		s.Points[i] = pt
-	}
-	return s.Normalize()
 }

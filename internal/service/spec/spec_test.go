@@ -85,6 +85,40 @@ func TestHashGoldenPin(t *testing.T) {
 	}
 }
 
+// TestHashGoldenPinPointOverride pins the encoding TestHashGoldenPin leaves
+// out: a scheduler row with params and a point with a non-unit speed and a
+// params override. Cell keys strip point params, so this is the golden that
+// guards the point's "params" tag.
+func TestHashGoldenPinPointOverride(t *testing.T) {
+	sp := Spec{
+		Workload: Workload{Rows: []trace.JobRow{{
+			ID: 1, Arrival: 0, Priority: 2,
+			MapTasks: 3, MapScale: 100, ReduceTasks: 1, ReduceScale: 50,
+			Ratio: 5, Alpha: 2.5,
+		}}},
+		Schedulers: []Scheduler{{Name: "srptms+c", Params: sched.Params{Epsilon: 0.9, DeviationFactor: 3}}},
+		Points: []Point{{X: 0.5, Machines: 25, Speed: 1.5,
+			Params: &sched.Params{Epsilon: 0.6, DeviationFactor: 2, MaxClonesPerTask: 4}}},
+		BaseSeed: 7,
+	}
+	canon, err := sp.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantCanon = `{"version":1,"workload":{"rows":[{"id":1,"arrival":0,"priority":2,"map_tasks":3,"reduce_tasks":1,"map_scale":100,"reduce_scale":50,"ratio":5,"alpha":2.5}]},"schedulers":[{"name":"srptms+c","params":{"epsilon":0.9,"deviation_factor":3}}],"points":[{"x":0.5,"machines":25,"speed":1.5,"params":{"epsilon":0.6,"deviation_factor":2,"max_clones_per_task":4}}],"runs":1,"base_seed":7}`
+	if string(canon) != wantCanon {
+		t.Errorf("canonical bytes drifted:\n got %s\nwant %s", canon, wantCanon)
+	}
+	h, err := sp.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantHash = "ce12b5f09bcdf7ecd7c0f83ef52fd9fe23b628fcb7adc6426b9f017c4ce09f0c"
+	if h != wantHash {
+		t.Errorf("golden hash drifted:\n got %s\nwant %s", h, wantHash)
+	}
+}
+
 func TestHashStableAndSensitive(t *testing.T) {
 	h1, err := tinySpec().Hash()
 	if err != nil {
@@ -345,19 +379,19 @@ func TestRunnerExpansionMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestRowWorkloadRoundTrip covers the explicit-rows workload and FromRunner.
+// TestRowWorkloadRoundTrip covers the explicit-rows workload.
 func TestRowWorkloadRoundTrip(t *testing.T) {
 	tr, err := trace.Generate(tinyParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := runner.Spec{
-		Schedulers: []runner.SchedulerSpec{{Name: "fair"}},
-		Points:     []runner.Point{{X: 0, Machines: 25, Params: &sched.Params{DeviationFactor: 2}}},
+	sp := Spec{
+		Workload:   Workload{Rows: tr.Rows},
+		Schedulers: []Scheduler{{Name: "fair"}},
+		Points:     []Point{{X: 0, Machines: 25, Params: &sched.Params{DeviationFactor: 2}}},
 		Runs:       1,
 		BaseSeed:   3,
 	}
-	sp := FromRunner(tr.Rows, rs)
 	canon, err := sp.Canonical()
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
 )
 
@@ -105,22 +104,5 @@ func parseRow(rec []string) (JobRow, error) {
 	if r.Alpha, err = strconv.ParseFloat(rec[8], 64); err != nil {
 		return r, fmt.Errorf("alpha: %w", err)
 	}
-	if r.Priority < 0 || r.Priority > GoogleMaxPriority {
-		return r, fmt.Errorf("priority %d outside 0..%d", r.Priority, GoogleMaxPriority)
-	}
-	// Non-finite floats would survive parsing but break every consumer (and
-	// NaN is not even equal to itself, so accepted traces would not
-	// round-trip); reject them here.
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"map_scale", r.MapScale}, {"reduce_scale", r.ReduceScale},
-		{"ratio", r.Ratio}, {"alpha", r.Alpha},
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return r, fmt.Errorf("%s %v is not finite", f.name, f.v)
-		}
-	}
-	return r, nil
+	return r, r.Validate()
 }

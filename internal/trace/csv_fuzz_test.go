@@ -7,11 +7,13 @@ import (
 	"testing"
 )
 
-// FuzzReadCSV asserts two properties of the CSV parser on arbitrary input:
-// it never panics, and any input it accepts round-trips — writing the
+// FuzzReadCSV asserts three properties of the CSV parser on arbitrary
+// input: it never panics; any input it accepts round-trips — writing the
 // parsed trace and parsing it again yields identical rows (the parsed form
-// is a fixed point). Shortest round-trip float formatting (strconv 'g', -1)
-// is what makes the second property hold exactly.
+// is a fixed point); and every trace it accepts builds its job specs, since
+// the reader applies the same row rule as JobRow.Spec. Shortest round-trip
+// float formatting (strconv 'g', -1) is what makes the second property hold
+// exactly.
 func FuzzReadCSV(f *testing.F) {
 	// Seed with a real generated trace, the header alone, and assorted
 	// near-miss corruptions.
@@ -34,11 +36,15 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add(strings.Join(csvHeader, ",") + "\n0,1,99,3,4,5,6,7,8\n") // bad priority
 	f.Add(strings.Join(csvHeader, ",") + "\nx,1,2,3,4,5,6,7,8\n")  // bad int
 	f.Add(strings.Join(csvHeader, ",") + "\n0,1,2,3,4,NaN,6,7,8\n")
+	f.Add(strings.Join(csvHeader, ",") + "\n0,0,1,2,0,5,0,1,0\n") // ratio 1: no job spec builds
 
 	f.Fuzz(func(t *testing.T, data string) {
 		tr, err := ReadCSV(strings.NewReader(data))
 		if err != nil {
 			return // rejected input: only the no-panic property applies
+		}
+		if _, err := tr.Specs(); err != nil {
+			t.Fatalf("accepted trace does not build job specs: %v\ninput: %q", err, data)
 		}
 		var out bytes.Buffer
 		if err := tr.WriteCSV(&out); err != nil {

@@ -147,6 +147,42 @@ type JobRow struct {
 	Alpha       float64 `json:"alpha"`
 }
 
+// Validate checks the row against everything JobRow.Spec needs, without
+// building its distributions: a non-negative arrival, a 0..11 priority, task
+// counts that are non-negative and not both zero, a finite scale for each
+// phase that is positive where the phase has tasks, a finite ratio > 1 and a
+// finite alpha > 0. The strict inequalities on ratio and alpha double as NaN
+// checks. The service spec, the CSV reader and JobRow.Spec all apply this
+// one rule.
+func (r JobRow) Validate() error {
+	switch {
+	case r.Arrival < 0:
+		return fmt.Errorf("arrival %d", r.Arrival)
+	case r.Priority < 0 || r.Priority > GoogleMaxPriority:
+		return fmt.Errorf("priority %d outside 0..%d", r.Priority, GoogleMaxPriority)
+	case r.MapTasks < 0 || r.ReduceTasks < 0:
+		return fmt.Errorf("negative task counts (%d map, %d reduce)", r.MapTasks, r.ReduceTasks)
+	case r.MapTasks == 0 && r.ReduceTasks == 0:
+		return errors.New("no tasks")
+	case !scaleOK(r.MapScale, r.MapTasks):
+		return fmt.Errorf("map scale %v", r.MapScale)
+	case !scaleOK(r.ReduceScale, r.ReduceTasks):
+		return fmt.Errorf("reduce scale %v", r.ReduceScale)
+	case !(r.Ratio > 1 && !math.IsInf(r.Ratio, 0)):
+		return fmt.Errorf("ratio %v (need > 1)", r.Ratio)
+	case !(r.Alpha > 0 && !math.IsInf(r.Alpha, 0)):
+		return fmt.Errorf("alpha %v (need > 0)", r.Alpha)
+	}
+	return nil
+}
+
+// scaleOK reports whether scale is finite and, when the phase has tasks,
+// positive. An empty phase's scale is never sampled, but it must stay
+// finite so the row round-trips through CSV exactly.
+func scaleOK(scale float64, tasks int) bool {
+	return !math.IsNaN(scale) && !math.IsInf(scale, 0) && (tasks == 0 || scale > 0)
+}
+
 // Weight returns the job weight derived from the trace priority. The paper
 // treats the 0–11 priority as the weight; our model requires strictly
 // positive weights, so priority k maps to weight k+1 (a uniform shift that
@@ -353,6 +389,9 @@ func (t *Trace) Specs() ([]job.Spec, error) {
 
 // Spec converts one row into a job spec.
 func (r JobRow) Spec() (job.Spec, error) {
+	if err := r.Validate(); err != nil {
+		return job.Spec{}, fmt.Errorf("trace: job %d: %w", r.ID, err)
+	}
 	spec := job.Spec{
 		ID:         r.ID,
 		Arrival:    r.Arrival,

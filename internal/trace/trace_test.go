@@ -205,6 +205,12 @@ func TestReadCSVErrors(t *testing.T) {
 		"bogus,header", // wrong header
 		csvJoin() + "\n" + "x,0,0,1,0,1,1,20,1.5",  // bad id
 		csvJoin() + "\n" + "0,0,99,1,0,1,1,20,1.5", // priority out of range
+		// Rows every simulation rejects are rejected on read.
+		csvJoin() + "\n" + "0,0,1,2,0,5,0,1,1.5",   // ratio 1
+		csvJoin() + "\n" + "0,0,1,2,0,5,0,20,0",    // alpha 0
+		csvJoin() + "\n" + "0,-1,1,2,0,5,0,20,1.5", // negative arrival
+		csvJoin() + "\n" + "0,0,1,0,0,5,5,20,1.5",  // no tasks
+		csvJoin() + "\n" + "0,0,1,2,0,0,5,20,1.5",  // map_scale 0 with map tasks
 	}
 	for i, s := range cases {
 		if _, err := ReadCSV(strings.NewReader(s)); err == nil {
@@ -214,6 +220,24 @@ func TestReadCSVErrors(t *testing.T) {
 }
 
 func csvJoin() string { return strings.Join(csvHeader, ",") }
+
+// TestJobRowSpecAppliesRowRule: JobRow.Spec rejects what Validate rejects,
+// including a priority above 11, which the job and distribution
+// constructors alone would accept as weight 13.
+func TestJobRowSpecAppliesRowRule(t *testing.T) {
+	row := JobRow{ID: 4, Priority: 12, MapTasks: 2, MapScale: 5, Ratio: 20, Alpha: 1.5}
+	_, err := row.Spec()
+	if err == nil {
+		t.Fatal("row with priority 12 converted")
+	}
+	if want := "trace: job 4: " + row.Validate().Error(); err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+	row.Priority = 11
+	if _, err := row.Spec(); err != nil {
+		t.Fatalf("valid row rejected: %v", err)
+	}
+}
 
 func TestSubset(t *testing.T) {
 	p := GoogleParams()

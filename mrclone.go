@@ -86,9 +86,11 @@ type (
 	ServiceSpec = svcspec.Spec
 	// ServiceWorkload is the workload clause of a ServiceSpec.
 	ServiceWorkload = svcspec.Workload
-	// ServiceSchedulerSpec is one scheduler row of a ServiceSpec.
+	// ServiceSchedulerSpec is one scheduler row of a ServiceSpec: the same
+	// type as MatrixSchedulerSpec.
 	ServiceSchedulerSpec = svcspec.Scheduler
-	// ServicePoint is one sweep-point column of a ServiceSpec.
+	// ServicePoint is one sweep-point column of a ServiceSpec: the same type
+	// as MatrixPoint.
 	ServicePoint = svcspec.Point
 	// TraceRow is the serializable description of one trace job.
 	TraceRow = trace.JobRow
