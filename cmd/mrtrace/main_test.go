@@ -88,6 +88,30 @@ func TestStatsRejectsInvalidRow(t *testing.T) {
 	}
 }
 
+// TestStatsRejectsRepeatedID: two valid rows that share an id fail the read
+// with both rows named, instead of printing a table for a trace no
+// simulation accepts.
+func TestStatsRejectsRepeatedID(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "dup.csv")
+	csv := "id,arrival,priority,map_tasks,reduce_tasks,map_scale,reduce_scale,ratio,alpha\n" +
+		"0,0,1,2,0,5,0,20,1.5\n" +
+		"0,10,1,2,0,5,0,20,1.5\n"
+	if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err := run([]string{"stats", "-i", path}, &buf)
+	if err == nil {
+		t.Fatalf("repeated id accepted; printed:\n%s", buf.String())
+	}
+	if !strings.Contains(err.Error(), "rows 0 and 1 share id 0") {
+		t.Errorf("error %q does not name both rows", err)
+	}
+	if buf.Len() != 0 {
+		t.Errorf("stats printed output for a rejected trace:\n%s", buf.String())
+	}
+}
+
 func TestStatsMissingFile(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"stats", "-i", "/nonexistent/x.csv"}, &buf); err == nil {

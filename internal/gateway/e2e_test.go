@@ -466,6 +466,40 @@ func TestGatewayCancelAndErrors(t *testing.T) {
 	}
 }
 
+// TestGatewayRejectsOversizedMatrix: a 422-byte spec asking for 2e9 runs of
+// a 2e9-job trace parses, so the gateway routes it, and the owning shard
+// answers 400 naming the cell limit before any flight; the gateway relays
+// that answer.
+func TestGatewayRejectsOversizedMatrix(t *testing.T) {
+	c := newTestCluster(t, 2, 1, service.Config{Workers: 1, CellParallelism: 2})
+	p := trace.GoogleParams()
+	p.Jobs = 2000000000
+	body, err := json.Marshal(spec.Spec{
+		Version:    spec.Version,
+		Workload:   spec.Workload{Trace: &p},
+		Schedulers: []spec.Scheduler{{Name: "fair"}},
+		Points:     []spec.Point{{X: 1, Machines: 1}},
+		Runs:       2000000000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(c.gwURL(0)+"/v1/matrices", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "65536-cell limit") {
+		t.Errorf("%d-byte oversized spec: HTTP %d %s, want 400 naming the cell limit", len(body), resp.StatusCode, msg)
+	}
+	for _, svc := range c.shards {
+		if m := svc.Metrics(); m.Submissions != 0 || m.Flights != 0 {
+			t.Errorf("a shard counted %d submissions and %d flights, want none", m.Submissions, m.Flights)
+		}
+	}
+}
+
 // TestPoolHealthAndMetrics checks the aggregation routes against a healthy
 // pool and again after one shard dies.
 func TestPoolHealthAndMetrics(t *testing.T) {

@@ -266,7 +266,6 @@ func TestTenantFairShareThroughGateway(t *testing.T) {
 			Workers: 1, CellParallelism: 2, QueueDepth: 64,
 			Tenants:     mustRegistry(t, tenantList()),
 			QueuePolicy: tenant.PolicyFair,
-			QueueSeed:   42,
 		}
 	}, nil)
 	base := c.gwURL(0)

@@ -17,11 +17,11 @@ import (
 // scheduler row, point, and derived seed — resolves here regardless of where
 // it sat in that matrix. A flight carrying a peer hint (its hash was
 // relocated by a pool membership change) also asks the previous ring owner
-// for each cell the local store misses: the fetched record is verified
-// against its envelope checksum, installed through the store's crash-atomic
-// cell write path, and only then served as a hit. Lookup and Publish run on
-// runner worker goroutines; the store is safe for concurrent use, and counter
-// updates take Service.mu briefly per cell.
+// for each cell the local store misses: the fetched record passes the
+// store's own check (store.DecodeCell), is installed through the store's
+// crash-atomic cell write path, and only then served as a hit. Lookup and
+// Publish run on runner worker goroutines; the store is safe for concurrent
+// use, and counter updates take Service.mu briefly per cell.
 //
 // Every path degrades to recomputation: a missing, corrupt, or undecodable
 // record is a miss, so is any peer failure (transport, 404, verification),
@@ -52,12 +52,16 @@ func (c *flightCellCache) Lookup(si, pi, run int) (runner.CellPayload, bool) {
 	if err != nil {
 		return runner.CellPayload{}, false
 	}
+	data, err := c.svc.fetchPeer(c.ctx, c.peer, "/v1/peer/cells/"+hash)
+	var cell store.Cell
+	if err == nil {
+		cell, err = store.DecodeCell(hash, data)
+	}
 	// A fresh payload: readCell may have left p partly decoded from a
 	// damaged local record.
 	var fetched runner.CellPayload
-	payload, err := c.svc.fetchPeerCell(c.ctx, c.peer, hash)
 	if err == nil {
-		err = json.Unmarshal(payload, &fetched)
+		err = json.Unmarshal(cell.Payload, &fetched)
 	}
 	if err != nil {
 		c.svc.countPeerFetch(false, 0)
@@ -65,8 +69,8 @@ func (c *flightCellCache) Lookup(si, pi, run int) (runner.CellPayload, bool) {
 	}
 	// Install locally so the next matrix sharing this cell finds it without
 	// a network hop; a failed install only costs that future lookup.
-	_ = c.svc.storeHandle.PutCell(store.Cell{Hash: hash, Payload: payload, CreatedAt: time.Now()})
-	c.svc.countPeerFetch(true, int64(len(payload)))
+	_ = c.svc.storeHandle.PutCell(store.Cell{Hash: hash, Payload: cell.Payload, CreatedAt: time.Now()})
+	c.svc.countPeerFetch(true, int64(len(cell.Payload)))
 	return fetched, true
 }
 

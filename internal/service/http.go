@@ -13,6 +13,7 @@ import (
 
 	"mrclone/internal/obs"
 	"mrclone/internal/service/spec"
+	"mrclone/internal/store"
 	"mrclone/internal/tenant"
 )
 
@@ -27,7 +28,7 @@ const maxSpecBytes = 32 << 20
 //	GET    /v1/matrices/{id}/result  artifact (?format=json|csv|aggregate)
 //	DELETE /v1/matrices/{id}         cancel
 //	GET    /v1/matrices/{id}/events  lifecycle + progress as Server-Sent Events
-//	GET    /v1/peer/artifacts/{hash} stored artifacts, for peer shards (no tenant auth)
+//	GET    /v1/peer/artifacts/{hash} stored artifact record, for peer shards (no tenant auth)
 //	GET    /v1/peer/cells/{hash}     stored cell record, for peer shards (no tenant auth)
 //	GET    /healthz                  liveness
 //	GET    /metrics                  Prometheus-style counters
@@ -38,8 +39,8 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/matrices/{id}/result", s.handleResult)
 	mux.HandleFunc("DELETE /v1/matrices/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/matrices/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /v1/peer/artifacts/{hash}", s.handlePeerArtifacts)
-	mux.HandleFunc("GET /v1/peer/cells/{hash}", s.handlePeerCells)
+	mux.HandleFunc("GET /v1/peer/artifacts/{hash}", peerRoute(s, (*store.Store).GetArtifacts, store.EncodeArtifacts))
+	mux.HandleFunc("GET /v1/peer/cells/{hash}", peerRoute(s, (*store.Store).GetCell, store.EncodeCell))
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return obs.Instrument(s.obsv.log, s.obsv.httpHist, mux, nil)

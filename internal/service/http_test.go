@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -319,6 +320,82 @@ func TestHTTPErrorPaths(t *testing.T) {
 // TestHTTPConcurrentLoad hammers the service with distinct and duplicate
 // specs from many goroutines; under -race this doubles as the concurrency
 // soundness check required by the acceptance criteria.
+// oversizedSpec is a 422-byte spec asking for 2e9 runs of a 2e9-job
+// generated trace: it parses, and computing it would allocate without limit.
+const oversizedSpec = `{"version":1,"workload":{"trace":{"jobs":2000000000,"span":35032,` +
+	`"mean_tasks_per_job":26.31,"max_tasks_per_job":500,"mean_task_duration":1179.7,` +
+	`"min_task_duration":12.8,"max_task_duration":22919.3,"within_job_alpha":2.5,` +
+	`"within_job_ratio":5,"duration_cv":2,"count_duration_exponent":0.8,` +
+	`"reduce_fraction":0.3,"priority_bias":0.65,"seed":1}},` +
+	`"schedulers":[{"name":"fair"}],"points":[{"x":1,"machines":1}],"runs":2000000000}`
+
+// TestHTTPRejectsOversizedMatrix: a matrix past the cell or the job limit
+// is a 400 naming the limit, answered before any flight, assembly or
+// workload expansion, so the request allocates next to nothing.
+func TestHTTPRejectsOversizedMatrix(t *testing.T) {
+	svc := New(Config{Workers: 1, Store: openTestStore(t, t.TempDir()), GCInterval: -1})
+	defer closeService(t, svc)
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	jobsOnly := strings.Replace(oversizedSpec, `"runs":2000000000`, `"runs":1`, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for body, want := range map[string]string{
+		oversizedSpec: "exceeds the 65536-cell limit",
+		jobsOnly:      "workload of 2000000000 jobs exceeds the 131072-job limit",
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/matrices", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+			t.Errorf("oversized matrix: HTTP %d %s, want 400 naming %q", resp.StatusCode, msg, want)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Errorf("rejecting two oversized matrices allocated %d bytes", grew)
+	}
+	if m := svc.Metrics(); m.Submissions != 0 || m.Flights != 0 {
+		t.Errorf("oversized matrices counted %d submissions and %d flights, want none", m.Submissions, m.Flights)
+	}
+}
+
+// TestCheckMatrixSizeBounds pins both limits at their edges, and a cell
+// count whose product would overflow.
+func TestCheckMatrixSizeBounds(t *testing.T) {
+	matrix := func(schedulers, points, runs, jobs int) spec.Spec {
+		return spec.Spec{
+			Workload:   spec.Workload{Trace: &trace.Params{Jobs: jobs}},
+			Schedulers: make([]spec.Scheduler, schedulers),
+			Points:     make([]spec.Point, points),
+			Runs:       runs,
+		}
+	}
+	for _, tc := range []struct {
+		sp spec.Spec
+		ok bool
+	}{
+		{matrix(1, 1, 65536, 1), true},
+		{matrix(1, 1, 65537, 1), false},
+		{matrix(16, 64, 64, 1), true},
+		{matrix(16, 64, 65, 1), false},
+		{matrix(256, 257, 1, 1), false},
+		{matrix(10000, 100000, 2000000000, 1), false},
+		{matrix(1, 1, 1, 131072), true},
+		{matrix(1, 1, 1, 131073), false},
+	} {
+		err := checkMatrixSize(tc.sp)
+		if (err == nil) != tc.ok {
+			t.Errorf("%d×%d×%d cells, %d jobs: %v, want ok=%v", len(tc.sp.Schedulers), len(tc.sp.Points),
+				tc.sp.Runs, tc.sp.WorkloadJobs(), err, tc.ok)
+		}
+	}
+}
+
 func TestHTTPConcurrentLoad(t *testing.T) {
 	svc := New(Config{Workers: 4, QueueDepth: 64})
 	defer closeService(t, svc)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mrclone/internal/service/spec"
+	"mrclone/internal/store"
 )
 
 // assertQuarantineEmpty fails the test if the store's quarantine directory
@@ -141,63 +142,99 @@ func TestPeerCellFetchCoversOverlap(t *testing.T) {
 	}
 }
 
+// editRecord decodes a store record into its top-level fields, lets edit
+// change them, and encodes it again: the way the corruption suites build a
+// damaged or foreign peer answer from a good one.
+func editRecord(t *testing.T, rec []byte, edit func(fields map[string]json.RawMessage)) []byte {
+	t.Helper()
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(rec, &fields); err != nil {
+		t.Fatal(err)
+	}
+	edit(fields)
+	out, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestPeerFetchRejectsCorruptArtifacts is the corruption satellite: a peer
-// serving truncated, bit-flipped, or mislabeled artifact payloads must be
-// rejected by checksum verification before anything touches disk — the local
-// quarantine stays empty (nothing was installed to quarantine), the job
-// falls back to recomputation, and the recomputed artifact is byte-identical
-// to the ground truth.
+// serving truncated, bit-flipped, or mislabeled artifact records, or the
+// pre-record answer of an older build, must be rejected by the store's
+// record check before anything touches disk — the local quarantine stays
+// empty (nothing was installed to quarantine), the job falls back to
+// recomputation, and the recomputed artifact is byte-identical to the
+// ground truth.
 func TestPeerFetchRejectsCorruptArtifacts(t *testing.T) {
 	sp := overlapSpec([]spec.Point{pointA})
 	want := coldArtifacts(t, sp)
-	goodWire := func() peerArtifactsWire {
-		return peerArtifactsWire{
-			Hash:         want.Hash,
-			Cells:        want.Cells,
-			CreatedAtMs:  want.CreatedAt.UnixMilli(),
-			JSON:         append([]byte(nil), want.JSON...),
-			CSV:          append([]byte(nil), want.CSV...),
-			AggregateCSV: append([]byte(nil), want.AggregateCSV...),
-			Sums: map[string]string{
-				"json":          sha256Hex(want.JSON),
-				"csv":           sha256Hex(want.CSV),
-				"aggregate_csv": sha256Hex(want.AggregateCSV),
-			},
+	encode := func(t *testing.T, a store.Artifacts) []byte {
+		rec, err := store.EncodeArtifacts(a)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return rec
 	}
 	for _, tc := range []struct {
 		name string
 		body func(t *testing.T) []byte
 	}{
 		{"truncated", func(t *testing.T) []byte {
-			b, err := json.Marshal(goodWire())
-			if err != nil {
-				t.Fatal(err)
-			}
+			b := encode(t, *want)
 			return b[:len(b)/2]
 		}},
 		{"bit-flipped-part", func(t *testing.T) []byte {
-			w := goodWire()
-			w.JSON[len(w.JSON)/2] ^= 0x40 // declared sums no longer match
-			b, err := json.Marshal(w)
-			if err != nil {
+			flipped := *want
+			flipped.JSON = append([]byte(nil), want.JSON...)
+			flipped.JSON[len(flipped.JSON)/2] ^= 0x40
+			var bad map[string]json.RawMessage
+			if err := json.Unmarshal(encode(t, flipped), &bad); err != nil {
 				t.Fatal(err)
 			}
-			return b
+			// The good manifest over the flipped parts: its checksums no
+			// longer match.
+			return editRecord(t, encode(t, *want), func(f map[string]json.RawMessage) {
+				f["parts"] = bad["parts"]
+			})
 		}},
 		{"foreign-hash", func(t *testing.T) []byte {
-			w := goodWire()
-			w.Hash = "deadbeefdeadbeefdeadbeefdeadbeef"
-			b, err := json.Marshal(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return b
+			return editRecord(t, encode(t, *want), func(f map[string]json.RawMessage) {
+				f["hash"] = json.RawMessage(`"deadbeefdeadbeefdeadbeefdeadbeef"`)
+			})
 		}},
 		{"missing-sum", func(t *testing.T) []byte {
-			w := goodWire()
-			delete(w.Sums, "csv")
-			b, err := json.Marshal(w)
+			return editRecord(t, encode(t, *want), func(f map[string]json.RawMessage) {
+				f["files"] = editRecord(t, f["files"], func(files map[string]json.RawMessage) {
+					delete(files, "cells.csv")
+				})
+			})
+		}},
+		{"pre-change-wire", func(t *testing.T) []byte {
+			// The answer of a build before peers exchanged store records:
+			// the parts under their own names and a "sums" map of SHA-256s,
+			// taken here from the manifest's checksums.
+			var rec struct {
+				Files map[string]struct {
+					SHA256 string `json:"sha256"`
+				} `json:"files"`
+			}
+			if err := json.Unmarshal(encode(t, *want), &rec); err != nil {
+				t.Fatal(err)
+			}
+			b, err := json.Marshal(map[string]any{
+				"hash":          want.Hash,
+				"cells":         want.Cells,
+				"created_at_ms": want.CreatedAt.UnixMilli(),
+				"json":          want.JSON,
+				"csv":           want.CSV,
+				"aggregate_csv": want.AggregateCSV,
+				"sums": map[string]string{
+					"json":          rec.Files["matrix.json"].SHA256,
+					"csv":           rec.Files["cells.csv"].SHA256,
+					"aggregate_csv": rec.Files["aggregate.csv"].SHA256,
+				},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,7 +286,7 @@ func TestPeerFetchRejectsCorruptArtifacts(t *testing.T) {
 }
 
 // TestPeerCellFetchRejectsCorruptCells: the per-cell wire has the same
-// verify-before-install rule — a peer serving cell envelopes whose payload
+// verify-before-install rule — a peer serving cell records whose payload
 // does not match its declared checksum contributes nothing, every cell
 // recomputes, and the quarantine stays empty.
 func TestPeerCellFetchRejectsCorruptCells(t *testing.T) {
@@ -261,14 +298,15 @@ func TestPeerCellFetchRejectsCorruptCells(t *testing.T) {
 			http.NotFound(w, r) // no artifact entry: force the cell path
 			return
 		}
-		payload := []byte(`{"looks":"plausible"}`)
+		rec, err := store.EncodeCell(store.Cell{Hash: hash, Payload: []byte(`{"looks":"plausible"}`)})
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		// Same size, other bytes: the declared checksum no longer holds.
+		rec = bytes.Replace(rec, []byte("plausible"), []byte("different"), 1)
 		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(peerCellWire{
-			Hash:    hash,
-			Size:    int64(len(payload)),
-			SHA256:  sha256Hex([]byte("entirely different bytes")),
-			Payload: json.RawMessage(payload),
-		})
+		_, _ = w.Write(rec)
 	}))
 	defer fake.Close()
 

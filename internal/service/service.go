@@ -71,10 +71,25 @@ var (
 // process died; recovery fails them because their flight did not survive.
 const restartErrMsg = "job interrupted by service restart"
 
+// fairQueueSeed seeds the fair policy's lottery, so a shard's dequeue
+// order for a given arrival sequence is reproducible.
+const fairQueueSeed = 42
+
 // compactAppendThreshold triggers a job-log compaction once this many
 // records have been appended since the last one, so the log stays bounded
 // even when retention never removes a job.
 const compactAppendThreshold = 1024
+
+// Size bounds of one matrix, checked by submit before it registers a
+// flight, assembles cells or expands a workload, so a single small request
+// cannot make a shard allocate without limit.
+const (
+	// maxMatrixCells bounds schedulers × points × runs.
+	maxMatrixCells = 65536
+	// maxWorkloadJobs bounds the jobs every cell simulates: over 21 times
+	// the 6,064-job Table II trace.
+	maxWorkloadJobs = 131072
+)
 
 // State is a job lifecycle state.
 type State string
@@ -140,9 +155,6 @@ type Config struct {
 	// jobs). fair degenerates to fifo without Tenants; srpt is useful either
 	// way.
 	QueuePolicy tenant.Policy
-	// QueueSeed fixes the fair-policy lottery for reproducible tests
-	// (0 = derived from the clock at startup).
-	QueueSeed int64
 	// PeerTimeout bounds each peer artifact or cell fetch, made over
 	// http.DefaultClient (default 5s). A slow peer degrades to
 	// recomputation, never to a hung submission.
@@ -182,9 +194,6 @@ func (c Config) normalize() Config {
 	}
 	if c.PeerTimeout <= 0 {
 		c.PeerTimeout = 5 * time.Second
-	}
-	if c.QueueSeed == 0 {
-		c.QueueSeed = time.Now().UnixNano()
 	}
 	return c
 }
@@ -423,7 +432,7 @@ func New(cfg Config) *Service {
 		// queued. registry() stays non-nil: reload cannot turn tenancy off.
 		weight = func(name string) float64 { return s.registry().Weight(name) }
 	}
-	s.queue = tenant.NewQueue[*flight](cfg.QueuePolicy, weight, cfg.QueueSeed)
+	s.queue = tenant.NewQueue[*flight](cfg.QueuePolicy, weight, fairQueueSeed)
 	s.cond = sync.NewCond(&s.mu)
 	if s.storeHandle != nil {
 		s.recoverJobs()
@@ -823,8 +832,12 @@ func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatu
 		return JobStatus{}, err
 	}
 	// The matrix size is known from the axes alone — no workload expansion
-	// needed — so the flight can be registered before the slow part.
+	// needed — so it is bounded here and the flight can be registered
+	// before the slow part.
 	norm := sp.Normalize()
+	if err := checkMatrixSize(norm); err != nil {
+		return JobStatus{}, err
+	}
 	total := len(norm.Schedulers) * len(norm.Points) * norm.Runs
 
 	s.mu.Lock()
@@ -940,19 +953,41 @@ func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatu
 	return j.status(), nil
 }
 
+// checkMatrixSize rejects a validated, normalized spec past either size
+// bound, naming the bound. The cell count is multiplied out one factor at a
+// time against the bound, so it cannot overflow.
+func checkMatrixSize(sp spec.Spec) error {
+	cells := 1
+	for _, n := range []int{len(sp.Schedulers), len(sp.Points), sp.Runs} {
+		if n > maxMatrixCells/cells {
+			return fmt.Errorf("service: matrix of %d schedulers × %d points × %d runs exceeds the %d-cell limit",
+				len(sp.Schedulers), len(sp.Points), sp.Runs, maxMatrixCells)
+		}
+		cells *= n
+	}
+	if jobs := sp.WorkloadJobs(); jobs > maxWorkloadJobs {
+		return fmt.Errorf("service: workload of %d jobs exceeds the %d-job limit", jobs, maxWorkloadJobs)
+	}
+	return nil
+}
+
 // probeStore reads a matrix's artifacts from the disk store, reporting
 // "disk" as their source. On a local miss for a hash the gateway says
 // relocated here, it adopts the previous ring owner's artifacts instead of
-// recomputing them (source "peer"): fetched bytes are checksum-verified
-// before the crash-atomic install, and any failure reads as the local
-// miss. Runs off the lock.
+// recomputing them (source "peer"): the fetched record passes the store's
+// own check before the crash-atomic install, and any failure reads as the
+// local miss. Runs off the lock.
 func (s *Service) probeStore(ctx context.Context, hash string) (*CachedResult, string, error) {
 	art, err := s.storeHandle.GetArtifacts(hash)
 	peer := peerFrom(ctx)
 	if !errors.Is(err, store.ErrNotFound) || peer == "" {
 		return &art, "disk", err
 	}
-	part, perr := s.fetchPeerArtifacts(ctx, peer, hash)
+	data, perr := s.fetchPeer(ctx, peer, "/v1/peer/artifacts/"+hash)
+	var part store.Artifacts
+	if perr == nil {
+		part, perr = store.DecodeArtifacts(hash, data)
+	}
 	if perr == nil {
 		perr = s.storeHandle.PutArtifacts(part)
 	}

@@ -260,20 +260,16 @@ func (s Spec) Validate() error {
 	if s.MaxSlots < 0 {
 		return fmt.Errorf("spec: max slots %d", s.MaxSlots)
 	}
-	// Explicit rows are checked by the trace row rule without building the
+	// Explicit rows are checked by the trace rules without building the
 	// per-job distributions: Validate runs several times on the submission
 	// path, and expanding a 6000-row workload here would be wasted work.
-	// Row ids become job IDs, which schedulers use as their unique
-	// tie-break.
-	rowOf := make(map[int]int, len(s.Workload.Rows))
 	for i, r := range s.Workload.Rows {
 		if err := r.Validate(); err != nil {
 			return fmt.Errorf("spec: workload rows: row %d (id %d): %w", i, r.ID, err)
 		}
-		if prev, dup := rowOf[r.ID]; dup {
-			return fmt.Errorf("spec: workload rows: rows %d and %d share id %d", prev, i, r.ID)
-		}
-		rowOf[r.ID] = i
+	}
+	if err := trace.UniqueIDs(s.Workload.Rows); err != nil {
+		return fmt.Errorf("spec: workload rows: %w", err)
 	}
 	return nil
 }

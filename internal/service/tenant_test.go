@@ -285,7 +285,7 @@ func TestQueuePolicyFairWeightedShares(t *testing.T) {
 	)
 	s, gate, snapshot := orderRecordingService(Config{
 		Workers: 1, QueueDepth: 64, Tenants: reg,
-		QueuePolicy: tenant.PolicyFair, QueueSeed: 42,
+		QueuePolicy: tenant.PolicyFair,
 	})
 	defer closeService(t, s)
 

@@ -42,13 +42,13 @@ type Cell struct {
 	CreatedAt time.Time
 }
 
-// cellRecord is the on-disk form of a cell. The payload checksum lets reads
-// detect truncation and bit rot without a separate metadata file.
+// cellRecord is the on-disk form of a cell, and its form on the peer wire.
+// The payload checksum lets reads detect truncation and bit rot without a
+// separate metadata file.
 type cellRecord struct {
 	Hash        string          `json:"hash"`
 	CreatedAtMs int64           `json:"created_at_ms"`
-	Size        int64           `json:"size"`
-	SHA256      string          `json:"sha256"`
+	fileMeta                    // size and SHA-256 of Payload
 	Payload     json.RawMessage `json:"payload"`
 }
 
@@ -60,18 +60,43 @@ func (s *Store) PutCell(c Cell) error {
 	if err != nil {
 		return err
 	}
-	sum := checksum(c.Payload)
-	rec, err := json.Marshal(cellRecord{
-		Hash:        c.Hash,
-		CreatedAtMs: c.CreatedAt.UnixMilli(),
-		Size:        sum.Size,
-		SHA256:      sum.SHA256,
-		Payload:     json.RawMessage(c.Payload),
-	})
+	rec, err := EncodeCell(c)
 	if err != nil {
-		return fmt.Errorf("store: encode cell: %w", err)
+		return err
 	}
 	return s.publishFile(dst, rec)
+}
+
+// EncodeCell renders a cell as its record: the file PutCell writes, which a
+// shard also serves a peer as is. The record carries the payload as JSON
+// encoding re-emits it (compacted), and its size and checksum cover exactly
+// those bytes.
+func EncodeCell(c Cell) ([]byte, error) {
+	payload, err := json.Marshal(json.RawMessage(c.Payload))
+	if err != nil {
+		return nil, fmt.Errorf("store: encode cell: %w", err)
+	}
+	return json.Marshal(cellRecord{
+		Hash:        c.Hash,
+		CreatedAtMs: c.CreatedAt.UnixMilli(),
+		fileMeta:    checksum(payload),
+		Payload:     payload,
+	})
+}
+
+// DecodeCell decodes and verifies a cell record against the hash the caller
+// asked for: the record must name it, and its payload must match the size
+// and checksum the record declares. GetCell runs the same check on the file
+// on disk. A record that fails it reports ErrCorrupt.
+func DecodeCell(hash string, data []byte) (Cell, error) {
+	rec, err := decodeCellRecord(data, hash)
+	if err != nil {
+		return Cell{}, err
+	}
+	if checksum(rec.Payload) != rec.fileMeta {
+		return Cell{}, corrupt(hash, "cell payload checksum mismatch")
+	}
+	return Cell{Hash: hash, Payload: []byte(rec.Payload), CreatedAt: time.UnixMilli(rec.CreatedAtMs)}, nil
 }
 
 // GetCell reads and verifies the cell stored under hash. A missing record
@@ -82,31 +107,23 @@ func (s *Store) GetCell(hash string) (Cell, error) {
 	if err != nil {
 		return Cell{}, err
 	}
-	rec, err := decodeCell(data, hash)
-	if err == nil {
-		if got := checksum(rec.Payload); got.Size != rec.Size || got.SHA256 != rec.SHA256 {
-			err = errors.New("cell payload checksum mismatch")
-		}
-	}
+	c, err := DecodeCell(hash, data)
 	if err != nil {
-		return Cell{}, s.quarantine(path, hash, err.Error())
+		return Cell{}, s.quarantine(path, hash, err)
 	}
-	return Cell{
-		Hash:      hash,
-		Payload:   []byte(rec.Payload),
-		CreatedAt: time.UnixMilli(rec.CreatedAtMs),
-	}, nil
+	return c, nil
 }
 
-// decodeCell decodes a cell record and checks that it names hash; the error
-// is the reason to quarantine the record.
-func decodeCell(data []byte, hash string) (cellRecord, error) {
+// decodeCellRecord decodes a cell record's envelope and checks that it
+// names hash, without verifying the payload. A record that fails reports
+// ErrCorrupt.
+func decodeCellRecord(data []byte, hash string) (cellRecord, error) {
 	var rec cellRecord
 	if err := json.Unmarshal(data, &rec); err != nil {
-		return rec, fmt.Errorf("bad cell record: %v", err)
+		return rec, corrupt(hash, "bad cell record: "+err.Error())
 	}
 	if rec.Hash != hash {
-		return rec, fmt.Errorf("cell record names hash %s", rec.Hash)
+		return rec, corrupt(hash, "cell record names hash "+rec.Hash)
 	}
 	return rec, nil
 }
@@ -138,10 +155,10 @@ func (s *Store) ListCells() ([]Info, error) {
 		data, err := os.ReadFile(path)
 		var rec cellRecord
 		if err == nil {
-			rec, err = decodeCell(data, hash)
+			rec, err = decodeCellRecord(data, hash)
 		}
 		if err != nil {
-			_ = s.quarantine(path, hash, "listing: "+err.Error())
+			_ = s.quarantine(path, hash, err)
 			return Info{}, false
 		}
 		return Info{Hash: hash, Bytes: int64(len(data)), CreatedAt: time.UnixMilli(rec.CreatedAtMs)}, true
@@ -169,7 +186,7 @@ func (s *Store) GetSpec(hash string) ([]byte, error) {
 		return nil, err
 	}
 	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != hash {
-		return nil, s.quarantine(path, hash, "spec bytes do not hash to their name")
+		return nil, s.quarantine(path, hash, corrupt(hash, "spec bytes do not hash to their name"))
 	}
 	return data, nil
 }

@@ -53,10 +53,10 @@ func TestMalformedKeysRejected(t *testing.T) {
 // or one of its parts, a cell record, or a spec record — with fuzz bytes
 // and reads the entry back. The reader may fail only with ErrCorrupt, and
 // then the entry is quarantined: the next read misses and quarantine/ holds
-// exactly one entry. Whatever it accepts names the requested hash, and every
-// part it returns is the part as first stored. Each execution lays the
-// entry out with plain writes, not the fsync'ing Put path, so the fuzzer
-// runs at file-write speed.
+// exactly one entry. Whatever it accepts names the requested hash, carries
+// no negative cell count, and every part it returns is the part as first
+// stored. Each execution lays the entry out with plain writes, not the
+// fsync'ing Put path, so the fuzzer runs at file-write speed.
 func FuzzStoreRead(f *testing.F) {
 	s, err := Open(f.TempDir())
 	if err != nil {
@@ -100,18 +100,23 @@ func FuzzStoreRead(f *testing.F) {
 	f.Add(uint8(0), []byte(`{"hash":"`+art.Hash+`","files":{}}`))
 	f.Add(uint8(4), bytes.Replace(good[4], []byte(cell.Hash), []byte(testHash(3)), 1))
 	f.Add(uint8(4), []byte(`{"hash":"`+cell.Hash+`","size":2,"sha256":"","payload":{}}`))
+	f.Add(uint8(0), bytes.Replace(good[0], []byte(`"cells":1,`), []byte(`"cells":-1,`), 1))
 
 	// read reads the entry that holds targets[target] and returns what it
 	// handed back, indexed like parts: the artifact parts, the cell payload
-	// or the spec bytes.
+	// or the spec bytes. Accepted artifacts never carry a negative cell
+	// count.
 	parts := [][]byte{nil, art.JSON, art.CSV, art.AggregateCSV, cell.Payload, spec}
-	read := func(target int) ([][]byte, error) {
+	read := func(t *testing.T, target int) ([][]byte, error) {
 		got := make([][]byte, len(targets))
 		var err error
 		switch {
 		case target < 4:
 			var a Artifacts
 			a, err = s.GetArtifacts(art.Hash)
+			if err == nil && a.Cells < 0 {
+				t.Fatalf("accepted metadata with cell count %d", a.Cells)
+			}
 			got[1], got[2], got[3] = a.JSON, a.CSV, a.AggregateCSV
 		case target == 4:
 			var c Cell
@@ -148,7 +153,7 @@ func FuzzStoreRead(f *testing.F) {
 			}
 		}
 
-		got, err := read(target)
+		got, err := read(t, target)
 		if err == nil {
 			// Only the stored bytes verify against their checksum or name, so
 			// whatever comes back is what was stored.
@@ -172,7 +177,7 @@ func FuzzStoreRead(f *testing.F) {
 		if !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("read of damaged file %d failed with %v, want ErrCorrupt", target, err)
 		}
-		if _, err := read(target); !errors.Is(err, ErrNotFound) {
+		if _, err := read(t, target); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("read after quarantine: %v, want ErrNotFound", err)
 		}
 		if q, err := os.ReadDir(s.quarDir); err != nil || len(q) != 1 {

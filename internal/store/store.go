@@ -36,6 +36,14 @@
 // before sharding (artifacts/<hash>/) is not read: walks skip every name
 // under a tier root that is not a 2-character prefix, and lookups miss.
 //
+// An entry's record is also its transfer form between shards: EncodeArtifacts
+// renders an artifact entry as its meta.json manifest plus the three parts
+// it describes, EncodeCell renders the cell record file itself, and
+// DecodeArtifacts and DecodeCell run the same per-tier check on what a peer
+// sent that GetArtifacts and GetCell run on the disk. Only the store knows
+// a record's envelope; a shard adopting a peer's entry verifies it with the
+// store's own reader before installing it through Put.
+//
 // The spec hash is the on-disk key: internal/service/spec guarantees its
 // stability across releases (see the package documentation there), which is
 // what makes a data directory written by one build readable by the next.
@@ -101,13 +109,16 @@ type Info struct {
 	CreatedAt time.Time
 }
 
-// meta is the on-disk metadata record of an entry. Sizes and checksums let
-// reads detect truncation and bit rot.
+// meta is the manifest of an entry, stored as meta.json. Sizes and
+// checksums let reads detect truncation and bit rot. The record
+// EncodeArtifacts renders is the manifest with Parts filled in; on disk the
+// parts are the entry's files and Parts is omitted.
 type meta struct {
 	Hash        string              `json:"hash"`
 	Cells       int                 `json:"cells"`
 	CreatedAtMs int64               `json:"created_at_ms"`
 	Files       map[string]fileMeta `json:"files"`
+	Parts       map[string][]byte   `json:"parts,omitempty"`
 }
 
 type fileMeta struct {
@@ -258,29 +269,15 @@ func (s *Store) PutArtifacts(a Artifacts) error {
 	if err != nil {
 		return err
 	}
-	metaBytes, err := json.Marshal(meta{
-		Hash:        a.Hash,
-		Cells:       a.Cells,
-		CreatedAtMs: a.CreatedAt.UnixMilli(),
-		Files: map[string]fileMeta{
-			jsonFile:      checksum(a.JSON),
-			csvFile:       checksum(a.CSV),
-			aggregateFile: checksum(a.AggregateCSV),
-		},
-	})
-	if err != nil {
+	files := a.parts()
+	if files[metaFile], err = json.Marshal(a.manifest()); err != nil {
 		return fmt.Errorf("store: encode meta: %w", err)
 	}
 	stage, err := os.MkdirTemp(s.tmpDir, a.Hash+".")
 	if err != nil {
 		return fmt.Errorf("store: stage: %w", err)
 	}
-	for name, data := range map[string][]byte{
-		jsonFile:      a.JSON,
-		csvFile:       a.CSV,
-		aggregateFile: a.AggregateCSV,
-		metaFile:      metaBytes,
-	} {
+	for name, data := range files {
 		if err := writeFileSync(filepath.Join(stage, name), data); err != nil {
 			os.RemoveAll(stage)
 			return fmt.Errorf("store: stage %s: %w", name, err)
@@ -291,6 +288,42 @@ func (s *Store) PutArtifacts(a Artifacts) error {
 		return fmt.Errorf("store: sync stage: %w", err)
 	}
 	return publish(stage, dst)
+}
+
+// parts maps each artifact file name of an entry to its bytes.
+func (a Artifacts) parts() map[string][]byte {
+	return map[string][]byte{jsonFile: a.JSON, csvFile: a.CSV, aggregateFile: a.AggregateCSV}
+}
+
+// manifest returns the entry's metadata record, with the size and checksum
+// of each part.
+func (a Artifacts) manifest() meta {
+	m := meta{Hash: a.Hash, Cells: a.Cells, CreatedAtMs: a.CreatedAt.UnixMilli(),
+		Files: map[string]fileMeta{}}
+	for name, data := range a.parts() {
+		m.Files[name] = checksum(data)
+	}
+	return m
+}
+
+// EncodeArtifacts renders an entry as one record: the manifest PutArtifacts
+// writes as meta.json plus the parts it describes, keyed by file name. It is
+// what a shard serves a peer, and DecodeArtifacts reads it back.
+func EncodeArtifacts(a Artifacts) ([]byte, error) {
+	m := a.manifest()
+	m.Parts = a.parts()
+	return json.Marshal(m)
+}
+
+// DecodeArtifacts decodes and verifies a record rendered by EncodeArtifacts
+// against the hash the caller asked for, with the check GetArtifacts runs on
+// an entry on disk. A record that fails it reports ErrCorrupt.
+func DecodeArtifacts(hash string, data []byte) (Artifacts, error) {
+	m, err := decodeMeta(data, hash)
+	if err != nil {
+		return Artifacts{}, err
+	}
+	return m.artifacts(func(name string) ([]byte, error) { return m.Parts[name], nil })
 }
 
 // GetArtifacts reads and verifies the entry stored under hash. A missing
@@ -305,7 +338,7 @@ func (s *Store) GetArtifacts(hash string) (Artifacts, error) {
 	if errors.Is(err, fs.ErrNotExist) {
 		if _, statErr := os.Stat(dir); statErr == nil {
 			// Directory present but no metadata: a damaged entry.
-			return Artifacts{}, s.quarantine(dir, hash, "missing metadata")
+			return Artifacts{}, s.quarantine(dir, hash, corrupt(hash, "missing metadata"))
 		}
 		return Artifacts{}, fmt.Errorf("%w: %s", ErrNotFound, hash)
 	}
@@ -313,10 +346,42 @@ func (s *Store) GetArtifacts(hash string) (Artifacts, error) {
 		return Artifacts{}, fmt.Errorf("store: read meta: %w", err)
 	}
 	m, err := decodeMeta(metaBytes, hash)
-	if err != nil {
-		return Artifacts{}, s.quarantine(dir, hash, err.Error())
+	var a Artifacts
+	if err == nil {
+		a, err = m.artifacts(func(name string) ([]byte, error) {
+			return os.ReadFile(filepath.Join(dir, name))
+		})
 	}
-	a := Artifacts{Hash: hash, Cells: m.Cells, CreatedAt: time.UnixMilli(m.CreatedAtMs)}
+	if err != nil {
+		return Artifacts{}, s.quarantine(dir, hash, err)
+	}
+	return a, nil
+}
+
+// decodeMeta decodes an entry's manifest and checks that it names the
+// entry's hash and a cell count that is not negative. A manifest that fails
+// reports ErrCorrupt.
+func decodeMeta(data []byte, hash string) (meta, error) {
+	var m meta
+	if err := json.Unmarshal(data, &m); err != nil {
+		return m, corrupt(hash, "bad metadata: "+err.Error())
+	}
+	if m.Hash != hash {
+		return m, corrupt(hash, "metadata names hash "+m.Hash)
+	}
+	if m.Cells < 0 {
+		return m, corrupt(hash, fmt.Sprintf("metadata carries cell count %d", m.Cells))
+	}
+	return m, nil
+}
+
+// artifacts reads each part of the entry with read and checks it against
+// the size and checksum its manifest m records: the one check of an
+// artifact's parts, which read from the entry's files in GetArtifacts and
+// from the record itself in DecodeArtifacts. A part that fails reports
+// ErrCorrupt.
+func (m meta) artifacts(read func(name string) ([]byte, error)) (Artifacts, error) {
+	a := Artifacts{Hash: m.Hash, Cells: m.Cells, CreatedAt: time.UnixMilli(m.CreatedAtMs)}
 	for _, f := range []struct {
 		name string
 		dst  *[]byte
@@ -327,32 +392,19 @@ func (s *Store) GetArtifacts(hash string) (Artifacts, error) {
 	} {
 		want, ok := m.Files[f.name]
 		if !ok {
-			return Artifacts{}, s.quarantine(dir, hash, "metadata missing "+f.name)
+			return Artifacts{}, corrupt(m.Hash, "metadata missing "+f.name)
 		}
-		data, err := os.ReadFile(filepath.Join(dir, f.name))
+		data, err := read(f.name)
 		if err != nil {
-			return Artifacts{}, s.quarantine(dir, hash, f.name+": "+err.Error())
+			return Artifacts{}, corrupt(m.Hash, f.name+": "+err.Error())
 		}
 		if got := checksum(data); got != want {
-			return Artifacts{}, s.quarantine(dir, hash,
+			return Artifacts{}, corrupt(m.Hash,
 				fmt.Sprintf("%s: %d bytes, want %d (or checksum mismatch)", f.name, got.Size, want.Size))
 		}
 		*f.dst = data
 	}
 	return a, nil
-}
-
-// decodeMeta decodes an entry's metadata record and checks that it names
-// the entry's hash; the error is the reason to quarantine the entry.
-func decodeMeta(data []byte, hash string) (meta, error) {
-	var m meta
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("bad metadata: %v", err)
-	}
-	if m.Hash != hash {
-		return m, fmt.Errorf("metadata names hash %s", m.Hash)
-	}
-	return m, nil
 }
 
 // DeleteArtifacts removes the entry stored under hash; deleting a missing
@@ -370,7 +422,7 @@ func (s *Store) ListArtifacts() ([]Info, error) {
 			m, err = decodeMeta(data, hash)
 		}
 		if err != nil {
-			_ = s.quarantine(dir, hash, "listing: "+err.Error())
+			_ = s.quarantine(dir, hash, err)
 			return Info{}, false
 		}
 		info := Info{Hash: hash, CreatedAt: time.UnixMilli(m.CreatedAtMs)}
@@ -479,8 +531,8 @@ func (s *Store) remove(root, hash string) error {
 // quarantine moves a damaged entry at src (a directory or a record file)
 // to quarantine/<hash>.<n>, at the first n not taken by an earlier
 // corruption of the same hash, so it cannot fail the same lookup twice. It
-// returns the ErrCorrupt to hand to the caller.
-func (s *Store) quarantine(src, hash, reason string) error {
+// returns cause, the ErrCorrupt to hand to the caller.
+func (s *Store) quarantine(src, hash string, cause error) error {
 	for n := 0; n < 1000; n++ {
 		dst := filepath.Join(s.quarDir, fmt.Sprintf("%s.%d", hash, n))
 		if _, err := os.Stat(dst); err == nil {
@@ -491,6 +543,12 @@ func (s *Store) quarantine(src, hash, reason string) error {
 			break // moved, or a concurrent reader already quarantined it
 		}
 	}
+	return cause
+}
+
+// corrupt is the ErrCorrupt of the entry or record under hash that failed
+// verification for reason.
+func corrupt(hash, reason string) error {
 	return fmt.Errorf("%w: %s (%s)", ErrCorrupt, hash, reason)
 }
 

@@ -41,7 +41,8 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// ReadCSV parses a trace written by WriteCSV.
+// ReadCSV parses a trace written by WriteCSV. Every row must pass
+// JobRow.Validate, and the trace must pass UniqueIDs.
 func ReadCSV(r io.Reader) (*Trace, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(csvHeader)
@@ -68,6 +69,9 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 			return nil, fmt.Errorf("trace: line %d: %w", line, err)
 		}
 		rows = append(rows, row)
+	}
+	if err := UniqueIDs(rows); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return &Trace{Rows: rows}, nil
 }

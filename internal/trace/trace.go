@@ -176,6 +176,22 @@ func (r JobRow) Validate() error {
 	return nil
 }
 
+// UniqueIDs checks the one rule of a trace that spans rows: no two rows share
+// an id. Row ids become job IDs, which schedulers use as their unique
+// tie-break. The service spec and the CSV reader apply it after every row
+// has passed Validate; the error names the first repeat and the row it
+// repeats, counting rows from 0.
+func UniqueIDs(rows []JobRow) error {
+	rowOf := make(map[int]int, len(rows))
+	for i, r := range rows {
+		if prev, dup := rowOf[r.ID]; dup {
+			return fmt.Errorf("rows %d and %d share id %d", prev, i, r.ID)
+		}
+		rowOf[r.ID] = i
+	}
+	return nil
+}
+
 // scaleOK reports whether scale is finite and, when the phase has tasks,
 // positive. An empty phase's scale is never sampled, but it must stay
 // finite so the row round-trips through CSV exactly.

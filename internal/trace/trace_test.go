@@ -211,6 +211,8 @@ func TestReadCSVErrors(t *testing.T) {
 		csvJoin() + "\n" + "0,-1,1,2,0,5,0,20,1.5", // negative arrival
 		csvJoin() + "\n" + "0,0,1,0,0,5,5,20,1.5",  // no tasks
 		csvJoin() + "\n" + "0,0,1,2,0,0,5,20,1.5",  // map_scale 0 with map tasks
+		// Two valid rows that share id 0.
+		csvJoin() + "\n" + "0,0,1,2,0,5,0,20,1.5\n0,10,1,2,0,5,0,20,1.5",
 	}
 	for i, s := range cases {
 		if _, err := ReadCSV(strings.NewReader(s)); err == nil {
