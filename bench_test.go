@@ -237,7 +237,9 @@ func BenchmarkCalibrationSpin(b *testing.B) {
 
 // BenchmarkRunnerMatrix executes the Figure 6 comparison matrix (3
 // algorithms × 2 seeds) through internal/runner at parallelism 1 versus all
-// cores — the orchestration speedup on one number.
+// cores — the orchestration speedup on one number. The CI gate holds
+// parallel1, one worker running six cells in one engine memory, against
+// BENCH_BASELINE.json.
 func BenchmarkRunnerMatrix(b *testing.B) {
 	o := benchOptions()
 	tr, err := trace.Generate(o.TraceParams)

@@ -40,7 +40,7 @@ func (c *Context) AliveJobs() []*job.Job {
 		out = make([]*job.Job, 0, 2*e.aliveCount+8)
 	}
 	for _, j := range e.alive {
-		if j != nil {
+		if !j.Done() {
 			out = append(out, j)
 		}
 	}

@@ -8,6 +8,20 @@
 // in the paper's trace-driven evaluation ("the workload for this clone is
 // just drawn independently from the estimated distribution").
 //
+// # Workloads and storage
+//
+// An engine runs over a prepared Workload: the job specs validated, checked
+// for unique IDs, sorted by arrival and given their phase moments, once for
+// any number of runs, and shared read-only by engines on any goroutine. It
+// runs in a Storage its caller owns, from which it takes its jobs, task
+// records and lists, task-run freelist, calendar, alive set and scratch
+// buffers, so a caller that runs many engines one after another, as a
+// matrix runner's worker does, allocates them once. A Storage belongs to
+// one goroutine and serves one engine at a time. A Result never references
+// the Storage it was computed in and does not depend on what ran in it
+// before; TestStorageReuseIsInvisible pins that. New does both steps, on a
+// Storage of its own.
+//
 // # Execution loops
 //
 // The engine has one production loop, driven by a priority-heap calendar of
@@ -37,7 +51,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"mrclone/internal/dist"
 	"mrclone/internal/job"
@@ -166,14 +179,6 @@ type copyRecord struct {
 	gated    bool  // waiting for the owner's map phase to finish
 }
 
-// gatedRef locates one gated copy awaiting its job's map gate: the copy at
-// tr.copies[idx]. Indices stay valid across copies-slice growth, unlike
-// element pointers.
-type gatedRef struct {
-	tr  *taskRun
-	idx int32
-}
-
 // JobRecord is the per-job outcome of a run.
 type JobRecord struct {
 	ID          int
@@ -207,25 +212,29 @@ type Engine struct {
 	eventDriven   bool // sched implements EventDriven and opted in
 	gatedLaunches bool // sched implements GatedLauncher and opted in
 
-	slot    int64
-	free    int
-	seq     int64
+	slot int64
+	free int
+	seq  int64
+
+	// w is the job set, shared read-only; its first arrived jobs have been
+	// admitted. The runtime state of w's jobs lives in memory taken from
+	// the engine's Storage: job k of w is jobs[k], its task records start
+	// at tasks[w.jobs[k].firstTask] and its three task lists at
+	// lists[3*w.jobs[k].firstTask].
+	w       *Workload
 	arrived int
+	jobs    []job.Job
+	tasks   []job.Task
+	lists   []*job.Task
 
-	pending     []job.Spec // sorted by arrival; consumed via nextPending
-	nextPending int        // cursor into pending: first spec not yet admitted
-	jobs        []*job.Job // all materialized jobs, arrival order
-
-	// alive holds arrived-and-unfinished jobs in arrival order. Retired jobs
-	// leave nil holes (O(1) removal via alivePos); the slice is compacted
-	// once holes outnumber live entries, so per-retire cost is amortized
-	// O(1) while iteration order stays arrival order.
+	// alive holds arrived-and-unfinished jobs in arrival order. A retired
+	// job stays in place, as a hole that iteration skips (job.Done), until
+	// holes outnumber live entries and the slice is compacted, so retiring
+	// is amortized O(1) while iteration order stays arrival order.
 	alive      []*job.Job
-	alivePos   map[*job.Job]int // index of each live job within alive
 	aliveCount int
 
-	cal       calendar
-	gatedJobs map[*job.Job][]gatedRef // gated reduce copies per job
+	cal calendar
 
 	// Launchable-work counters: unscheduled tasks across alive jobs, split
 	// by what the gate allows. The event loop skips scheduler invocations
@@ -252,7 +261,8 @@ type Engine struct {
 	// Scratch and pooling for the hot paths: the AliveJobs backing array,
 	// the batched workload-sample buffer, and a freelist of task-run records
 	// (each carrying its grown copies backing) to keep the per-launch path
-	// allocation-free in steady state.
+	// allocation-free in steady state. Like the job state, they come from
+	// the engine's Storage and outlive the run.
 	aliveScratch []*job.Job
 	sampleBuf    []float64
 	runFree      []*taskRun
@@ -265,9 +275,21 @@ type Engine struct {
 	lastFinish   int64 // slot of the latest job completion
 }
 
-// New prepares an engine over the given job specs. Specs are copied and
-// sorted by arrival time; they must each validate.
+// New prepares an engine over the given job specs: NewWorkload, then
+// NewEngine on a Storage of its own. Specs are copied and sorted by arrival
+// time; they must each validate.
 func New(cfg Config, sched Scheduler, specs []job.Spec) (*Engine, error) {
+	w, err := NewWorkload(specs)
+	if err != nil {
+		return nil, err
+	}
+	return NewEngine(cfg, sched, w, new(Storage))
+}
+
+// NewEngine prepares an engine that runs w in st's memory. The engine
+// replaces the one st held before, which must not be used again (see
+// Storage); w is only read.
+func NewEngine(cfg Config, sched Scheduler, w *Workload, st *Storage) (*Engine, error) {
 	if cfg.Machines <= 0 {
 		return nil, ErrNoMachines
 	}
@@ -286,37 +308,30 @@ func New(cfg Config, sched Scheduler, specs []job.Spec) (*Engine, error) {
 	if cfg.MaxSlots < 0 || cfg.MaxSlots > maxMaxSlots {
 		return nil, fmt.Errorf("cluster: MaxSlots %d outside (0, 2^61]", cfg.MaxSlots)
 	}
-	// Schedulers break ties by job ID, so IDs must be unique.
-	first := make(map[int]int, len(specs))
-	for i := range specs {
-		if err := specs[i].Validate(); err != nil {
-			return nil, err
-		}
-		if prev, dup := first[specs[i].ID]; dup {
-			return nil, fmt.Errorf("%w: job ID %d repeated at specs %d and %d",
-				job.ErrBadSpec, specs[i].ID, prev, i)
-		}
-		first[specs[i].ID] = i
-	}
-	pending := make([]job.Spec, len(specs))
-	copy(pending, specs)
-	sort.SliceStable(pending, func(i, j int) bool {
-		return pending[i].Arrival < pending[j].Arrival
-	})
 	root := rng.New(cfg.Seed)
 	ed, _ := sched.(EventDriven)
 	gl, _ := sched.(GatedLauncher)
-	e := &Engine{
+	e := &st.e
+	// Every field not named here starts at its zero value. Jobs and task
+	// records are overwritten as jobs arrive (job.Init), and released task
+	// runs were reset by releaseRun.
+	*e = Engine{
 		cfg:           cfg,
 		sched:         sched,
 		eventDriven:   ed != nil && ed.EventDriven(),
 		gatedLaunches: gl != nil && gl.LaunchesGatedCopies(),
 		free:          cfg.Machines,
-		pending:       pending,
-		alivePos:      make(map[*job.Job]int),
-		gatedJobs:     make(map[*job.Job][]gatedRef),
+		w:             w,
+		jobs:          fit(e.jobs, len(w.jobs)),
+		tasks:         fit(e.tasks, w.tasks),
+		lists:         fit(e.lists, 3*w.tasks),
+		alive:         e.alive[:0],
+		cal:           calendar{a: e.cal.a[:0]},
 		durations:     root.Split("durations"),
 		schedRand:     root.Split("scheduler"),
+		aliveScratch:  e.aliveScratch[:0],
+		sampleBuf:     e.sampleBuf,
+		runFree:       e.runFree,
 	}
 	e.ctx = Context{engine: e}
 	return e, nil
@@ -339,7 +354,7 @@ func (e *Engine) Run() (*Result, error) {
 // The loop visits only those slots, plus the slot after any invocation that
 // launched or drew randomness, and accounts all intervening slots in bulk.
 func (e *Engine) runEvents() (*Result, error) {
-	total := len(e.pending)
+	total := len(e.w.jobs)
 	for e.finishedJobs < total {
 		if e.slot > e.cfg.MaxSlots {
 			return nil, e.overflow()
@@ -391,7 +406,7 @@ func (e *Engine) runEvents() (*Result, error) {
 // scheduler on each one with a free machine and an alive job, ignoring
 // EventDriven and wake hints. Tests compare the production loop against it.
 func (e *Engine) runNaive() (*Result, error) {
-	total := len(e.pending)
+	total := len(e.w.jobs)
 	for e.finishedJobs < total {
 		if e.slot > e.cfg.MaxSlots {
 			return nil, e.overflow()
@@ -413,7 +428,7 @@ func (e *Engine) runNaive() (*Result, error) {
 // overflow reports a run that passed MaxSlots with jobs unfinished.
 func (e *Engine) overflow() error {
 	return fmt.Errorf("%w: slot %d, %d/%d jobs finished",
-		ErrSlotOverflow, e.slot, e.finishedJobs, len(e.pending))
+		ErrSlotOverflow, e.slot, e.finishedJobs, len(e.w.jobs))
 }
 
 // launchableWork reports whether any alive job has an unscheduled task the
@@ -428,8 +443,8 @@ func (e *Engine) launchableWork() bool {
 // ok is false when neither exists.
 func (e *Engine) nextEventSlot() (int64, bool) {
 	t, ok := int64(0), false
-	if e.nextPending < len(e.pending) {
-		t, ok = e.pending[e.nextPending].Arrival, true
+	if e.arrived < len(e.w.jobs) {
+		t, ok = e.w.jobs[e.arrived].spec.Arrival, true
 	}
 	if tr := e.cal.peek(); tr != nil {
 		if f := tr.bestFinish; !ok || f < t {
@@ -439,29 +454,23 @@ func (e *Engine) nextEventSlot() (int64, bool) {
 	return t, ok
 }
 
-// admitArrivals materializes jobs whose arrival slot has come. The cursor
-// walk keeps per-arrival work O(1) without re-slicing pending (which would
-// pin the backing array's head while shifting the window one spec at a
-// time).
+// admitArrivals materializes jobs whose arrival slot has come, each on its
+// own part of the engine's job, task and list memory.
 func (e *Engine) admitArrivals() {
-	for e.nextPending < len(e.pending) && e.pending[e.nextPending].Arrival <= e.slot {
-		spec := e.pending[e.nextPending]
-		e.nextPending++
-		j, err := job.New(spec)
-		if err != nil {
-			// Specs were validated in New; this is unreachable in practice.
-			panic(fmt.Sprintf("cluster: invalid spec slipped through: %v", err))
-		}
-		e.jobs = append(e.jobs, j)
-		e.alivePos[j] = len(e.alive)
+	for e.arrived < len(e.w.jobs) && e.w.jobs[e.arrived].spec.Arrival <= e.slot {
+		wj := &e.w.jobs[e.arrived]
+		j := &e.jobs[e.arrived]
+		e.arrived++
+		first, n := wj.firstTask, wj.spec.TotalTasks()
+		j.Init(wj.spec, wj.mapStats, wj.reduceStats,
+			e.tasks[first:first+n], e.lists[3*first:3*(first+n)])
 		e.alive = append(e.alive, j)
 		e.aliveCount++
-		e.arrived++
-		e.unschedMap += spec.MapTasks
+		e.unschedMap += wj.spec.MapTasks
 		if j.MapPhaseDone() { // no map tasks: the reduce gate starts open
-			e.unschedOpen += spec.ReduceTask
+			e.unschedOpen += wj.spec.ReduceTask
 		} else {
-			e.unschedGated += spec.ReduceTask
+			e.unschedGated += wj.spec.ReduceTask
 		}
 	}
 }
@@ -516,25 +525,29 @@ func (e *Engine) completeTask(tr *taskRun) {
 		e.openGate(owner)
 	}
 	if owner.Done() {
-		e.retireJob(owner)
+		e.retireJob()
 	}
 }
 
-// openGate starts the countdown of any gated reduce copies of j, in launch
-// order.
+// openGate starts the countdown of j's gated reduce copies. It runs once,
+// when j's map phase completes, and until then every reduce copy of j was
+// launched gated, so the copies to start are exactly those of j's running
+// reduce tasks. Their order does not matter: the calendar orders tasks by
+// their unique (finish, seq) keys.
 func (e *Engine) openGate(j *job.Job) {
-	gated, ok := e.gatedJobs[j]
-	if !ok {
-		return
+	for _, t := range j.Tasks[j.Spec.MapTasks:] {
+		if t.State != job.TaskRunning {
+			continue
+		}
+		tr := t.Runtime.(*taskRun)
+		for idx := range tr.copies {
+			c := &tr.copies[idx]
+			c.gated = false
+			c.started = e.slot
+			c.finish = e.slot + e.durationSlots(c.workload)
+			e.activate(tr, idx)
+		}
 	}
-	for _, g := range gated {
-		c := &g.tr.copies[g.idx]
-		c.gated = false
-		c.started = e.slot
-		c.finish = e.slot + e.durationSlots(c.workload)
-		e.activate(g.tr, int(g.idx))
-	}
-	delete(e.gatedJobs, j)
 }
 
 // activate enters the active copy tr.copies[idx] into the calendar: it
@@ -552,33 +565,24 @@ func (e *Engine) activate(tr *taskRun, idx int) {
 	}
 }
 
-// retireJob removes a finished job from the alive set in amortized O(1):
-// the job's slot (found via alivePos) becomes a nil hole, and the slice is
-// compacted — preserving arrival order — once holes outnumber live jobs.
-func (e *Engine) retireJob(j *job.Job) {
-	if i, ok := e.alivePos[j]; ok {
-		e.alive[i] = nil
-		delete(e.alivePos, j)
-		e.aliveCount--
-		if len(e.alive) >= 32 && e.aliveCount*2 < len(e.alive) {
-			e.compactAlive()
-		}
+// retireJob counts a job that just finished. It stays in alive as a hole
+// until holes outnumber live jobs; compacting then preserves arrival order.
+func (e *Engine) retireJob() {
+	e.aliveCount--
+	if len(e.alive) >= 32 && e.aliveCount*2 < len(e.alive) {
+		e.compactAlive()
 	}
 	e.finishedJobs++
 	e.lastFinish = e.slot
 }
 
-// compactAlive rewrites alive without holes and refreshes alivePos.
+// compactAlive rewrites alive without its finished jobs.
 func (e *Engine) compactAlive() {
 	live := e.alive[:0]
 	for _, a := range e.alive {
-		if a != nil {
-			e.alivePos[a] = len(live)
+		if !a.Done() {
 			live = append(live, a)
 		}
-	}
-	for i := len(live); i < len(e.alive); i++ {
-		e.alive[i] = nil // release references past the new length
 	}
 	e.alive = live
 }
@@ -660,9 +664,7 @@ func (e *Engine) launch(j *job.Job, t *job.Task, n int, gated bool) (int, error)
 		if t.TotalCopies > 1 {
 			e.cloneCopies++
 		}
-		if gated {
-			e.gatedJobs[j] = append(e.gatedJobs[j], gatedRef{tr: tr, idx: int32(idx)})
-		} else {
+		if !gated { // a gated copy starts in openGate
 			c := &tr.copies[idx]
 			c.started = e.slot
 			c.finish = e.slot + e.durationSlots(c.workload)
@@ -732,7 +734,7 @@ func (e *Engine) result() *Result {
 		Machines:      e.cfg.Machines,
 		Speed:         e.cfg.Speed,
 		Slots:         e.lastFinish,
-		Jobs:          make([]JobRecord, 0, len(e.jobs)),
+		Jobs:          make([]JobRecord, 0, e.arrived),
 		TotalCopies:   e.totalCopies,
 		CloneCopies:   e.cloneCopies,
 		MachineSlots:  e.busy,
@@ -740,7 +742,8 @@ func (e *Engine) result() *Result {
 		FinishedJobs:  e.finishedJobs,
 		WastedCopyWrk: e.wastedWrk,
 	}
-	for _, j := range e.jobs {
+	for i := range e.jobs[:e.arrived] {
+		j := &e.jobs[i]
 		var copies int
 		for _, t := range j.Tasks {
 			copies += t.TotalCopies

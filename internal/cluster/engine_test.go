@@ -579,6 +579,27 @@ func TestWakeAtSkipsQuietSlots(t *testing.T) {
 	}
 }
 
+// TestAliveJobsSkipsFinishedJobs pins AliveJobs' contract: a finished job
+// stays in the engine's alive set as a hole until the set is compacted, and
+// no call may return it. Forty jobs of mixed lengths on eight machines
+// finish out of arrival order, so holes appear early and compaction runs.
+func TestAliveJobsSkipsFinishedJobs(t *testing.T) {
+	var specs []job.Spec
+	for i := 0; i < 40; i++ {
+		specs = append(specs, simpleSpec(t, i, 0, 1, 0, float64(1+i%7*3), 0))
+	}
+	for _, loop := range []LoopMode{LoopNaive, LoopAuto} {
+		mustRun(t, Config{Machines: 8, Seed: 1, Loop: loop}, schedulerFunc(func(ctx *Context) {
+			for _, j := range ctx.AliveJobs() {
+				if j.Done() {
+					t.Fatalf("loop %v, slot %d: AliveJobs returned finished job %d", loop, ctx.Now(), j.Spec.ID)
+				}
+			}
+			greedyScheduler{}.Schedule(ctx)
+		}), specs)
+	}
+}
+
 func TestMultiJobInterleaving(t *testing.T) {
 	// Two jobs on one machine, arrival order A then B: greedy runs A first.
 	specs := []job.Spec{

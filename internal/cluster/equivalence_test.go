@@ -377,6 +377,44 @@ func TestTiedCopies(t *testing.T) {
 	}
 }
 
+// gatedClones launches each job's map tasks, then two gated copies of each
+// of its reduce tasks while the map phase runs.
+type gatedClones struct{}
+
+func (gatedClones) Name() string { return "gated-clones" }
+func (gatedClones) Schedule(ctx *cluster.Context) {
+	for _, j := range ctx.AliveJobs() {
+		for _, t := range j.AppendUnscheduled(nil, job.PhaseMap) {
+			if _, err := ctx.Launch(j, t, 1, false); err != nil {
+				panic(err)
+			}
+		}
+		for _, t := range j.AppendUnscheduled(nil, job.PhaseReduce) {
+			if _, err := ctx.Launch(j, t, 2, !j.MapPhaseDone()); err != nil {
+				panic(err)
+			}
+		}
+	}
+}
+
+// TestGatedClonesStartTogether gives a reduce task two gated copies of
+// workloads 9 and 4 while its job's map task (workload 5) runs. Both must
+// start when the map phase completes at slot 5, so the task finishes with
+// the short copy at slot 9, and the long one is killed with 5 of its 9
+// units of work undone.
+func TestGatedClonesStartTogether(t *testing.T) {
+	for _, lm := range loopModes {
+		spec := job.Spec{ID: 0, Weight: 1, MapTasks: 1, ReduceTask: 1,
+			MapDist:    &seqDist{w: []float64{5}, mean: 5},
+			ReduceDist: &seqDist{w: []float64{9, 4}, mean: 6.5}}
+		res := runSpecs(t, gatedClones{}, lm.mode, 3, 1, []job.Spec{spec})
+		if res.Jobs[0].Finish != 9 || res.WastedCopyWrk != 5 || res.CloneCopies != 1 {
+			t.Errorf("%s: finish %d, wasted work %v, clones %d; want 9, 5, 1",
+				lm.name, res.Jobs[0].Finish, res.WastedCopyWrk, res.CloneCopies)
+		}
+	}
+}
+
 // speculativeProbe checks Context.SpeculativeCopies against the sum of
 // Copies-1 over every running task, before and after each call of the
 // wrapped scheduler.

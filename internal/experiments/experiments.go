@@ -34,9 +34,9 @@ import (
 // run the comparisons at the tuned values ("Based on the evaluation results
 // above, we choose..."). On the paper's Google trace the tuning selects
 // epsilon = 0.6, r = 3. On this repository's synthetic trace the Figure 1
-// minimum sits at epsilon = 0.9 at quick scale (699.9 s against 724.9 s at
-// 1.0), while at full scale the curve keeps falling to epsilon = 1.0
-// (686.7 s against 732.3 s at 0.9). The comparisons keep epsilon = 0.9,
+// minimum sits at epsilon = 0.9 at quick scale (710.3 s against 715.1 s at
+// 1.0; 699.9 s against 724.9 s with -runs 1), while at full scale the curve
+// keeps falling to epsilon = 1.0 (686.7 s against 732.3 s at 0.9). The comparisons keep epsilon = 0.9,
 // r = 3, the quick-scale pick; bench/mrbench reads both values. Rerun fig1
 // to see the sweep; Figure 2 cannot tune r on this trace (see Fig2).
 const (
@@ -235,9 +235,10 @@ func Fig1Epsilons(o Options, epsilons []float64) (*SweepResult, error) {
 // constant c for every job; each job's remaining effective workload is then
 // its remaining mean workload times the same factor 1 + r*c, and SRPTMS+C's
 // priority order does not depend on r. At quick scale every r prints
-// 699.9 s / 763.2 s, Figure 1's values at epsilon = 0.9 (r = 0); at full
-// scale the averages vary by under 0.05% (731.9–732.3 s). Making r matter
-// needs per-job variety in the coefficient of variation.
+// 710.3 s / 773.4 s (699.9 s / 763.2 s with -runs 1), Figure 1's values at
+// epsilon = 0.9 (r = 0); at full scale the averages vary by under 0.05%
+// (731.9–732.3 s). Making r matter needs per-job variety in the
+// coefficient of variation.
 func Fig2(o Options) (*SweepResult, error) {
 	rs := make([]float64, 10)
 	for i := range rs {

@@ -189,29 +189,42 @@ type Job struct {
 	FinishSlot    int64 // -1 until the job completes
 }
 
-// New materializes the runtime state for a spec. Task records and the
-// per-phase bookkeeping lists come from per-job slab allocations — the
-// engine materializes every job of a trace, so the constructor is on the
-// simulation hot path.
+// New validates spec and materializes its runtime state on memory of its
+// own: Init over freshly allocated task records and lists, with the phase
+// moments computed from the spec.
 func New(spec Spec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	n := spec.TotalTasks()
+	j := new(Job)
+	j.Init(spec, spec.PhaseStats(PhaseMap), spec.PhaseStats(PhaseReduce),
+		make([]Task, n), make([]*Task, 3*n))
+	return j, nil
+}
+
+// Init makes j the runtime state of a newly arrived job of spec, in place and
+// without allocating. With n = spec.TotalTasks(), the task records are
+// tasks[:n] and the Tasks, pending and running lists are carved from
+// lists[:3n]. Every field of j and of those records is overwritten, so a
+// simulation engine can run job after job on the same memory. mapStats and
+// reduceStats must be spec.PhaseStats of the two phases; a caller that runs
+// one spec many times computes them once. Init does not validate spec.
+func (j *Job) Init(spec Spec, mapStats, reduceStats Stats, tasks []Task, lists []*Task) {
 	total := spec.TotalTasks()
 	m := spec.MapTasks
-	j := &Job{
+	tasks = tasks[:total]
+	*j = Job{
 		Spec:       spec,
+		Tasks:      lists[:total:total],
 		FinishSlot: -1,
 	}
-	slab := make([]Task, total)
-	ptrs := make([]*Task, 3*total)
-	j.Tasks = ptrs[:total:total]
-	pend := ptrs[total : 2*total : 2*total]
-	runb := ptrs[2*total:]
+	pend := lists[total : 2*total : 2*total]
+	runb := lists[2*total : 3*total : 3*total]
 	j.pending[0], j.pending[1] = pend[:m:m], pend[m:]
 	j.running[0], j.running[1] = runb[:0:m], runb[m:m:total]
-	for i := range slab {
-		t := &slab[i]
+	for i := range tasks {
+		t := &tasks[i]
 		phase, index := PhaseMap, i
 		if i >= m {
 			phase, index = PhaseReduce, i-m
@@ -229,11 +242,10 @@ func New(spec Spec) (*Job, error) {
 	}
 	j.unfinished[phaseIdx(PhaseMap)] = spec.MapTasks
 	j.unfinished[phaseIdx(PhaseReduce)] = spec.ReduceTask
-	// Distribution moments can be expensive (numerical integrals); cache
-	// them once — schedulers evaluate priorities every slot.
-	j.stats[phaseIdx(PhaseMap)] = spec.PhaseStats(PhaseMap)
-	j.stats[phaseIdx(PhaseReduce)] = spec.PhaseStats(PhaseReduce)
-	return j, nil
+	// Schedulers evaluate priorities every slot, and distribution moments
+	// can be expensive (numerical integrals), so the job keeps them.
+	j.stats[phaseIdx(PhaseMap)] = mapStats
+	j.stats[phaseIdx(PhaseReduce)] = reduceStats
 }
 
 // PhaseStats returns the cached scheduler-visible workload statistics.

@@ -272,6 +272,12 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// Every cell runs the same jobs, so they are validated, sorted and
+	// given their moments once for all workers.
+	workload, err := cluster.NewWorkload(spec.Specs)
+	if err != nil {
+		return nil, fmt.Errorf("runner: workload: %w", err)
+	}
 	res := spec.newResult()
 	total := len(res.Cells)
 	workers := opts.Parallelism
@@ -323,13 +329,16 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The worker's cells run one after another in the same engine
+			// memory, which goes with the worker.
+			var st cluster.Storage
 			for idx := range idxCh {
 				start := time.Now()
 				if cell, ok := spec.cachedCell(idx, opts); ok {
 					land(idx, cell, true, time.Since(start))
 					continue
 				}
-				cell, err := spec.runCell(idx, opts.KeepRaw)
+				cell, err := spec.runCell(idx, workload, &st, opts.KeepRaw)
 				if err != nil {
 					fail(idx, err)
 					continue
@@ -449,10 +458,11 @@ func (s *Spec) cachedCell(idx int, opts Options) (*CellResult, bool) {
 	return &CellResult{Scheduler: si, Point: pi, Run: run, CellPayload: p}, true
 }
 
-// runCell simulates one cell. It is called concurrently: everything it
-// touches on spec is read-only, and it builds a private scheduler and
-// engine.
-func (s *Spec) runCell(idx int, keepRaw bool) (*CellResult, error) {
+// runCell simulates one cell of the matrix whose prepared workload is w, in
+// the calling worker's engine memory st. It is called concurrently:
+// everything it touches on spec and w is read-only, and it builds a private
+// scheduler and engine.
+func (s *Spec) runCell(idx int, w *cluster.Workload, st *cluster.Storage, keepRaw bool) (*CellResult, error) {
 	si, pi, run := s.cellCoords(idx)
 
 	ss := s.Schedulers[si]
@@ -471,12 +481,12 @@ func (s *Spec) runCell(idx int, keepRaw bool) (*CellResult, error) {
 	if err != nil {
 		return fail(err)
 	}
-	eng, err := cluster.New(cluster.Config{
+	eng, err := cluster.NewEngine(cluster.Config{
 		Machines: pt.Machines,
 		Speed:    pt.Speed,
 		MaxSlots: s.MaxSlots,
 		Seed:     seed,
-	}, schedImpl, s.Specs)
+	}, schedImpl, w, st)
 	if err != nil {
 		return fail(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -334,5 +335,41 @@ func TestCellIndexRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestWorkersReuseEngineMemory holds a worker to one engine memory for all
+// its cells: on one worker, a matrix of 8 cells must allocate less than
+// twice the bytes of its first cell alone. A worker that built every cell's
+// jobs, task records and copy records afresh allocates about eight times as
+// much. Byte counts do not depend on the machine's speed.
+func TestWorkersReuseEngineMemory(t *testing.T) {
+	p := sched.Params{Epsilon: 0.9, DeviationFactor: 3}
+	matrix := Spec{
+		Specs: testSpecs(t, 300),
+		Schedulers: []SchedulerSpec{
+			{Name: "srptms+c", Params: p}, {Name: "sca", Params: p},
+			{Name: "mantri", Params: p}, {Name: "fair", Params: p},
+		},
+		Points:   []Point{{X: 600, Machines: 600}},
+		Runs:     2,
+		BaseSeed: 1,
+	}
+	first := matrix
+	first.Schedulers, first.Runs = matrix.Schedulers[:1], 1
+	allocated := func(s Spec) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(context.Background(), s, Options{Parallelism: 1}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	all, one := allocated(matrix), allocated(first)
+	t.Logf("8 cells: %d bytes; first cell alone: %d bytes (%.2fx)", all, one, float64(all)/float64(one))
+	if all >= 2*one {
+		t.Errorf("8 cells allocated %d bytes, %.2fx the %d of their first cell; want under 2x",
+			all, float64(all)/float64(one), one)
 	}
 }
