@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -17,6 +19,7 @@ import (
 	"mrclone/internal/service"
 	"mrclone/internal/service/spec"
 	"mrclone/internal/tenant"
+	"mrclone/internal/trace"
 )
 
 func TestFlagValidation(t *testing.T) {
@@ -160,53 +163,152 @@ func TestServeJSONLogsAndDebug(t *testing.T) {
 	}
 }
 
-// TestServeAndDrain boots the daemon on an ephemeral port, hits /healthz,
-// then cancels the context (the SIGINT path) and expects a clean drain.
+// TestServeAndDrain boots the daemon on an ephemeral port with a data
+// directory, computes a small spec, then cancels the context (the SIGINT
+// path) and expects a clean drain. Restarted on the same directory, the
+// daemon must answer the resubmission from disk: HTTP 200 and "cached",
+// result bytes equal to the first run's, one disk hit and no flight. The
+// result is stored as one record file, with no directory under
+// results/<hh>/.
 func TestServeAndDrain(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	logw := &syncBuffer{first: make(chan struct{})}
-	dataDir := t.TempDir() // exercise the persistent path end to end
-
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-drain-timeout", "10s",
-			"-data-dir", dataDir}, logw)
-	}()
-
-	select {
-	case <-logw.first:
-	case err := <-errCh:
-		t.Fatalf("run exited early: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("daemon never logged its listen address")
-	}
-	m := regexp.MustCompile(`listening on ([0-9.:]+)`).FindStringSubmatch(logw.String())
-	if m == nil {
-		t.Fatalf("no listen address in log: %q", logw.String())
-	}
-	base := "http://" + m[1]
-
-	resp, err := http.Get(base + "/healthz")
+	dataDir := t.TempDir()
+	p := trace.GoogleParams()
+	p.Jobs = 40
+	body, err := json.Marshal(spec.Spec{
+		Version:    spec.Version,
+		Workload:   spec.Workload{Trace: &p},
+		Schedulers: []spec.Scheduler{{Name: "srptms+c"}, {Name: "mantri"}},
+		Points:     []spec.Point{{X: 1000, Machines: 200}},
+		Runs:       2,
+		BaseSeed:   1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: HTTP %d", resp.StatusCode)
+
+	// serve boots the daemon on dataDir and returns its base URL and a stop
+	// function that cancels it and requires a clean drain.
+	serve := func() (string, func()) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		t.Cleanup(cancel)
+		logw := &syncBuffer{first: make(chan struct{})}
+		errCh := make(chan error, 1)
+		go func() {
+			errCh <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-drain-timeout", "10s",
+				"-data-dir", dataDir}, logw)
+		}()
+		addrRE := regexp.MustCompile(`listening on ([0-9.:]+)`)
+		deadline := time.After(10 * time.Second)
+		m := addrRE.FindStringSubmatch(logw.String())
+		for m == nil {
+			select {
+			case err := <-errCh:
+				t.Fatalf("run exited early: %v (log %q)", err, logw.String())
+			case <-deadline:
+				t.Fatalf("daemon never logged its listen address: %q", logw.String())
+			case <-time.After(10 * time.Millisecond):
+			}
+			m = addrRE.FindStringSubmatch(logw.String())
+		}
+		return "http://" + m[1], func() {
+			t.Helper()
+			cancel()
+			select {
+			case err := <-errCh:
+				if err != nil {
+					t.Fatalf("drain: %v", err)
+				}
+			case <-time.After(15 * time.Second):
+				t.Fatal("daemon did not drain")
+			}
+			if !strings.Contains(logw.String(), "drained") {
+				t.Fatalf("log missing drain marker: %q", logw.String())
+			}
+		}
+	}
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d: %s", url, resp.StatusCode, b)
+		}
+		return b
+	}
+	submit := func(base string) (int, service.JobStatus) {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/matrices", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st service.JobStatus
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, st
 	}
 
-	cancel()
-	select {
-	case err := <-errCh:
-		if err != nil {
-			t.Fatalf("drain: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon did not drain")
+	base, stop := serve()
+	get(base + "/healthz")
+	code, first := submit(base)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submit: HTTP %d, want 202", code)
 	}
-	if !strings.Contains(logw.String(), "drained") {
-		t.Fatalf("log missing drain marker: %q", logw.String())
+	for deadline := time.Now().Add(30 * time.Second); first.State != service.StateDone; {
+		if first.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job %s: state %s (err %q), want done", first.ID, first.State, first.Error)
+		}
+		time.Sleep(10 * time.Millisecond)
+		if err := json.Unmarshal(get(base+"/v1/matrices/"+first.ID), &first); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := get(base + "/v1/matrices/" + first.ID + "/result")
+	stop()
+
+	base, stop = serve()
+	code, again := submit(base)
+	if code != http.StatusOK || !again.Cached || again.Hash != first.Hash {
+		t.Fatalf("resubmit after restart: HTTP %d, cached %v, hash %s; want 200, cached, %s",
+			code, again.Cached, again.Hash, first.Hash)
+	}
+	if got := get(base + "/v1/matrices/" + again.ID + "/result"); !bytes.Equal(got, want) {
+		t.Fatalf("result after restart differs from the first run's (%d vs %d bytes)", len(got), len(want))
+	}
+	metrics := string(get(base + "/metrics"))
+	for _, line := range []string{"mrclone_disk_hits_total 1", "mrclone_flights_total 0"} {
+		if !regexp.MustCompile(`(?m)^` + line + `$`).MatchString(metrics) {
+			t.Errorf("metrics after restart lack %q", line)
+		}
+	}
+	stop()
+
+	if fi, err := os.Stat(filepath.Join(dataDir, "results", first.Hash[:2], first.Hash)); err != nil || !fi.Mode().IsRegular() {
+		t.Fatalf("result record: %v, %v; want a regular file", fi, err)
+	}
+	prefixes, err := os.ReadDir(filepath.Join(dataDir, "results"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pre := range prefixes {
+		entries, err := os.ReadDir(filepath.Join(dataDir, "results", pre.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				t.Errorf("directory results/%s/%s: every entry must be one record file", pre.Name(), e.Name())
+			}
+		}
 	}
 }
 

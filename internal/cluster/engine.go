@@ -308,7 +308,6 @@ func NewEngine(cfg Config, sched Scheduler, w *Workload, st *Storage) (*Engine, 
 	if cfg.MaxSlots < 0 || cfg.MaxSlots > maxMaxSlots {
 		return nil, fmt.Errorf("cluster: MaxSlots %d outside (0, 2^61]", cfg.MaxSlots)
 	}
-	root := rng.New(cfg.Seed)
 	ed, _ := sched.(EventDriven)
 	gl, _ := sched.(GatedLauncher)
 	e := &st.e
@@ -327,8 +326,8 @@ func NewEngine(cfg Config, sched Scheduler, w *Workload, st *Storage) (*Engine, 
 		lists:         fit(e.lists, 3*w.tasks),
 		alive:         e.alive[:0],
 		cal:           calendar{a: e.cal.a[:0]},
-		durations:     root.Split("durations"),
-		schedRand:     root.Split("scheduler"),
+		durations:     rng.Derive(cfg.Seed, "durations"),
+		schedRand:     rng.Derive(cfg.Seed, "scheduler"),
 		aliveScratch:  e.aliveScratch[:0],
 		sampleBuf:     e.sampleBuf,
 		runFree:       e.runFree,

@@ -1,9 +1,9 @@
-// Package rng provides deterministic, label-splittable pseudo-random number
+// Package rng provides deterministic, label-derived pseudo-random number
 // generation for reproducible simulations.
 //
 // Every experiment in this repository derives all of its randomness from a
-// single root seed. Sub-streams are derived by hashing string labels and
-// integer indexes into the parent seed, so that
+// single root seed. Sub-streams are derived by hashing a path of string
+// labels into the root seed, so that
 //
 //   - the same (seed, label-path) always yields the same stream, and
 //   - independent components (trace generation, per-task duration sampling,
@@ -14,38 +14,27 @@ package rng
 import (
 	"hash/fnv"
 	"math/rand"
-	"strconv"
 )
 
-// Source is a deterministic random stream that can be split into
-// independent child streams by label.
+// Source is a deterministic random stream.
 type Source struct {
-	seed int64
-	rnd  *rand.Rand
+	rnd *rand.Rand
 }
 
 // New returns a Source rooted at the given seed.
 func New(seed int64) *Source {
-	return &Source{
-		seed: seed,
-		rnd:  rand.New(rand.NewSource(seed)),
+	return &Source{rnd: rand.New(rand.NewSource(seed))}
+}
+
+// Derive returns the stream a label path names below seed: each label is
+// hashed into the seed derived so far. No source is built along the way (a
+// source is a few KB of state seeded in full), and deriving a stream draws
+// nothing from any other.
+func Derive(seed int64, path ...string) *Source {
+	for _, label := range path {
+		seed = deriveSeed(seed, label)
 	}
-}
-
-// Seed returns the seed this source was created with.
-func (s *Source) Seed() int64 { return s.seed }
-
-// Split derives an independent child stream from a string label. Splitting
-// does not consume randomness from the parent, so the parent stream is
-// unaffected by how many children are derived.
-func (s *Source) Split(label string) *Source {
-	return New(deriveSeed(s.seed, label))
-}
-
-// SplitN derives an independent child stream from a label and an index,
-// convenient for per-item streams (for example, one stream per task).
-func (s *Source) SplitN(label string, n int) *Source {
-	return New(deriveSeed(s.seed, label+"#"+strconv.Itoa(n)))
+	return New(seed)
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -16,16 +17,13 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestSplitIndependence(t *testing.T) {
-	root := New(7)
-	childA := root.Split("a")
-	// Drawing from childA must not perturb a later-split sibling.
+	childA := Derive(7, "a")
+	// Drawing from childA must not perturb a sibling derived later.
 	for i := 0; i < 100; i++ {
 		childA.Float64()
 	}
-	childB := root.Split("b")
-
-	root2 := New(7)
-	childB2 := root2.Split("b")
+	childB := Derive(7, "b")
+	childB2 := Derive(7, "b")
 	for i := 0; i < 100; i++ {
 		if got, want := childB.Float64(), childB2.Float64(); got != want {
 			t.Fatalf("sibling stream perturbed at draw %d: %v != %v", i, got, want)
@@ -34,9 +32,8 @@ func TestSplitIndependence(t *testing.T) {
 }
 
 func TestSplitDistinctLabels(t *testing.T) {
-	root := New(1)
-	a := root.Split("alpha")
-	b := root.Split("beta")
+	a := Derive(1, "alpha")
+	b := Derive(1, "beta")
 	same := 0
 	for i := 0; i < 100; i++ {
 		if a.Float64() == b.Float64() {
@@ -48,15 +45,14 @@ func TestSplitDistinctLabels(t *testing.T) {
 	}
 }
 
-func TestSplitNDistinct(t *testing.T) {
-	root := New(3)
+func TestDeriveDistinct(t *testing.T) {
 	seen := make(map[int64]bool)
 	for i := 0; i < 1000; i++ {
-		s := root.SplitN("task", i)
-		if seen[s.Seed()] {
+		seed := deriveSeed(3, "task#"+strconv.Itoa(i))
+		if seen[seed] {
 			t.Fatalf("duplicate derived seed for index %d", i)
 		}
-		seen[s.Seed()] = true
+		seen[seed] = true
 	}
 }
 

@@ -66,9 +66,11 @@ func validPeerURL(raw string) bool {
 
 // peerRoute serves one stored record of a tier to a peer shard: get reads
 // and verifies the entry and encode renders its record, which goes out
-// verbatim. Misses, corrupt entries (already moved aside by the store) and
-// I/O errors are all 404 — the fetching side falls back to recomputation
-// either way — but the latter two are counted.
+// verbatim as application/octet-stream (an artifact record is a manifest
+// line followed by raw parts, not one JSON document). Misses, corrupt
+// entries (already moved aside by the store) and I/O errors are all 404 —
+// the fetching side falls back to recomputation either way — but the
+// latter two are counted.
 func peerRoute[T any](s *Service, get func(*store.Store, string) (T, error), encode func(T) ([]byte, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.storeHandle == nil {
@@ -87,7 +89,7 @@ func peerRoute[T any](s *Service, get func(*store.Store, string) (T, error), enc
 			WriteError(w, http.StatusNotFound, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Type", "application/octet-stream")
 		_, _ = w.Write(rec)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -142,7 +143,7 @@ func TestPeerCellFetchCoversOverlap(t *testing.T) {
 	}
 }
 
-// editRecord decodes a store record into its top-level fields, lets edit
+// editRecord decodes a JSON object into its top-level fields, lets edit
 // change them, and encodes it again: the way the corruption suites build a
 // damaged or foreign peer answer from a good one.
 func editRecord(t *testing.T, rec []byte, edit func(fields map[string]json.RawMessage)) []byte {
@@ -161,65 +162,57 @@ func editRecord(t *testing.T, rec []byte, edit func(fields map[string]json.RawMe
 
 // TestPeerFetchRejectsCorruptArtifacts is the corruption satellite: a peer
 // serving truncated, bit-flipped, or mislabeled artifact records, or the
-// pre-record answer of an older build, must be rejected by the store's
-// record check before anything touches disk — the local quarantine stays
-// empty (nothing was installed to quarantine), the job falls back to
-// recomputation, and the recomputed artifact is byte-identical to the
-// ground truth.
+// answer of an older build, must be rejected by the store's record check
+// before anything touches disk — the local quarantine stays empty (nothing
+// was installed to quarantine), the job falls back to recomputation, and
+// the recomputed artifact is byte-identical to the ground truth.
 func TestPeerFetchRejectsCorruptArtifacts(t *testing.T) {
 	sp := overlapSpec([]spec.Point{pointA})
 	want := coldArtifacts(t, sp)
-	encode := func(t *testing.T, a store.Artifacts) []byte {
-		rec, err := store.EncodeArtifacts(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rec
+	rec, err := store.EncodeArtifacts(*want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, parts, _ := bytes.Cut(rec, []byte{'\n'})
+	withManifest := func(line []byte) []byte {
+		return append(append(line, '\n'), parts...)
 	}
 	for _, tc := range []struct {
 		name string
 		body func(t *testing.T) []byte
 	}{
 		{"truncated", func(t *testing.T) []byte {
-			b := encode(t, *want)
-			return b[:len(b)/2]
+			return rec[:len(rec)/2]
 		}},
 		{"bit-flipped-part", func(t *testing.T) []byte {
-			flipped := *want
-			flipped.JSON = append([]byte(nil), want.JSON...)
-			flipped.JSON[len(flipped.JSON)/2] ^= 0x40
-			var bad map[string]json.RawMessage
-			if err := json.Unmarshal(encode(t, flipped), &bad); err != nil {
-				t.Fatal(err)
-			}
-			// The good manifest over the flipped parts: its checksums no
-			// longer match.
-			return editRecord(t, encode(t, *want), func(f map[string]json.RawMessage) {
-				f["parts"] = bad["parts"]
-			})
+			// The good manifest over a flipped matrix.json byte: its
+			// checksum no longer matches.
+			b := bytes.Clone(rec)
+			b[len(manifest)+1+len(want.JSON)/2] ^= 0x40
+			return b
 		}},
 		{"foreign-hash", func(t *testing.T) []byte {
-			return editRecord(t, encode(t, *want), func(f map[string]json.RawMessage) {
+			return withManifest(editRecord(t, manifest, func(f map[string]json.RawMessage) {
 				f["hash"] = json.RawMessage(`"deadbeefdeadbeefdeadbeefdeadbeef"`)
-			})
+			}))
 		}},
 		{"missing-sum", func(t *testing.T) []byte {
-			return editRecord(t, encode(t, *want), func(f map[string]json.RawMessage) {
+			return withManifest(editRecord(t, manifest, func(f map[string]json.RawMessage) {
 				f["files"] = editRecord(t, f["files"], func(files map[string]json.RawMessage) {
 					delete(files, "cells.csv")
 				})
-			})
+			}))
 		}},
 		{"pre-change-wire", func(t *testing.T) []byte {
 			// The answer of a build before peers exchanged store records:
 			// the parts under their own names and a "sums" map of SHA-256s,
 			// taken here from the manifest's checksums.
-			var rec struct {
+			var m struct {
 				Files map[string]struct {
 					SHA256 string `json:"sha256"`
 				} `json:"files"`
 			}
-			if err := json.Unmarshal(encode(t, *want), &rec); err != nil {
+			if err := json.Unmarshal(manifest, &m); err != nil {
 				t.Fatal(err)
 			}
 			b, err := json.Marshal(map[string]any{
@@ -230,9 +223,9 @@ func TestPeerFetchRejectsCorruptArtifacts(t *testing.T) {
 				"csv":           want.CSV,
 				"aggregate_csv": want.AggregateCSV,
 				"sums": map[string]string{
-					"json":          rec.Files["matrix.json"].SHA256,
-					"csv":           rec.Files["cells.csv"].SHA256,
-					"aggregate_csv": rec.Files["aggregate.csv"].SHA256,
+					"json":          m.Files["matrix.json"].SHA256,
+					"csv":           m.Files["cells.csv"].SHA256,
+					"aggregate_csv": m.Files["aggregate.csv"].SHA256,
 				},
 			})
 			if err != nil {
@@ -240,12 +233,26 @@ func TestPeerFetchRejectsCorruptArtifacts(t *testing.T) {
 			}
 			return b
 		}},
+		{"previous-release-record", func(t *testing.T) []byte {
+			// The record of the release before this layout: the manifest's
+			// fields plus a "parts" map of the three files (base64), as
+			// one JSON document.
+			return editRecord(t, manifest, func(f map[string]json.RawMessage) {
+				b, err := json.Marshal(map[string][]byte{
+					"matrix.json": want.JSON, "cells.csv": want.CSV, "aggregate.csv": want.AggregateCSV,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				f["parts"] = b
+			})
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			body := tc.body(t)
 			fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if bytes.Contains([]byte(r.URL.Path), []byte("/v1/peer/artifacts/")) {
-					w.Header().Set("Content-Type", "application/json")
+					w.Header().Set("Content-Type", "application/octet-stream")
 					_, _ = w.Write(body)
 					return
 				}
@@ -335,4 +342,45 @@ func TestPeerCellFetchRejectsCorruptCells(t *testing.T) {
 		t.Errorf("peer fetch misses = %d, want >= 3", m.PeerFetchMisses)
 	}
 	assertQuarantineEmpty(t, dir)
+}
+
+// TestPeerRoutesServeStoreRecords: both peer routes answer with the owner's
+// record file byte for byte, labelled application/octet-stream.
+func TestPeerRoutesServeStoreRecords(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir)
+	owner := New(Config{Workers: 1, Store: st, GCInterval: -1})
+	defer closeService(t, owner)
+	sp := overlapSpec([]spec.Point{pointA})
+	js, err := owner.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, owner, js.ID, StateDone)
+	cells, err := st.ListCells()
+	if err != nil || len(cells) == 0 {
+		t.Fatalf("owner holds %d cells (%v)", len(cells), err)
+	}
+	srv := httptest.NewServer(owner.Handler())
+	defer srv.Close()
+	for route, tier := range map[string]string{
+		"/v1/peer/artifacts/" + js.Hash:   filepath.Join(dir, "results", js.Hash[:2], js.Hash),
+		"/v1/peer/cells/" + cells[0].Hash: filepath.Join(dir, "cells", cells[0].Hash[:2], cells[0].Hash),
+	} {
+		resp, err := srv.Client().Get(srv.URL + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d (%v)", route, resp.StatusCode, err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+			t.Errorf("GET %s: Content-Type %q, want application/octet-stream", route, ct)
+		}
+		if disk, err := os.ReadFile(tier); err != nil || !bytes.Equal(body, disk) {
+			t.Errorf("GET %s: body differs from the record file (%v)", route, err)
+		}
+	}
 }

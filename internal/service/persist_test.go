@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"mrclone/internal/runner"
+	"mrclone/internal/service/spec"
 	"mrclone/internal/store"
 )
 
@@ -124,8 +125,13 @@ func TestCorruptEntryTriggersRecompute(t *testing.T) {
 	ts1.Close()
 	closeService(t, svc1)
 
-	// Truncate the stored JSON artifact.
-	if err := os.Truncate(filepath.Join(dir, "artifacts", sr1.Hash[:2], sr1.Hash, "matrix.json"), 5); err != nil {
+	// Truncate the stored record into its parts.
+	record := filepath.Join(dir, "results", sr1.Hash[:2], sr1.Hash)
+	fi, err := os.Stat(record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(record, fi.Size()-5); err != nil {
 		t.Fatal(err)
 	}
 
@@ -160,7 +166,7 @@ func TestCorruptEntryTriggersRecompute(t *testing.T) {
 	if err != nil || len(quarantined) == 0 {
 		t.Fatalf("quarantine empty (%v)", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "artifacts", sr1.Hash[:2], sr1.Hash, "matrix.json")); err != nil {
+	if _, err := os.Stat(record); err != nil {
 		t.Fatalf("store not repopulated: %v", err)
 	}
 }
@@ -461,6 +467,82 @@ func TestResultOutcomes(t *testing.T) {
 				t.Fatalf("%s (http %v): disk hits %d -> %d (want +%d), store errors %d -> %d",
 					c.name, viaHTTP, before.DiskHits, after.DiskHits, c.hits, before.StoreErrors, after.StoreErrors)
 			}
+		}
+	}
+}
+
+// TestUpgradedDataDirAssemblesFromCells: a data directory written by a build
+// that stored each matrix as an artifacts/<hh>/<hash>/ directory (meta.json
+// plus the three files) still holds that matrix's cells. The directory is
+// not read; a resubmission is assembled from the cells without a worker,
+// byte-identical to a cold run, nothing is quarantined, and the old tree is
+// left as it was. The job that finished before the upgrade reports its
+// result gone until the spec is resubmitted.
+func TestUpgradedDataDirAssemblesFromCells(t *testing.T) {
+	dir := t.TempDir()
+	sp := overlapSpec([]spec.Point{pointA})
+	want := coldArtifacts(t, sp)
+
+	svc1 := New(Config{Workers: 1, Store: openTestStore(t, dir), GCInterval: -1})
+	st1, err := svc1.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, svc1, st1.ID, StateDone)
+	closeService(t, svc1)
+
+	// Rewrite the matrix in the earlier layout: the record's manifest line
+	// is the meta.json those builds wrote.
+	rec, err := store.EncodeArtifacts(*want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, _, _ := bytes.Cut(rec, []byte{'\n'})
+	old := filepath.Join(dir, "artifacts", want.Hash[:2], want.Hash)
+	oldFiles := map[string][]byte{"meta.json": manifest, "matrix.json": want.JSON,
+		"cells.csv": want.CSV, "aggregate.csv": want.AggregateCSV}
+	if err := os.MkdirAll(old, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range oldFiles {
+		if err := os.WriteFile(filepath.Join(old, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.RemoveAll(filepath.Join(dir, "results")); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := New(Config{Workers: 1, Store: openTestStore(t, dir), GCInterval: -1})
+	defer closeService(t, svc2)
+	if _, err := svc2.Result(st1.ID); err == nil {
+		t.Fatal("a job finished before the upgrade served a result before resubmission")
+	}
+	st2, err := svc2.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.State != StateDone || !st2.Cached {
+		t.Fatalf("resubmission = %+v, want done and cached on arrival", st2)
+	}
+	m := svc2.Metrics()
+	if m.Assembled != 1 || m.Flights != 0 || m.DiskHits != 0 {
+		t.Fatalf("assembled %d, flights %d, disk hits %d; want 1, 0, 0", m.Assembled, m.Flights, m.DiskHits)
+	}
+	res, err := svc2.Result(st2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameArtifacts(t, res, want, "matrix assembled after the upgrade")
+	if res, err := svc2.Result(st1.ID); err != nil {
+		t.Fatalf("pre-upgrade job after resubmission: %v", err)
+	} else {
+		sameArtifacts(t, res, want, "pre-upgrade job after resubmission")
+	}
+	assertQuarantineEmpty(t, dir)
+	for name, data := range oldFiles {
+		if got, err := os.ReadFile(filepath.Join(old, name)); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("old %s changed (%v)", name, err)
 		}
 	}
 }

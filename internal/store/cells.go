@@ -4,15 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
-	"path/filepath"
 	"time"
 )
 
-// Cell-level tier: alongside whole-matrix artifacts the store keeps two
+// Cell-level tier: alongside whole-matrix results the store keeps two
 // smaller content-addressed namespaces —
 //
 //	cells/<hh>/<hash>  one JSON record per simulated matrix cell, keyed by
@@ -21,13 +18,14 @@ import (
 //	                   executing, keyed by the matrix hash, so a restart can
 //	                   requeue interrupted jobs instead of failing them
 //
-// Both go through the artifact tier's helpers (see store.go): entry checks
-// and locates the key, a record is staged in tmp/, fsync'd and handed to
-// publish (a reader observes no record or a complete one), remove deletes,
-// list walks the tier, and a record that fails verification is quarantined
-// and reports ErrCorrupt so the caller recomputes. Cell records carry a
-// size and payload checksum; spec records are self-verifying — their file
-// name is the SHA-256 of their contents.
+// Every tier's entry is one record file and goes through the same helpers
+// (see store.go): entry checks and locates the key, publishFile stages the
+// record in tmp/, fsyncs it and publishes it (a reader observes no record
+// or a complete one), get reads it and quarantines a record that fails its
+// check with ErrCorrupt so the caller recomputes, remove deletes, and list
+// walks the tier. Cell records carry a size and payload checksum; spec
+// records are self-verifying — their file name is the SHA-256 of their
+// contents.
 
 // Cell is one content-addressed cell record: the coordinate-independent
 // payload of one simulated matrix cell, keyed by its cell content hash.
@@ -99,19 +97,9 @@ func DecodeCell(hash string, data []byte) (Cell, error) {
 	return Cell{Hash: hash, Payload: []byte(rec.Payload), CreatedAt: time.UnixMilli(rec.CreatedAtMs)}, nil
 }
 
-// GetCell reads and verifies the cell stored under hash. A missing record
-// reports ErrNotFound; a record that fails verification is quarantined and
-// reports ErrCorrupt.
+// GetCell reads and verifies the cell stored under hash; see get.
 func (s *Store) GetCell(hash string) (Cell, error) {
-	path, data, err := s.readRecord(s.cellDir, "cell", hash)
-	if err != nil {
-		return Cell{}, err
-	}
-	c, err := DecodeCell(hash, data)
-	if err != nil {
-		return Cell{}, s.quarantine(path, hash, err)
-	}
-	return c, nil
+	return get(s, s.cellDir, "cell", hash, DecodeCell)
 }
 
 // decodeCellRecord decodes a cell record's envelope and checks that it
@@ -146,17 +134,18 @@ func (s *Store) HasCell(hash string) bool {
 // not an error.
 func (s *Store) DeleteCell(hash string) error { return s.remove(s.cellDir, hash) }
 
-// ListCells summarizes every stored cell record. Records whose envelope
-// cannot be decoded are quarantined and skipped, never failing the listing;
-// payload checksums are deliberately not reverified here (GetCell does) so
-// a GC sweep over a large tier stays cheap.
+// ListCells summarizes every stored cell record. A record whose envelope
+// fails its check is quarantined and skipped, and one that cannot be read
+// is skipped for this pass; neither fails the listing. Payload checksums
+// are deliberately not reverified here (GetCell does) so a GC sweep over a
+// large tier stays cheap.
 func (s *Store) ListCells() ([]Info, error) {
-	return s.list(s.cellDir, false, func(hash, path string) (Info, bool) {
+	return s.list(s.cellDir, func(hash, path string) (Info, bool) {
 		data, err := os.ReadFile(path)
-		var rec cellRecord
-		if err == nil {
-			rec, err = decodeCellRecord(data, hash)
+		if err != nil {
+			return Info{}, false
 		}
+		rec, err := decodeCellRecord(data, hash)
 		if err != nil {
 			_ = s.quarantine(path, hash, err)
 			return Info{}, false
@@ -177,18 +166,16 @@ func (s *Store) PutSpec(hash string, canonical []byte) error {
 	return s.publishFile(dst, canonical)
 }
 
-// GetSpec reads the canonical spec bytes stored under hash. The content is
-// self-verifying: bytes whose SHA-256 does not match the name are
-// quarantined and report ErrCorrupt.
+// GetSpec reads the canonical spec bytes stored under hash; see get. The
+// content is self-verifying: bytes whose SHA-256 does not match the name
+// are quarantined and report ErrCorrupt.
 func (s *Store) GetSpec(hash string) ([]byte, error) {
-	path, data, err := s.readRecord(s.specDir, "spec", hash)
-	if err != nil {
-		return nil, err
-	}
-	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != hash {
-		return nil, s.quarantine(path, hash, corrupt(hash, "spec bytes do not hash to their name"))
-	}
-	return data, nil
+	return get(s, s.specDir, "spec", hash, func(hash string, data []byte) ([]byte, error) {
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != hash {
+			return nil, corrupt(hash, "spec bytes do not hash to their name")
+		}
+		return data, nil
+	})
 }
 
 // DeleteSpec removes the spec stored under hash; deleting a missing spec is
@@ -198,42 +185,11 @@ func (s *Store) DeleteSpec(hash string) error { return s.remove(s.specDir, hash)
 // ListSpecs summarizes every stored spec record; a spec's CreatedAt is the
 // file's modification time (when the spec was stored).
 func (s *Store) ListSpecs() ([]Info, error) {
-	return s.list(s.specDir, false, func(hash, path string) (Info, bool) {
+	return s.list(s.specDir, func(hash, path string) (Info, bool) {
 		st, err := os.Stat(path)
 		if err != nil {
 			return Info{}, false
 		}
 		return Info{Hash: hash, Bytes: st.Size(), CreatedAt: st.ModTime()}, true
 	})
-}
-
-// readRecord reads the record file stored under hash in root and returns
-// its path for quarantine. A missing record reports ErrNotFound naming kind.
-func (s *Store) readRecord(root, kind, hash string) (string, []byte, error) {
-	path, err := s.entry(root, hash)
-	if err != nil {
-		return "", nil, err
-	}
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return "", nil, fmt.Errorf("%w: %s %s", ErrNotFound, kind, hash)
-	}
-	if err != nil {
-		return "", nil, fmt.Errorf("store: read %s: %w", kind, err)
-	}
-	return path, data, nil
-}
-
-// publishFile atomically writes one record file: staged under tmp/ and
-// fsync'd, then published at dst.
-func (s *Store) publishFile(dst string, data []byte) error {
-	f, err := os.CreateTemp(s.tmpDir, filepath.Base(dst)+".")
-	if err != nil {
-		return fmt.Errorf("store: stage: %w", err)
-	}
-	if err := writeClose(f, data); err != nil {
-		os.Remove(f.Name())
-		return fmt.Errorf("store: stage: %w", err)
-	}
-	return publish(f.Name(), dst)
 }

@@ -42,21 +42,21 @@ func TestMalformedKeysRejected(t *testing.T) {
 			t.Errorf("HasCell(%q) = true", hash)
 		}
 	}
-	for _, d := range []string{s.artDir, s.cellDir, s.specDir, s.tmpDir, s.quarDir} {
+	for _, d := range []string{s.resultDir, s.cellDir, s.specDir, s.tmpDir, s.quarDir} {
 		if ents, err := os.ReadDir(d); err != nil || len(ents) != 0 {
 			t.Errorf("%s holds %d entries (%v) after rejected keys", d, len(ents), err)
 		}
 	}
 }
 
-// FuzzStoreRead overwrites one stored file — an artifact entry's meta.json
-// or one of its parts, a cell record, or a spec record — with fuzz bytes
-// and reads the entry back. The reader may fail only with ErrCorrupt, and
-// then the entry is quarantined: the next read misses and quarantine/ holds
-// exactly one entry. Whatever it accepts names the requested hash, carries
-// no negative cell count, and every part it returns is the part as first
-// stored. Each execution lays the entry out with plain writes, not the
-// fsync'ing Put path, so the fuzzer runs at file-write speed.
+// FuzzStoreRead overwrites one stored record — an artifact entry, a cell or
+// a spec — with fuzz bytes and reads the entry back. The reader may fail
+// only with ErrCorrupt, and then the entry is quarantined: the next read
+// misses and quarantine/ holds exactly one entry. Whatever it accepts names
+// the requested hash, carries no negative cell count, and every part it
+// returns is the part as first stored. Each execution writes the record
+// with a plain write, not the fsync'ing Put path, so the fuzzer runs at
+// file-write speed.
 func FuzzStoreRead(f *testing.F) {
 	s, err := Open(f.TempDir())
 	if err != nil {
@@ -77,14 +77,9 @@ func FuzzStoreRead(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	// targets[i] is one stored file; the first four make up the artifact
-	// entry, and good[i] holds its stored bytes.
-	artDir := filepath.Join(s.artDir, art.Hash[:2], art.Hash)
+	// targets[i] is one stored record and good[i] its stored bytes.
 	targets := []string{
-		filepath.Join(artDir, metaFile),
-		filepath.Join(artDir, jsonFile),
-		filepath.Join(artDir, csvFile),
-		filepath.Join(artDir, aggregateFile),
+		filepath.Join(s.resultDir, art.Hash[:2], art.Hash),
 		filepath.Join(s.cellDir, cell.Hash[:2], cell.Hash),
 		filepath.Join(s.specDir, specHash[:2], specHash),
 	}
@@ -96,37 +91,42 @@ func FuzzStoreRead(f *testing.F) {
 		f.Add(uint8(i), good[i])
 		f.Add(uint8(i), good[i][:len(good[i])/2])
 	}
+	manifest, parts, _ := bytes.Cut(good[0], []byte{'\n'})
+	withManifest := func(line string) []byte { return append([]byte(line+"\n"), parts...) }
+	flipped := bytes.Clone(good[0])
+	flipped[len(manifest)+1+len(art.JSON)] ^= 0x40 // the first byte of cells.csv
 	f.Add(uint8(0), bytes.Replace(good[0], []byte(art.Hash), []byte(testHash(3)), 1))
-	f.Add(uint8(0), []byte(`{"hash":"`+art.Hash+`","files":{}}`))
-	f.Add(uint8(4), bytes.Replace(good[4], []byte(cell.Hash), []byte(testHash(3)), 1))
-	f.Add(uint8(4), []byte(`{"hash":"`+cell.Hash+`","size":2,"sha256":"","payload":{}}`))
+	f.Add(uint8(0), withManifest(`{"hash":"`+art.Hash+`","files":{}}`))
 	f.Add(uint8(0), bytes.Replace(good[0], []byte(`"cells":1,`), []byte(`"cells":-1,`), 1))
+	f.Add(uint8(0), withManifest(`{not json`))
+	f.Add(uint8(0), parts)
+	f.Add(uint8(0), good[0][:len(good[0])-len(art.AggregateCSV)])
+	f.Add(uint8(0), flipped)
+	f.Add(uint8(0), append(bytes.Clone(good[0]), 'x'))
+	f.Add(uint8(0), bytes.Replace(good[0], []byte(`"size":13,`), []byte(`"size":-13,`), 1))
+	f.Add(uint8(1), bytes.Replace(good[1], []byte(cell.Hash), []byte(testHash(3)), 1))
+	f.Add(uint8(1), []byte(`{"hash":"`+cell.Hash+`","size":2,"sha256":"","payload":{}}`))
 
-	// read reads the entry that holds targets[target] and returns what it
-	// handed back, indexed like parts: the artifact parts, the cell payload
-	// or the spec bytes. Accepted artifacts never carry a negative cell
-	// count.
-	parts := [][]byte{nil, art.JSON, art.CSV, art.AggregateCSV, cell.Payload, spec}
+	// read reads the entry stored at targets[target] and returns what it
+	// handed back: the artifact parts, the cell payload or the spec bytes.
+	// Accepted artifacts never carry a negative cell count.
 	read := func(t *testing.T, target int) ([][]byte, error) {
-		got := make([][]byte, len(targets))
-		var err error
-		switch {
-		case target < 4:
-			var a Artifacts
-			a, err = s.GetArtifacts(art.Hash)
+		switch target {
+		case 0:
+			a, err := s.GetArtifacts(art.Hash)
 			if err == nil && a.Cells < 0 {
-				t.Fatalf("accepted metadata with cell count %d", a.Cells)
+				t.Fatalf("accepted manifest with cell count %d", a.Cells)
 			}
-			got[1], got[2], got[3] = a.JSON, a.CSV, a.AggregateCSV
-		case target == 4:
-			var c Cell
-			c, err = s.GetCell(cell.Hash)
-			got[4] = c.Payload
+			return [][]byte{a.JSON, a.CSV, a.AggregateCSV}, err
+		case 1:
+			c, err := s.GetCell(cell.Hash)
+			return [][]byte{c.Payload}, err
 		default:
-			got[5], err = s.GetSpec(specHash)
+			b, err := s.GetSpec(specHash)
+			return [][]byte{b}, err
 		}
-		return got, err
 	}
+	stored := [][][]byte{{art.JSON, art.CSV, art.AggregateCSV}, {cell.Payload}, {spec}}
 
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		target := int(which) % len(targets)
@@ -136,21 +136,11 @@ func FuzzStoreRead(f *testing.F) {
 		if err := os.MkdirAll(s.quarDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		first, last := target, target
-		if target < 4 {
-			first, last = 0, 3
-			if err := os.MkdirAll(artDir, 0o755); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.MkdirAll(filepath.Dir(targets[target]), 0o755); err != nil {
+			t.Fatal(err)
 		}
-		for i := first; i <= last; i++ {
-			b := good[i]
-			if i == target {
-				b = data
-			}
-			if err := os.WriteFile(targets[i], b, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		if err := os.WriteFile(targets[target], data, 0o644); err != nil {
+			t.Fatal(err)
 		}
 
 		got, err := read(t, target)
@@ -158,24 +148,28 @@ func FuzzStoreRead(f *testing.F) {
 			// Only the stored bytes verify against their checksum or name, so
 			// whatever comes back is what was stored.
 			for i, b := range got {
-				if b != nil && !bytes.Equal(b, parts[i]) {
-					t.Fatalf("accepted entry returned %q for file %d, want %q", b, i, parts[i])
+				if !bytes.Equal(b, stored[target][i]) {
+					t.Fatalf("accepted record %d returned %q for part %d, want %q", target, b, i, stored[target][i])
 				}
 			}
-			// An accepted metadata or cell record names the key it was read
-			// under.
-			if key := map[int]string{0: art.Hash, 4: cell.Hash}[target]; key != "" {
+			// An accepted artifact manifest or cell record names the key it
+			// was read under.
+			if key := map[int]string{0: art.Hash, 1: cell.Hash}[target]; key != "" {
 				var named struct {
 					Hash string `json:"hash"`
 				}
-				if json.Unmarshal(data, &named) != nil || named.Hash != key {
+				line, _, _ := bytes.Cut(data, []byte{'\n'})
+				if target == 1 {
+					line = data
+				}
+				if json.Unmarshal(line, &named) != nil || named.Hash != key {
 					t.Fatalf("accepted record names hash %q, want %s", named.Hash, key)
 				}
 			}
 			return
 		}
 		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("read of damaged file %d failed with %v, want ErrCorrupt", target, err)
+			t.Fatalf("read of damaged record %d failed with %v, want ErrCorrupt", target, err)
 		}
 		if _, err := read(t, target); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("read after quarantine: %v, want ErrNotFound", err)

@@ -1,48 +1,49 @@
 // Package store persists the simulation service's state across restarts: a
-// disk-backed, content-addressed artifact store (one directory per spec hash
-// holding the deterministic JSON/CSV/aggregate-CSV artifact bytes plus a
-// metadata record), the cell and spec record tiers (see cells.go), and an
+// disk-backed, content-addressed result store (one record file per spec hash
+// holding the deterministic JSON/CSV/aggregate-CSV artifact bytes behind a
+// manifest line), the cell and spec record tiers (see cells.go), and an
 // append-only job log from which the service rebuilds its job table on
 // startup.
 //
-// Crash atomicity: artifacts are staged in a temporary directory, every file
-// is fsync'd before the staging directory is renamed into place, and the
-// parent directory is fsync'd after the rename, so a reader observes either
-// no entry or a complete one. Entries that fail verification on read — a
-// truncated or bit-flipped artifact file, undecodable metadata, a hash
-// mismatch — are quarantined (moved to quarantine/ for inspection) rather
-// than deleted, and report ErrCorrupt so the caller can recompute; a corrupt
-// or missing entry never affects lookups of other hashes. Partial staging
-// directories left behind by a crash are swept on Open.
+// Crash atomicity: every entry is one file, staged under tmp/ and fsync'd
+// before it is renamed into place, and the directory that receives it is
+// fsync'd after the rename, so a reader observes either no entry or a
+// complete one. Entries that fail verification on read — a truncated or
+// bit-flipped part, an undecodable manifest, a hash mismatch — are
+// quarantined (moved to quarantine/ for inspection) rather than deleted, and
+// report ErrCorrupt so the caller can recompute; an entry that cannot be read
+// at all stays in place and reports a plain error, and a corrupt or missing
+// entry never affects lookups of other hashes. Partial stages left behind by
+// a crash are swept on Open.
 //
 // All three tiers share one path for each of these steps: entry validates a
-// hash key and locates it, publish renames a synced stage into place (the
-// compacted job log goes through it too), remove deletes, quarantine moves
-// a damaged entry aside, and list walks a tier for GC. Only what an entry
-// is (a directory or one record file) and how it verifies differ per tier.
+// hash key and locates it, publishFile stages a record and publish renames
+// it into place (the compacted job log goes through both too), get reads a
+// record, checks it and quarantines it when the check fails, remove deletes,
+// and list walks a tier for GC. Only how a record verifies differs per tier.
 //
 // Layout under the data directory:
 //
-//	artifacts/<hh>/<hash>/  meta.json, matrix.json, cells.csv, aggregate.csv
-//	cells/<hh>/<hash>       one JSON record per simulated cell (see cells.go)
-//	specs/<hh>/<hash>       canonical spec bytes of in-flight matrices
-//	quarantine/             corrupt entries moved aside as <hash>.<n>
-//	tmp/                    staging area for atomic writes (swept on Open)
-//	jobs.log                append-only JSONL job records, periodically compacted
+//	results/<hh>/<hash>  manifest line, then matrix.json, cells.csv, aggregate.csv
+//	cells/<hh>/<hash>    one JSON record per simulated cell (see cells.go)
+//	specs/<hh>/<hash>    canonical spec bytes of in-flight matrices
+//	quarantine/          corrupt entries moved aside as <hash>.<n>
+//	tmp/                 staging area for atomic writes (swept on Open)
+//	jobs.log             append-only JSONL job records, periodically compacted
 //
 // Entries are sharded by the first two hex digits of the hash (<hh>), so
 // entry counts per directory stay ~1/256th of the total and never brush
-// filesystem per-directory limits. An entry in the flat layout of builds
-// before sharding (artifacts/<hash>/) is not read: walks skip every name
-// under a tier root that is not a 2-character prefix, and lookups miss.
+// filesystem per-directory limits. The artifacts/ tree of earlier builds, in
+// either of its layouts (artifacts/<hash>/ or artifacts/<hh>/<hash>/, a
+// directory of four files per entry), is not read: its matrices miss and are
+// assembled again from their cells or recomputed.
 //
 // An entry's record is also its transfer form between shards: EncodeArtifacts
-// renders an artifact entry as its meta.json manifest plus the three parts
-// it describes, EncodeCell renders the cell record file itself, and
-// DecodeArtifacts and DecodeCell run the same per-tier check on what a peer
-// sent that GetArtifacts and GetCell run on the disk. Only the store knows
-// a record's envelope; a shard adopting a peer's entry verifies it with the
-// store's own reader before installing it through Put.
+// and EncodeCell render the record file itself, and DecodeArtifacts and
+// DecodeCell run the same check on what a peer sent that GetArtifacts and
+// GetCell run on the disk. Only the store knows a record's envelope; a shard
+// adopting a peer's entry verifies it with the store's own reader before
+// installing it through Put.
 //
 // The spec hash is the on-disk key: internal/service/spec guarantees its
 // stability across releases (see the package documentation there), which is
@@ -50,11 +51,14 @@
 package store
 
 import (
+	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -64,8 +68,8 @@ import (
 
 // Errors reported by the store.
 var (
-	// ErrNotFound reports a hash with no stored artifact entry.
-	ErrNotFound = errors.New("store: artifact not found")
+	// ErrNotFound reports a hash with no stored entry.
+	ErrNotFound = errors.New("store: not found")
 	// ErrCorrupt reports an entry that failed verification and has been
 	// moved to quarantine/. The caller should recompute.
 	ErrCorrupt = errors.New("store: artifact corrupt")
@@ -73,9 +77,8 @@ var (
 	ErrClosed = errors.New("store: closed")
 )
 
-// Artifact file names inside an entry directory.
+// Names of an artifact entry's parts in its manifest.
 const (
-	metaFile      = "meta.json"
 	jsonFile      = "matrix.json"
 	csvFile       = "cells.csv"
 	aggregateFile = "aggregate.csv"
@@ -101,7 +104,7 @@ type Artifacts struct {
 // sweeps.
 type Info struct {
 	Hash string
-	// Bytes is the entry's size: the artifact bytes its metadata records,
+	// Bytes is the entry's size: the artifact bytes its manifest records,
 	// or the record file's size.
 	Bytes int64
 	// CreatedAt anchors TTL expiry: the creation time an artifact or cell
@@ -109,16 +112,13 @@ type Info struct {
 	CreatedAt time.Time
 }
 
-// meta is the manifest of an entry, stored as meta.json. Sizes and
-// checksums let reads detect truncation and bit rot. The record
-// EncodeArtifacts renders is the manifest with Parts filled in; on disk the
-// parts are the entry's files and Parts is omitted.
+// meta is the manifest of an artifact entry, the first line of its record.
+// Sizes and checksums let reads detect truncation and bit rot.
 type meta struct {
 	Hash        string              `json:"hash"`
 	Cells       int                 `json:"cells"`
 	CreatedAtMs int64               `json:"created_at_ms"`
 	Files       map[string]fileMeta `json:"files"`
-	Parts       map[string][]byte   `json:"parts,omitempty"`
 }
 
 type fileMeta struct {
@@ -127,15 +127,15 @@ type fileMeta struct {
 }
 
 // Store is a disk-backed artifact store plus job log rooted at one data
-// directory. All methods are safe for concurrent use. Artifact operations
+// directory. All methods are safe for concurrent use. Entry operations
 // rely on atomic renames; the job log is guarded by a mutex.
 type Store struct {
-	dir     string
-	artDir  string
-	cellDir string
-	specDir string
-	tmpDir  string
-	quarDir string
+	dir       string
+	resultDir string
+	cellDir   string
+	specDir   string
+	tmpDir    string
+	quarDir   string
 
 	mu      sync.Mutex // guards the job log and closed
 	logf    *os.File
@@ -147,20 +147,20 @@ type Store struct {
 // leftovers from a previous crash, and opens the job log for appending.
 func Open(dir string) (*Store, error) {
 	s := &Store{
-		dir:     dir,
-		artDir:  filepath.Join(dir, "artifacts"),
-		cellDir: filepath.Join(dir, "cells"),
-		specDir: filepath.Join(dir, "specs"),
-		tmpDir:  filepath.Join(dir, "tmp"),
-		quarDir: filepath.Join(dir, "quarantine"),
+		dir:       dir,
+		resultDir: filepath.Join(dir, "results"),
+		cellDir:   filepath.Join(dir, "cells"),
+		specDir:   filepath.Join(dir, "specs"),
+		tmpDir:    filepath.Join(dir, "tmp"),
+		quarDir:   filepath.Join(dir, "quarantine"),
 	}
-	for _, d := range []string{s.artDir, s.cellDir, s.specDir, s.tmpDir, s.quarDir} {
+	for _, d := range []string{s.resultDir, s.cellDir, s.specDir, s.tmpDir, s.quarDir} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: open: %w", err)
 		}
 	}
-	// A crash between staging and rename leaves a partial directory in tmp/.
-	// It was never visible under artifacts/, so removal cannot affect lookups.
+	// A crash between staging and rename leaves a partial stage in tmp/. It
+	// was never visible under a tier root, so removal cannot affect lookups.
 	leftovers, err := os.ReadDir(s.tmpDir)
 	if err != nil {
 		return nil, fmt.Errorf("store: open: %w", err)
@@ -217,7 +217,7 @@ func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) jobLogPath() string { return filepath.Join(s.dir, "jobs.log") }
 
-// Close syncs and closes the job log. It is idempotent; artifact methods and
+// Close syncs and closes the job log. It is idempotent; entry methods and
 // appends fail with ErrClosed afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -260,102 +260,97 @@ func (s *Store) entry(root, hash string) (string, error) {
 	return filepath.Join(root, hash[:2], hash), nil
 }
 
-// PutArtifacts atomically writes one entry: the files are staged under tmp/,
-// fsync'd, and renamed into artifacts/<hash> as a unit. An existing entry
-// under the same hash is replaced — harmless, because equal hashes mean equal
-// bytes (the runner is deterministic).
+// PutArtifacts atomically writes one entry, the record EncodeArtifacts
+// renders, to results/<hh>/<hash>. An existing entry under the same hash is
+// replaced — harmless, because equal hashes mean equal bytes (the runner is
+// deterministic).
 func (s *Store) PutArtifacts(a Artifacts) error {
-	dst, err := s.entry(s.artDir, a.Hash)
+	dst, err := s.entry(s.resultDir, a.Hash)
 	if err != nil {
 		return err
 	}
-	files := a.parts()
-	if files[metaFile], err = json.Marshal(a.manifest()); err != nil {
-		return fmt.Errorf("store: encode meta: %w", err)
-	}
-	stage, err := os.MkdirTemp(s.tmpDir, a.Hash+".")
+	rec, err := EncodeArtifacts(a)
 	if err != nil {
-		return fmt.Errorf("store: stage: %w", err)
+		return err
 	}
-	for name, data := range files {
-		if err := writeFileSync(filepath.Join(stage, name), data); err != nil {
-			os.RemoveAll(stage)
-			return fmt.Errorf("store: stage %s: %w", name, err)
-		}
-	}
-	if err := syncDir(stage); err != nil {
-		os.RemoveAll(stage)
-		return fmt.Errorf("store: sync stage: %w", err)
-	}
-	return publish(stage, dst)
+	return s.publishFile(dst, rec)
 }
 
-// parts maps each artifact file name of an entry to its bytes.
-func (a Artifacts) parts() map[string][]byte {
-	return map[string][]byte{jsonFile: a.JSON, csvFile: a.CSV, aggregateFile: a.AggregateCSV}
+// part is one of an entry's three artifact renderings, under its manifest
+// name.
+type part struct {
+	name string
+	data *[]byte
 }
 
-// manifest returns the entry's metadata record, with the size and checksum
-// of each part.
-func (a Artifacts) manifest() meta {
+// parts lists a's renderings in the order its record carries them.
+func (a *Artifacts) parts() []part {
+	return []part{{jsonFile, &a.JSON}, {csvFile, &a.CSV}, {aggregateFile, &a.AggregateCSV}}
+}
+
+// EncodeArtifacts renders an entry as its record: the manifest (hash, cell
+// count, creation time, and the size and SHA-256 of each part) as one JSON
+// line, then the raw bytes of matrix.json, cells.csv and aggregate.csv in
+// that order. It is the file PutArtifacts writes and what a shard serves a
+// peer; DecodeArtifacts reads it back.
+func EncodeArtifacts(a Artifacts) ([]byte, error) {
 	m := meta{Hash: a.Hash, Cells: a.Cells, CreatedAtMs: a.CreatedAt.UnixMilli(),
 		Files: map[string]fileMeta{}}
-	for name, data := range a.parts() {
-		m.Files[name] = checksum(data)
+	size := 0
+	for _, p := range a.parts() {
+		m.Files[p.name] = checksum(*p.data)
+		size += len(*p.data)
 	}
-	return m
-}
-
-// EncodeArtifacts renders an entry as one record: the manifest PutArtifacts
-// writes as meta.json plus the parts it describes, keyed by file name. It is
-// what a shard serves a peer, and DecodeArtifacts reads it back.
-func EncodeArtifacts(a Artifacts) ([]byte, error) {
-	m := a.manifest()
-	m.Parts = a.parts()
-	return json.Marshal(m)
+	line, err := json.Marshal(m)
+	if err != nil {
+		return nil, fmt.Errorf("store: encode manifest: %w", err)
+	}
+	rec := make([]byte, 0, len(line)+1+size)
+	rec = append(append(rec, line...), '\n')
+	for _, p := range a.parts() {
+		rec = append(rec, *p.data...)
+	}
+	return rec, nil
 }
 
 // DecodeArtifacts decodes and verifies a record rendered by EncodeArtifacts
-// against the hash the caller asked for, with the check GetArtifacts runs on
-// an entry on disk. A record that fails it reports ErrCorrupt.
+// against the hash the caller asked for: the manifest must name it and
+// carry a cell count that is not negative, each part must match the size
+// and checksum the manifest records for it, and no bytes may follow the
+// last part. GetArtifacts runs the same check on the file on disk. A record
+// that fails it reports ErrCorrupt. The parts returned share data's memory.
 func DecodeArtifacts(hash string, data []byte) (Artifacts, error) {
-	m, err := decodeMeta(data, hash)
+	line, rest, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		return Artifacts{}, corrupt(hash, "no manifest line")
+	}
+	m, err := decodeMeta(line, hash)
 	if err != nil {
 		return Artifacts{}, err
 	}
-	return m.artifacts(func(name string) ([]byte, error) { return m.Parts[name], nil })
-}
-
-// GetArtifacts reads and verifies the entry stored under hash. A missing
-// entry reports ErrNotFound; an entry that fails verification is moved to
-// quarantine/ and reports ErrCorrupt. Neither affects other entries.
-func (s *Store) GetArtifacts(hash string) (Artifacts, error) {
-	dir, err := s.entry(s.artDir, hash)
-	if err != nil {
-		return Artifacts{}, err
-	}
-	metaBytes, err := os.ReadFile(filepath.Join(dir, metaFile))
-	if errors.Is(err, fs.ErrNotExist) {
-		if _, statErr := os.Stat(dir); statErr == nil {
-			// Directory present but no metadata: a damaged entry.
-			return Artifacts{}, s.quarantine(dir, hash, corrupt(hash, "missing metadata"))
+	a := Artifacts{Hash: m.Hash, Cells: m.Cells, CreatedAt: time.UnixMilli(m.CreatedAtMs)}
+	for _, p := range a.parts() {
+		want, ok := m.Files[p.name]
+		if !ok {
+			return Artifacts{}, corrupt(hash, "metadata missing "+p.name)
 		}
-		return Artifacts{}, fmt.Errorf("%w: %s", ErrNotFound, hash)
+		if want.Size < 0 || want.Size > int64(len(rest)) {
+			return Artifacts{}, corrupt(hash, fmt.Sprintf("%s: %d bytes left, want %d", p.name, len(rest), want.Size))
+		}
+		*p.data, rest = rest[:want.Size:want.Size], rest[want.Size:]
+		if checksum(*p.data) != want {
+			return Artifacts{}, corrupt(hash, p.name+": checksum mismatch")
+		}
 	}
-	if err != nil {
-		return Artifacts{}, fmt.Errorf("store: read meta: %w", err)
-	}
-	m, err := decodeMeta(metaBytes, hash)
-	var a Artifacts
-	if err == nil {
-		a, err = m.artifacts(func(name string) ([]byte, error) {
-			return os.ReadFile(filepath.Join(dir, name))
-		})
-	}
-	if err != nil {
-		return Artifacts{}, s.quarantine(dir, hash, err)
+	if len(rest) != 0 {
+		return Artifacts{}, corrupt(hash, fmt.Sprintf("%d bytes past the last part", len(rest)))
 	}
 	return a, nil
+}
+
+// GetArtifacts reads and verifies the entry stored under hash; see get.
+func (s *Store) GetArtifacts(hash string) (Artifacts, error) {
+	return get(s, s.resultDir, "artifact", hash, DecodeArtifacts)
 }
 
 // decodeMeta decodes an entry's manifest and checks that it names the
@@ -375,54 +370,23 @@ func decodeMeta(data []byte, hash string) (meta, error) {
 	return m, nil
 }
 
-// artifacts reads each part of the entry with read and checks it against
-// the size and checksum its manifest m records: the one check of an
-// artifact's parts, which read from the entry's files in GetArtifacts and
-// from the record itself in DecodeArtifacts. A part that fails reports
-// ErrCorrupt.
-func (m meta) artifacts(read func(name string) ([]byte, error)) (Artifacts, error) {
-	a := Artifacts{Hash: m.Hash, Cells: m.Cells, CreatedAt: time.UnixMilli(m.CreatedAtMs)}
-	for _, f := range []struct {
-		name string
-		dst  *[]byte
-	}{
-		{jsonFile, &a.JSON},
-		{csvFile, &a.CSV},
-		{aggregateFile, &a.AggregateCSV},
-	} {
-		want, ok := m.Files[f.name]
-		if !ok {
-			return Artifacts{}, corrupt(m.Hash, "metadata missing "+f.name)
-		}
-		data, err := read(f.name)
-		if err != nil {
-			return Artifacts{}, corrupt(m.Hash, f.name+": "+err.Error())
-		}
-		if got := checksum(data); got != want {
-			return Artifacts{}, corrupt(m.Hash,
-				fmt.Sprintf("%s: %d bytes, want %d (or checksum mismatch)", f.name, got.Size, want.Size))
-		}
-		*f.dst = data
-	}
-	return a, nil
-}
-
 // DeleteArtifacts removes the entry stored under hash; deleting a missing
 // entry is not an error.
-func (s *Store) DeleteArtifacts(hash string) error { return s.remove(s.artDir, hash) }
+func (s *Store) DeleteArtifacts(hash string) error { return s.remove(s.resultDir, hash) }
 
-// ListArtifacts summarizes every stored entry from its metadata record.
-// Entries whose metadata cannot be read are quarantined and skipped, never
-// failing the listing.
+// ListArtifacts summarizes every stored entry from its manifest line alone,
+// so a GC sweep never reads the parts. An entry whose manifest fails its
+// check is quarantined and skipped; one that cannot be read is skipped for
+// this pass. Neither fails the listing.
 func (s *Store) ListArtifacts() ([]Info, error) {
-	return s.list(s.artDir, true, func(hash, dir string) (Info, bool) {
-		data, err := os.ReadFile(filepath.Join(dir, metaFile))
-		var m meta
-		if err == nil {
-			m, err = decodeMeta(data, hash)
-		}
+	return s.list(s.resultDir, func(hash, path string) (Info, bool) {
+		line, err := readLine(path)
 		if err != nil {
-			_ = s.quarantine(dir, hash, err)
+			return Info{}, false
+		}
+		m, err := decodeMeta(line, hash)
+		if err != nil {
+			_ = s.quarantine(path, hash, err)
 			return Info{}, false
 		}
 		info := Info{Hash: hash, CreatedAt: time.UnixMilli(m.CreatedAtMs)}
@@ -433,12 +397,52 @@ func (s *Store) ListArtifacts() ([]Info, error) {
 	})
 }
 
+// readLine reads the file at path up to its first newline, or all of it
+// when it has none, in reads of a manifest's size.
+func readLine(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	line, err := bufio.NewReaderSize(f, 512).ReadBytes('\n')
+	if err == io.EOF {
+		err = nil
+	}
+	return line, err
+}
+
+// get reads the record stored under hash in root and checks it with
+// decode, the one read path of every tier. A missing record reports
+// ErrNotFound naming kind, and a read that fails a plain error that leaves
+// the record in place; a record that was read and fails decode is moved to
+// quarantine/ and reports ErrCorrupt. None of them affects other entries.
+func get[T any](s *Store, root, kind, hash string, decode func(hash string, data []byte) (T, error)) (T, error) {
+	var zero T
+	path, err := s.entry(root, hash)
+	if err != nil {
+		return zero, err
+	}
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return zero, fmt.Errorf("%w: %s %s", ErrNotFound, kind, hash)
+	}
+	if err != nil {
+		return zero, fmt.Errorf("store: read %s: %w", kind, err)
+	}
+	v, err := decode(hash, data)
+	if err != nil {
+		return zero, s.quarantine(path, hash, err)
+	}
+	return v, nil
+}
+
 // list walks the sharded tier under root and summarizes, with info, every
-// hash-named entry that is a directory when dirs is set and a file
-// otherwise; info reports false for an entry it skips. Junk names, misfiled
-// entries and an unreadable prefix directory are skipped for this pass
-// without failing the walk, which the GC sweep depends on.
-func (s *Store) list(root string, dirs bool, info func(hash, path string) (Info, bool)) ([]Info, error) {
+// hash-named entry; info reports false for an entry it skips. Junk names,
+// directories, misfiled entries and an unreadable prefix directory are
+// skipped for this pass without failing the walk, which the GC sweep
+// depends on.
+func (s *Store) list(root string, info func(hash, path string) (Info, bool)) ([]Info, error) {
 	if s.isClosed() {
 		return nil, ErrClosed
 	}
@@ -457,7 +461,7 @@ func (s *Store) list(root string, dirs bool, info func(hash, path string) (Info,
 		}
 		for _, e := range dirents {
 			hash := e.Name()
-			if e.IsDir() != dirs || validHash(hash) != nil || hash[:2] != p.Name() {
+			if e.IsDir() || validHash(hash) != nil || hash[:2] != p.Name() {
 				continue
 			}
 			if in, ok := info(hash, filepath.Join(root, p.Name(), hash)); ok {
@@ -468,30 +472,42 @@ func (s *Store) list(root string, dirs bool, info func(hash, path string) (Info,
 	return infos, nil
 }
 
-// publish moves a fully synced stage — an entry directory or a record file
-// under tmp/ — to dst and fsyncs dst's prefix directory so the rename
-// survives a crash, and the tier root too when publish created the prefix.
-// A rename over an existing dst fails only when a directory is involved (a
-// concurrent writer won the race, a TTL-expired entry is being refreshed,
-// or a stray directory or file is in the way); then dst is cleared and the
-// rename retried once: entries are content-addressed, so the replacement
-// is byte-identical. A file stage never clears a file it failed to
-// replace, so a failed compaction keeps jobs.log. The stage is removed on
-// failure.
+// publishFile atomically writes one record file: staged under tmp/ and
+// fsync'd, then published at dst. Every store write goes through it.
+func (s *Store) publishFile(dst string, data []byte) error {
+	f, err := os.CreateTemp(s.tmpDir, filepath.Base(dst)+".")
+	if err != nil {
+		return fmt.Errorf("store: stage: %w", err)
+	}
+	if err := writeClose(f, data); err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("store: stage: %w", err)
+	}
+	return publish(f.Name(), dst)
+}
+
+// publish moves a fully synced record file staged under tmp/ to dst and
+// fsyncs dst's prefix directory so the rename survives a crash, and the
+// tier root too when publish created the prefix. A rename replaces a file
+// at dst (a concurrent writer's, or a TTL-expired entry being refreshed:
+// entries are content-addressed, so the replacement is byte-identical) but
+// fails on a stray directory there; then dst is cleared and the rename
+// retried once. A rename that fails for another reason clears nothing, so
+// a failed compaction keeps jobs.log. The stage is removed on failure.
 func publish(stage, dst string) error {
 	pfx := filepath.Dir(dst)
 	_, statErr := os.Stat(pfx)
 	err := os.MkdirAll(pfx, 0o755)
 	if err == nil {
 		err = os.Rename(stage, dst)
-		if err != nil && (isDir(dst) || isDir(stage)) {
+		if err != nil && isDir(dst) {
 			if err = os.RemoveAll(dst); err == nil {
 				err = os.Rename(stage, dst)
 			}
 		}
 	}
 	if err != nil {
-		os.RemoveAll(stage)
+		os.Remove(stage)
 		return fmt.Errorf("store: publish: %w", err)
 	}
 	if err := syncDir(pfx); err != nil {
@@ -511,9 +527,8 @@ func isDir(path string) bool {
 	return err == nil && fi.IsDir()
 }
 
-// remove deletes the entry stored under hash in root — a directory or a
-// record file — and fsyncs its prefix directory. A missing entry or prefix
-// directory is not an error.
+// remove deletes the entry stored under hash in root and fsyncs its prefix
+// directory. A missing entry or prefix directory is not an error.
 func (s *Store) remove(root, hash string) error {
 	path, err := s.entry(root, hash)
 	if err != nil {
@@ -528,10 +543,10 @@ func (s *Store) remove(root, hash string) error {
 	return nil
 }
 
-// quarantine moves a damaged entry at src (a directory or a record file)
-// to quarantine/<hash>.<n>, at the first n not taken by an earlier
-// corruption of the same hash, so it cannot fail the same lookup twice. It
-// returns cause, the ErrCorrupt to hand to the caller.
+// quarantine moves a damaged record at src to quarantine/<hash>.<n>, at the
+// first n not taken by an earlier corruption of the same hash, so it cannot
+// fail the same lookup twice. It returns cause, the ErrCorrupt to hand to
+// the caller.
 func (s *Store) quarantine(src, hash string, cause error) error {
 	for n := 0; n < 1000; n++ {
 		dst := filepath.Join(s.quarDir, fmt.Sprintf("%s.%d", hash, n))
@@ -561,15 +576,6 @@ func (s *Store) isClosed() bool {
 func checksum(data []byte) fileMeta {
 	sum := sha256.Sum256(data)
 	return fileMeta{Size: int64(len(data)), SHA256: hex.EncodeToString(sum[:])}
-}
-
-// writeFileSync writes data to a new file at path; see writeClose.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	return writeClose(f, data)
 }
 
 // writeClose writes data to f and fsyncs it before closing, so a rename that

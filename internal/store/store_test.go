@@ -100,9 +100,11 @@ func TestListAndDelete(t *testing.T) {
 	}
 }
 
-// corruptionCase damages one stored entry and expects quarantine + ErrCorrupt
-// while a sibling entry keeps serving.
-func corruptionCase(t *testing.T, damage func(t *testing.T, dir string)) {
+// corruptionCase damages one stored entry's record with damage, which
+// returns the damaged bytes given the stored record, the entry, and where
+// its parts start. It expects quarantine + ErrCorrupt while a sibling entry
+// keeps serving.
+func corruptionCase(t *testing.T, damage func(rec []byte, a Artifacts, parts int) []byte) {
 	t.Helper()
 	s := openStore(t)
 	victim, witness := testArtifacts(1), testArtifacts(2)
@@ -111,7 +113,14 @@ func corruptionCase(t *testing.T, damage func(t *testing.T, dir string)) {
 			t.Fatal(err)
 		}
 	}
-	damage(t, filepath.Join(s.Dir(), "artifacts", victim.Hash[:2], victim.Hash))
+	path := filepath.Join(s.Dir(), "results", victim.Hash[:2], victim.Hash)
+	rec, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, damage(rec, victim, bytes.IndexByte(rec, '\n')+1), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	if _, err := s.GetArtifacts(victim.Hash); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt entry: %v, want ErrCorrupt", err)
@@ -133,53 +142,41 @@ func corruptionCase(t *testing.T, damage func(t *testing.T, dir string)) {
 }
 
 func TestCorruptTruncatedArtifact(t *testing.T) {
-	corruptionCase(t, func(t *testing.T, dir string) {
-		if err := os.Truncate(filepath.Join(dir, "matrix.json"), 3); err != nil {
-			t.Fatal(err)
-		}
+	corruptionCase(t, func(rec []byte, a Artifacts, parts int) []byte {
+		return rec[:parts+3] // three bytes into matrix.json
 	})
 }
 
 func TestCorruptBitFlip(t *testing.T) {
-	corruptionCase(t, func(t *testing.T, dir string) {
-		path := filepath.Join(dir, "cells.csv")
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[0] ^= 0xff
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	corruptionCase(t, func(rec []byte, a Artifacts, parts int) []byte {
+		rec[parts+len(a.JSON)] ^= 0xff // the first byte of cells.csv
+		return rec
 	})
 }
 
 func TestCorruptBadMetaJSON(t *testing.T) {
-	corruptionCase(t, func(t *testing.T, dir string) {
-		if err := os.WriteFile(filepath.Join(dir, "meta.json"), []byte("{not json"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	corruptionCase(t, func(rec []byte, a Artifacts, parts int) []byte {
+		return append([]byte("{not json\n"), rec[parts:]...)
 	})
 }
 
 func TestCorruptMissingMeta(t *testing.T) {
-	corruptionCase(t, func(t *testing.T, dir string) {
-		if err := os.Remove(filepath.Join(dir, "meta.json")); err != nil {
-			t.Fatal(err)
-		}
+	corruptionCase(t, func(rec []byte, a Artifacts, parts int) []byte {
+		return rec[parts:] // the parts alone
 	})
 }
 
 func TestCorruptMissingArtifactFile(t *testing.T) {
-	corruptionCase(t, func(t *testing.T, dir string) {
-		if err := os.Remove(filepath.Join(dir, "aggregate.csv")); err != nil {
-			t.Fatal(err)
-		}
+	corruptionCase(t, func(rec []byte, a Artifacts, parts int) []byte {
+		return rec[:len(rec)-len(a.AggregateCSV)] // no aggregate.csv
 	})
 }
 
 // TestPartialTempLeftoverSwept simulates a crash between staging and rename:
-// the leftover lives under tmp/, is invisible to lookups, and Open removes it.
+// the leftovers live under tmp/, are invisible to lookups, and Open removes
+// them. One is a partial record; the other is a non-empty directory stage,
+// which is what a build that staged an artifact entry as a directory left
+// there, so Open must still sweep a data dir such a build crashed on.
 func TestPartialTempLeftoverSwept(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -191,15 +188,21 @@ func TestPartialTempLeftoverSwept(t *testing.T) {
 		t.Fatal(err)
 	}
 	partial := filepath.Join(dir, "tmp", testHash(2)+".crash")
-	if err := os.MkdirAll(partial, 0o755); err != nil {
+	if err := os.WriteFile(partial, []byte(`{"hash":"`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(partial, "matrix.json"), []byte("part"), 0o644); err != nil {
+	stage := filepath.Join(dir, "tmp", testHash(3)+".crash")
+	if err := os.MkdirAll(stage, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// The partial write never published, so its hash is simply absent.
-	if _, err := s.GetArtifacts(testHash(2)); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("partial entry visible: %v", err)
+	if err := os.WriteFile(filepath.Join(stage, "matrix.json"), []byte("part"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The partial writes never published, so their hashes are simply absent.
+	for _, h := range []string{testHash(2), testHash(3)} {
+		if _, err := s.GetArtifacts(h); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("partial entry %s visible: %v", h[:8], err)
+		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -364,44 +367,63 @@ func TestClosedStore(t *testing.T) {
 	}
 }
 
-// TestPreShardingEntryInert: an entry in the flat layout that builds before
-// hash-prefix sharding wrote (artifacts/<hash>/) is not read. Open leaves
-// it where it is, lookups miss and listings skip it, and nothing is
-// quarantined: a recompute writes the sharded entry.
+// writeDirEntry lays a out as earlier builds stored an entry: a directory
+// at path holding the record's manifest as meta.json and each part as a
+// file of its own.
+func writeDirEntry(t *testing.T, path string, a Artifacts) {
+	t.Helper()
+	rec, err := EncodeArtifacts(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, _, _ := bytes.Cut(rec, []byte{'\n'})
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{"meta.json": manifest}
+	for _, p := range a.parts() {
+		files[p.name] = *p.data
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(path, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPreShardingEntryInert: the artifacts/ tree of earlier builds, an
+// entry directory flat under it (before hash-prefix sharding) or under its
+// prefix, is not read. Open leaves it where it is, lookups miss and
+// listings skip it, and nothing is quarantined: a recompute writes the
+// record under results/.
 func TestPreShardingEntryInert(t *testing.T) {
-	dir := t.TempDir()
-	seed, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := testArtifacts(1)
-	if err := seed.PutArtifacts(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.Close(); err != nil {
-		t.Fatal(err)
-	}
-	artRoot := filepath.Join(dir, "artifacts")
-	flat := filepath.Join(artRoot, a.Hash)
-	if err := os.Rename(filepath.Join(artRoot, a.Hash[:2], a.Hash), flat); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.GetArtifacts(a.Hash); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("flat entry read: %v, want ErrNotFound", err)
-	}
-	if infos, err := s.ListArtifacts(); err != nil || len(infos) != 0 {
-		t.Fatalf("listing surfaced the flat entry: %+v (%v)", infos, err)
-	}
-	if q, err := os.ReadDir(filepath.Join(dir, "quarantine")); err != nil || len(q) != 0 {
-		t.Fatalf("quarantine holds %d entries (%v), want none", len(q), err)
-	}
-	if _, err := os.Stat(filepath.Join(flat, metaFile)); err != nil {
-		t.Fatalf("flat entry moved: %v", err)
+	for _, layout := range []string{"flat", "sharded"} {
+		t.Run(layout, func(t *testing.T) {
+			dir := t.TempDir()
+			a := testArtifacts(1)
+			old := filepath.Join(dir, "artifacts", a.Hash)
+			if layout == "sharded" {
+				old = filepath.Join(dir, "artifacts", a.Hash[:2], a.Hash)
+			}
+			writeDirEntry(t, old, a)
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if _, err := s.GetArtifacts(a.Hash); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("%s entry read: %v, want ErrNotFound", layout, err)
+			}
+			if infos, err := s.ListArtifacts(); err != nil || len(infos) != 0 {
+				t.Fatalf("listing surfaced the %s entry: %+v (%v)", layout, infos, err)
+			}
+			if q, err := os.ReadDir(filepath.Join(dir, "quarantine")); err != nil || len(q) != 0 {
+				t.Fatalf("quarantine holds %d entries (%v), want none", len(q), err)
+			}
+			if _, err := os.Stat(filepath.Join(old, "meta.json")); err != nil {
+				t.Fatalf("%s entry moved: %v", layout, err)
+			}
+		})
 	}
 }
 
@@ -431,7 +453,7 @@ func TestCompactionLeavesNoStrayFiles(t *testing.T) {
 	for _, e := range ents {
 		names = append(names, e.Name())
 	}
-	if got, want := strings.Join(names, " "), "artifacts cells jobs.log quarantine specs tmp"; got != want {
+	if got, want := strings.Join(names, " "), "cells jobs.log quarantine results specs tmp"; got != want {
 		t.Fatalf("data dir holds %q, want %q", got, want)
 	}
 	if leftovers, err := os.ReadDir(filepath.Join(dir, "tmp")); err != nil || len(leftovers) != 0 {
@@ -443,9 +465,10 @@ func TestCompactionLeavesNoStrayFiles(t *testing.T) {
 }
 
 // TestPublishReplacesStrayEntries: a rename cannot replace a directory with
-// a record file, nor a file with an entry directory, so publish clears what
-// sits at the destination and retries. A stray directory at a cell's path
-// and a stray file at an artifact's path are both replaced.
+// a record file, so publish clears a stray directory at the destination and
+// retries; a stray file is replaced by the rename itself. A stray directory
+// at a cell's path and a stray file at an artifact's path are both
+// replaced.
 func TestPublishReplacesStrayEntries(t *testing.T) {
 	s := openStore(t)
 	c := testCell(1)
@@ -460,7 +483,7 @@ func TestPublishReplacesStrayEntries(t *testing.T) {
 		t.Fatalf("cell after replacing a stray directory: %v", err)
 	}
 	a := testArtifacts(1)
-	artPath := filepath.Join(s.artDir, a.Hash[:2], a.Hash)
+	artPath := filepath.Join(s.resultDir, a.Hash[:2], a.Hash)
 	if err := os.MkdirAll(filepath.Dir(artPath), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -472,5 +495,48 @@ func TestPublishReplacesStrayEntries(t *testing.T) {
 	}
 	if got, err := s.GetArtifacts(a.Hash); err != nil || !bytes.Equal(got.JSON, a.JSON) {
 		t.Fatalf("artifacts after replacing a stray file: %v", err)
+	}
+}
+
+// TestUnreadableEntryNotQuarantined: a record that cannot be read is not
+// corrupt. With a symlink to a directory at an artifact's and at a cell's
+// record path, every read fails with EISDIR: the listings skip both
+// entries, Get* report a plain store error (neither ErrCorrupt nor
+// ErrNotFound), and nothing moves to quarantine/.
+func TestUnreadableEntryNotQuarantined(t *testing.T) {
+	s := openStore(t)
+	a, c := testArtifacts(1), testCell(2)
+	links := []string{
+		filepath.Join(s.resultDir, a.Hash[:2], a.Hash),
+		filepath.Join(s.cellDir, c.Hash[:2], c.Hash),
+	}
+	for _, link := range links {
+		if err := os.MkdirAll(filepath.Dir(link), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Symlink(t.TempDir(), link); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, list := range map[string]func() ([]Info, error){"ListArtifacts": s.ListArtifacts, "ListCells": s.ListCells} {
+		if infos, err := list(); err != nil || len(infos) != 0 {
+			t.Errorf("%s = %+v, %v; want the unreadable entry skipped", name, infos, err)
+		}
+	}
+	for name, get := range map[string]func() error{
+		"GetArtifacts": func() error { _, err := s.GetArtifacts(a.Hash); return err },
+		"GetCell":      func() error { _, err := s.GetCell(c.Hash); return err },
+	} {
+		if err := get(); err == nil || errors.Is(err, ErrCorrupt) || errors.Is(err, ErrNotFound) {
+			t.Errorf("%s = %v, want a plain store error", name, err)
+		}
+	}
+	if q, err := os.ReadDir(s.quarDir); err != nil || len(q) != 0 {
+		t.Fatalf("quarantine holds %d entries (%v), want none", len(q), err)
+	}
+	for _, link := range links {
+		if fi, err := os.Lstat(link); err != nil || fi.Mode()&os.ModeSymlink == 0 {
+			t.Fatalf("%s moved: %v", link, err)
+		}
 	}
 }

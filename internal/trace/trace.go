@@ -217,12 +217,11 @@ func Generate(p Params) (*Trace, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	src := rng.New(p.Seed).Split("trace")
-	arrivalSrc := src.Split("arrivals")
-	countSrc := src.Split("counts")
-	durSrc := src.Split("durations")
-	prioSrc := src.Split("priorities")
-	splitSrc := src.Split("splits")
+	arrivalSrc := rng.Derive(p.Seed, "trace", "arrivals")
+	countSrc := rng.Derive(p.Seed, "trace", "counts")
+	durSrc := rng.Derive(p.Seed, "trace", "durations")
+	prioSrc := rng.Derive(p.Seed, "trace", "priorities")
+	splitSrc := rng.Derive(p.Seed, "trace", "splits")
 
 	// Task-count distribution: bounded Pareto on [1, MaxTasks] with alpha
 	// calibrated by bisection so the (rounded) mean hits MeanTasksPerJob.
