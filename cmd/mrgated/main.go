@@ -31,13 +31,23 @@
 // With -tenants the gateway authenticates and rate-limits submissions at
 // the edge (same JSON registry file the shards take), rejecting a flooding
 // tenant before it touches a shard; bearer tokens are always forwarded
-// upstream either way.
+// upstream either way. The file reloads as it does on the shards: SIGHUP
+// reloads it at once, and every 30s its mtime is checked and a changed file
+// reloaded (there is no -tenants-poll). A file that fails to parse is
+// logged and skipped, and the gateway cannot switch between forwarding and
+// admitting at runtime.
 //
 // Every request logs one structured line carrying the request ID, W3C
 // trace ID, matched route, status, duration, and serving shard; the same
 // trace ID is forwarded to the shard (traceparent header, fresh span), so
 // one grep follows a request across tiers. -debug-addr opens a second
 // listener serving /debug/pprof and /debug/vars. See docs/OBSERVABILITY.md.
+//
+// On SIGINT/SIGTERM the gateway drains: the listener closes and proxied
+// requests in flight get -drain-timeout to finish. A second signal or the
+// deadline cuts the drain short, and the gateway still exits 0. The flags,
+// lifecycle lines, tenants watcher and drain are internal/daemon's, shared
+// with mrserved.
 package main
 
 import (
@@ -46,28 +56,19 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"net/url"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"mrclone/internal/daemon"
 	"mrclone/internal/gateway"
-	"mrclone/internal/obs"
-	"mrclone/internal/tenant"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "mrgated:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("mrgated", run) }
+
+// tenantsPoll is how often the -tenants file's mtime is checked. It is a
+// variable so that tests can shorten it.
+var tenantsPoll = daemon.TenantsPoll
 
 // stringSlice is a repeatable string flag.
 type stringSlice []string
@@ -104,7 +105,7 @@ func parseShards(vals []string) ([]gateway.Shard, error) {
 
 func run(ctx context.Context, args []string, logw io.Writer) error {
 	fs := flag.NewFlagSet("mrgated", flag.ContinueOnError)
-	addr := fs.String("addr", ":8081", "listen address")
+	sh := daemon.New(fs, ":8081", 10*time.Second, "how long shutdown waits for in-flight proxied requests")
 	var shardFlags stringSlice
 	fs.Var(&shardFlags, "shard", "mrserved shard base URL, optionally named (\"name=URL\"); repeatable")
 	vnodes := fs.Int("vnodes", 0, "virtual nodes per shard on the placement ring (0 = default 128)")
@@ -121,33 +122,17 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		"how long an open breaker short-circuits before a half-open retry (0 = default 5s)")
 	poolAdmin := fs.Bool("pool-admin", false,
 		"register POST /v1/pool/shards for runtime membership changes (unauthenticated; trusted networks only)")
-	drainTimeout := fs.Duration("drain-timeout", 10*time.Second,
-		"how long shutdown waits for in-flight proxied requests")
-	logFormat := fs.String("log-format", "text",
-		"structured log format: text (logfmt-style) or json (one object per line)")
-	logLevel := fs.String("log-level", "info",
-		"minimum log level: debug, info, warn, or error")
-	debugAddr := fs.String("debug-addr", "",
-		"optional second listener serving /debug/pprof and /debug/vars (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if _, err := obs.ParseLevel(*logLevel); err != nil {
-		return fmt.Errorf("-log-level: %w", err)
+	if err := sh.Start(logw); err != nil {
+		return err
 	}
-	logger, err := obs.NewLogger(logw, *logFormat, *logLevel)
-	if err != nil {
-		return fmt.Errorf("-log-format: %w", err)
-	}
-	jsonLog := strings.EqualFold(strings.TrimSpace(*logFormat), "json")
 	if len(shardFlags) == 0 {
 		return errors.New("-shard: need at least one mrserved shard URL")
 	}
 	if *probeTimeout <= 0 {
 		return fmt.Errorf("-probe-timeout %s: need > 0", *probeTimeout)
-	}
-	if *drainTimeout <= 0 {
-		return fmt.Errorf("-drain-timeout %s: need > 0", *drainTimeout)
 	}
 	if *replicas < 0 {
 		return fmt.Errorf("-replicas %d: need >= 0", *replicas)
@@ -162,12 +147,9 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var registry *tenant.Registry
-	if *tenantsFile != "" {
-		registry, err = tenant.Load(*tenantsFile)
-		if err != nil {
-			return fmt.Errorf("-tenants: %w", err)
-		}
+	registry, err := sh.LoadTenants(*tenantsFile, tenantsPoll)
+	if err != nil {
+		return err
 	}
 	gw, err := gateway.New(gateway.Config{
 		Shards:          shards,
@@ -179,73 +161,16 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		BreakerCooldown: *breakerCooldown,
 		EnableAdmin:     *poolAdmin,
 		Tenants:         registry,
-		Logger:          logger,
+		Logger:          sh.Logger,
 	})
 	if err != nil {
 		return err
 	}
 	defer gw.Close()
-
-	if *debugAddr != "" {
-		dln, derr := net.Listen("tcp", *debugAddr)
-		if derr != nil {
-			return fmt.Errorf("-debug-addr: %w", derr)
-		}
-		debugSrv := &http.Server{Handler: obs.DebugHandler()}
-		go func() { _ = debugSrv.Serve(dln) }()
-		defer debugSrv.Close()
-		if jsonLog {
-			logger.Info("debug server listening", "addr", dln.Addr().String())
-		} else {
-			fmt.Fprintf(logw, "mrgated: debug server on %s\n", dln.Addr())
-		}
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: gw.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-	if jsonLog {
-		logger.Info("listening", "addr", ln.Addr().String(),
-			"ring", fmt.Sprint(gw.Ring()), "replicas", *replicas)
-	} else {
-		fmt.Fprintf(logw, "mrgated: listening on %s (%s, replicas=%d)\n",
-			ln.Addr(), gw.Ring(), *replicas)
-	}
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-
-	if jsonLog {
-		logger.Info("draining", "timeout", drainTimeout.String())
-	} else {
-		fmt.Fprintf(logw, "mrgated: signal received, draining (timeout %s)\n", *drainTimeout)
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		if !errors.Is(err, context.DeadlineExceeded) {
-			return fmt.Errorf("drain: %w", err)
-		}
-		// Distinguishable from a clean drain: in-flight requests (long SSE
-		// streams, typically) were cut at the deadline.
-		if jsonLog {
-			logger.Warn("drain timeout exceeded, aborted in-flight requests")
-		} else {
-			fmt.Fprintln(logw, "mrgated: drain timeout exceeded, aborted in-flight requests")
-		}
-		return nil
-	}
-	if jsonLog {
-		logger.Info("drained")
-	} else {
-		fmt.Fprintln(logw, "mrgated: drained")
-	}
-	return nil
+	return sh.Serve(ctx, daemon.Daemon{
+		Handler:   gw.Handler(),
+		Listening: fmt.Sprintf("%s, replicas=%d", gw.Ring(), *replicas),
+		Attrs:     []any{"ring", fmt.Sprint(gw.Ring()), "replicas", *replicas},
+		Reload:    gw.ReloadTenants,
+	})
 }

@@ -60,45 +60,35 @@
 // docs/OBSERVABILITY.md.
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: the listener closes,
-// queued and running matrices finish, then the process exits. A second
-// signal (or the -drain-timeout deadline) cancels the remaining work.
+// requests in flight finish, then queued and running matrices finish, then
+// the process exits. A second signal or the -drain-timeout deadline cuts
+// the drain short, cancels the remaining work and exits 1. The flags,
+// lifecycle lines, tenants watcher and drain are internal/daemon's, shared
+// with mrgated.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
 	"runtime"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
-	"mrclone/internal/obs"
+	"mrclone/internal/daemon"
 	"mrclone/internal/service"
 	"mrclone/internal/store"
 	"mrclone/internal/tenant"
 )
 
-func main() {
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "mrserved:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("mrserved", run) }
 
 func run(ctx context.Context, args []string, logw io.Writer) error {
 	fs := flag.NewFlagSet("mrserved", flag.ContinueOnError)
-	addr := fs.String("addr", ":8080", "listen address")
+	sh := daemon.New(fs, ":8080", time.Minute,
+		"how long shutdown waits for queued and running matrices before cancelling them")
 	parallel := fs.Int("parallel", runtime.NumCPU(),
 		"simulation cells run concurrently per matrix; >= 1 (results do not depend on it)")
 	workers := fs.Int("workers", 2, "matrices executed concurrently; >= 1")
@@ -113,7 +103,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		"disk budget for the per-cell tier; GC evicts oldest cells beyond it (0 = unbounded)")
 	tenantsFile := fs.String("tenants", "",
 		"JSON tenant registry; when set, every request must carry a known bearer token (empty = anonymous, open access)")
-	tenantsPoll := fs.Duration("tenants-poll", 30*time.Second,
+	tenantsPoll := fs.Duration("tenants-poll", daemon.TenantsPoll,
 		"with -tenants, how often the file's mtime is checked for a hot reload (0 disables polling; SIGHUP always reloads)")
 	queuePolicy := fs.String("queue-policy", "fifo",
 		"dequeue order for queued matrices: fifo, fair (weighted across tenants), or srpt (shortest estimated job first)")
@@ -123,27 +113,14 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		"how often the retention/TTL garbage collector sweeps")
 	peerTimeout := fs.Duration("peer-timeout", 5*time.Second,
 		"timeout per peer artifact or cell fetch when a gateway relocates keys here (a slow peer degrades to recomputation)")
-	drainTimeout := fs.Duration("drain-timeout", time.Minute,
-		"how long shutdown waits for queued and running matrices before cancelling them")
-	logFormat := fs.String("log-format", "text",
-		"structured log format: text (logfmt-style) or json (one object per line)")
-	logLevel := fs.String("log-level", "info",
-		"minimum log level: debug, info, warn, or error")
-	debugAddr := fs.String("debug-addr", "",
-		"optional second listener serving /debug/pprof and /debug/vars (empty = disabled)")
 	shardName := fs.String("shard-name", "",
 		"shard name stamped on every log line, for fleets behind mrgated (empty = none)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if _, err := obs.ParseLevel(*logLevel); err != nil {
-		return fmt.Errorf("-log-level: %w", err)
+	if err := sh.Start(logw); err != nil {
+		return err
 	}
-	logger, err := obs.NewLogger(logw, *logFormat, *logLevel)
-	if err != nil {
-		return fmt.Errorf("-log-format: %w", err)
-	}
-	jsonLog := strings.EqualFold(strings.TrimSpace(*logFormat), "json")
 	cacheBudget, err := parseBytes(*cacheBytes)
 	if err != nil {
 		return fmt.Errorf("-cache-bytes %q: %w", *cacheBytes, err)
@@ -178,18 +155,9 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-queue-policy: %w", err)
 	}
-	var registry *tenant.Registry
-	var tenantsMod time.Time
-	if *tenantsFile != "" {
-		registry, err = tenant.Load(*tenantsFile)
-		if err != nil {
-			return fmt.Errorf("-tenants: %w", err)
-		}
-		// Captured here, before the listener opens, so an edit racing the
-		// boot is seen as a change by the watcher's first poll.
-		if fi, serr := os.Stat(*tenantsFile); serr == nil {
-			tenantsMod = fi.ModTime()
-		}
+	registry, err := sh.LoadTenants(*tenantsFile, *tenantsPoll)
+	if err != nil {
+		return err
 	}
 
 	cfg := service.Config{
@@ -204,7 +172,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		PeerTimeout:     *peerTimeout,
 		Tenants:         registry,
 		QueuePolicy:     policy,
-		Logger:          logger,
+		Logger:          sh.Logger,
 		ShardName:       *shardName,
 	}
 	if cacheBudget == 0 {
@@ -223,137 +191,19 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		mode = "data-dir " + *dataDir
 	}
 	svc := service.New(cfg)
-	if *tenantsFile != "" {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		defer signal.Stop(hup)
-		go watchTenants(ctx, svc, *tenantsFile, *tenantsPoll, tenantsMod, hup, logger, logw, jsonLog)
-	}
-
-	if *debugAddr != "" {
-		dln, derr := net.Listen("tcp", *debugAddr)
-		if derr != nil {
-			drainCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-			defer cancel()
-			_ = svc.Close(drainCtx)
-			return fmt.Errorf("-debug-addr: %w", derr)
-		}
-		debugSrv := &http.Server{Handler: obs.DebugHandler()}
-		go func() { _ = debugSrv.Serve(dln) }()
-		defer debugSrv.Close()
-		if jsonLog {
-			logger.Info("debug server listening", "addr", dln.Addr().String())
-		} else {
-			fmt.Fprintf(logw, "mrserved: debug server on %s\n", dln.Addr())
-		}
-	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		drainCtx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		_ = svc.Close(drainCtx) // release the store before bailing
-		return err
-	}
-	srv := &http.Server{Handler: svc.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
 	auth := "anonymous"
 	if registry != nil {
 		auth = fmt.Sprintf("%d tenants", registry.Len())
 	}
-	if jsonLog {
-		logger.Info("listening", "addr", ln.Addr().String(), "workers", *workers,
-			"parallel", *parallel, "queue", *queue, "policy", fmt.Sprint(policy),
-			"auth", auth, "cache", *cacheBytes, "ttl", cacheTTL.String(), "mode", mode)
-	} else {
-		fmt.Fprintf(logw, "mrserved: listening on %s (workers=%d parallel=%d queue=%d policy=%s %s cache=%s ttl=%s %s)\n",
-			ln.Addr(), *workers, *parallel, *queue, policy, auth, *cacheBytes, *cacheTTL, mode)
-	}
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-
-	if jsonLog {
-		logger.Info("draining", "timeout", drainTimeout.String())
-	} else {
-		fmt.Fprintf(logw, "mrserved: signal received, draining (timeout %s)\n", *drainTimeout)
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	// A second signal cuts the drain short and cancels the remaining work.
-	drainCtx, stopDrain := signal.NotifyContext(drainCtx, syscall.SIGINT, syscall.SIGTERM)
-	defer stopDrain()
-	// Stop the listener first so no new jobs arrive, then drain the queue.
-	if err := srv.Shutdown(drainCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		if jsonLog {
-			logger.Warn("http shutdown", "error", err.Error())
-		} else {
-			fmt.Fprintf(logw, "mrserved: http shutdown: %v\n", err)
-		}
-	}
-	if err := svc.Close(drainCtx); err != nil && !errors.Is(err, service.ErrClosed) {
-		return fmt.Errorf("drain: %w", err)
-	}
-	if jsonLog {
-		logger.Info("drained")
-	} else {
-		fmt.Fprintln(logw, "mrserved: drained")
-	}
-	return nil
-}
-
-// watchTenants hot-reloads the tenant registry while the daemon runs:
-// SIGHUP reloads unconditionally, and every poll interval the tenants
-// file's mtime is compared against the last load. A file that fails to
-// parse (or a swap the service rejects) is logged and skipped — the
-// registry already serving stays, so a half-written edit never locks every
-// tenant out. lastMod is the mtime of the load the service booted with.
-// Runs until ctx is cancelled.
-func watchTenants(ctx context.Context, svc *service.Service, path string, poll time.Duration,
-	lastMod time.Time, hup <-chan os.Signal, logger *slog.Logger, logw io.Writer, jsonLog bool) {
-	reload := func(reason string) {
-		if fi, err := os.Stat(path); err == nil {
-			lastMod = fi.ModTime()
-		}
-		reg, err := tenant.Load(path)
-		if err == nil {
-			err = svc.ReloadTenants(reg)
-		}
-		switch {
-		case err != nil && jsonLog:
-			logger.Warn("tenant reload failed", "reason", reason, "error", err.Error())
-		case err != nil:
-			fmt.Fprintf(logw, "mrserved: tenant reload (%s): %v\n", reason, err)
-		case jsonLog:
-			logger.Info("tenant registry reloaded", "reason", reason, "tenants", reg.Len())
-		default:
-			fmt.Fprintf(logw, "mrserved: tenant registry reloaded (%s): %d tenants\n", reason, reg.Len())
-		}
-	}
-	var tick <-chan time.Time
-	if poll > 0 {
-		t := time.NewTicker(poll)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-hup:
-			reload("SIGHUP")
-		case <-tick:
-			fi, err := os.Stat(path)
-			if err != nil || fi.ModTime().Equal(lastMod) {
-				continue
-			}
-			reload("mtime change")
-		}
-	}
+	return sh.Serve(ctx, daemon.Daemon{
+		Handler: svc.Handler(),
+		Listening: fmt.Sprintf("workers=%d parallel=%d queue=%d policy=%s %s cache=%s ttl=%s %s",
+			*workers, *parallel, *queue, policy, auth, *cacheBytes, *cacheTTL, mode),
+		Attrs: []any{"workers", *workers, "parallel", *parallel, "queue", *queue, "policy", fmt.Sprint(policy),
+			"auth", auth, "cache", *cacheBytes, "ttl", cacheTTL.String(), "mode", mode},
+		Reload: svc.ReloadTenants,
+		Drain:  svc.Close,
+	})
 }
 
 // parseBytes parses a human-friendly byte size: a plain integer counts

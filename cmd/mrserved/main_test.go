@@ -8,8 +8,11 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -35,6 +38,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-cache-ttl", "-1s"}, "-cache-ttl"},
 		{[]string{"-job-retention", "-1s"}, "-job-retention"},
 		{[]string{"-gc-interval", "0s"}, "-gc-interval"},
+		{[]string{"-drain-timeout", "0s"}, "-drain-timeout"},
 		{[]string{"-log-format", "xml"}, "-log-format"},
 		{[]string{"-log-level", "loud"}, "-log-level"},
 	}
@@ -348,27 +352,13 @@ func TestTenantHotReloadByPoll(t *testing.T) {
 	}
 	base := "http://" + m[1]
 
-	status := func(token string) int {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodGet, base+"/v1/matrices/none", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Authorization", "Bearer "+token)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
-	if got := status("tok-bravo"); got != http.StatusUnauthorized {
+	if got := authStatus(t, base, "tok-bravo"); got != http.StatusUnauthorized {
 		t.Fatalf("unregistered token: HTTP %d, want 401", got)
 	}
 
 	writeTenants(`{"tenants":[{"name":"alpha","token":"tok-alpha"},{"name":"bravo","token":"tok-bravo"}]}`)
 	deadline := time.Now().Add(10 * time.Second)
-	for status("tok-bravo") != http.StatusNotFound {
+	for authStatus(t, base, "tok-bravo") != http.StatusNotFound {
 		if time.Now().After(deadline) {
 			t.Fatalf("token added after startup never admitted; log: %q", logw.String())
 		}
@@ -386,10 +376,43 @@ func TestTenantHotReloadByPoll(t *testing.T) {
 	}
 }
 
-// TestWatchTenantsSIGHUP drives the watcher's signal path with an injected
-// channel: a rewritten file is swapped in on SIGHUP, and a corrupt rewrite
+// authStatus probes a job that does not exist with token: 401 means the
+// token is unknown, 404 that it authenticated.
+func authStatus(t *testing.T, base, token string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, base+"/v1/matrices/none", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+token)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// signalSelf sends sig to the test process. The caller must have a
+// signal.Notify for sig in place, so the signal never ends the process.
+func signalSelf(t *testing.T, sig os.Signal) {
+	t.Helper()
+	p, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Signal(sig); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWatchTenantsSIGHUP sends the daemon real SIGHUPs with polling off: a
+// rewritten tenants file is swapped in on the signal, and a corrupt rewrite
 // is logged and skipped while the previous registry keeps serving.
 func TestWatchTenantsSIGHUP(t *testing.T) {
+	caught := make(chan os.Signal, 4)
+	signal.Notify(caught, syscall.SIGHUP)
+	defer signal.Stop(caught)
 	path := filepath.Join(t.TempDir(), "tenants.json")
 	write := func(body string) {
 		t.Helper()
@@ -398,44 +421,25 @@ func TestWatchTenantsSIGHUP(t *testing.T) {
 		}
 	}
 	write(`{"tenants":[{"name":"alpha","token":"tok-alpha"}]}`)
-	reg, err := tenant.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := service.New(service.Config{Workers: 1, Tenants: reg})
-	defer func() {
-		closeCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := svc.Close(closeCtx); err != nil {
-			t.Error(err)
-		}
-	}()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	logw := &syncBuffer{first: make(chan struct{})}
-	hup := make(chan os.Signal, 1)
-	done := make(chan struct{})
+	errCh := make(chan error, 1)
 	go func() {
-		watchTenants(ctx, svc, path, 0, time.Time{}, hup, nil, logw, false)
-		close(done)
+		errCh <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-drain-timeout", "10s",
+			"-tenants", path, "-tenants-poll", "0"}, logw)
 	}()
-
-	// SubmitToken with a zero spec separates the auth outcome from the spec
-	// one: an unknown token fails authentication, a known one reaches (and
-	// fails) spec validation.
-	authErr := func(token string) error {
-		_, err := svc.SubmitToken(token, spec.Spec{})
-		return err
-	}
-	if err := authErr("tok-bravo"); !errors.Is(err, tenant.ErrUnknownToken) {
-		t.Fatalf("pre-reload bravo: %v, want ErrUnknownToken", err)
+	waitLog(t, logw, errCh, "listening on ")
+	base := "http://" + regexp.MustCompile(`listening on ([0-9.:]+)`).FindStringSubmatch(logw.String())[1]
+	if got := authStatus(t, base, "tok-bravo"); got != http.StatusUnauthorized {
+		t.Fatalf("pre-reload bravo: HTTP %d, want 401", got)
 	}
 
 	write(`{"tenants":[{"name":"alpha","token":"tok-alpha"},{"name":"bravo","token":"tok-bravo"}]}`)
-	hup <- syscall.SIGHUP
+	signalSelf(t, syscall.SIGHUP)
 	deadline := time.Now().Add(10 * time.Second)
-	for errors.Is(authErr("tok-bravo"), tenant.ErrUnknownToken) {
+	for authStatus(t, base, "tok-bravo") != http.StatusNotFound {
 		if time.Now().After(deadline) {
 			t.Fatalf("SIGHUP reload never admitted bravo; log: %q", logw.String())
 		}
@@ -445,18 +449,282 @@ func TestWatchTenantsSIGHUP(t *testing.T) {
 	// A corrupt rewrite is skipped: the failure is logged, bravo keeps
 	// authenticating against the registry already in service.
 	write(`{"tenants":`)
-	hup <- syscall.SIGHUP
-	deadline = time.Now().Add(10 * time.Second)
-	for !strings.Contains(logw.String(), "tenant reload (SIGHUP):") {
-		if time.Now().After(deadline) {
-			t.Fatalf("corrupt reload never logged; log: %q", logw.String())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := authErr("tok-bravo"); errors.Is(err, tenant.ErrUnknownToken) {
-		t.Fatal("corrupt reload wiped the serving registry")
+	signalSelf(t, syscall.SIGHUP)
+	waitLog(t, logw, errCh, "mrserved: tenant reload (SIGHUP):")
+	if got := authStatus(t, base, "tok-bravo"); got != http.StatusNotFound {
+		t.Fatalf("corrupt reload wiped the serving registry: bravo HTTP %d", got)
 	}
 
 	cancel()
-	<-done
+	if err := <-errCh; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
+// waitLog waits until the daemon's log contains marker, failing the test
+// when run returns first or the marker never comes.
+func waitLog(t *testing.T, logw *syncBuffer, errCh <-chan error, marker string) {
+	t.Helper()
+	deadline := time.After(15 * time.Second)
+	for !strings.Contains(logw.String(), marker) {
+		select {
+		case err := <-errCh:
+			t.Fatalf("run exited before logging %q: %v (log %q)", marker, err, logw.String())
+		case <-deadline:
+			t.Fatalf("log never showed %q: %q", marker, logw.String())
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+}
+
+// writeTenantsAt replaces the tenants file in one rename, stamped with its
+// own mtime, so a poll sees either the old file or the whole new one and
+// each rewrite reads as exactly one change.
+func writeTenantsAt(t *testing.T, path, body string, mtime time.Time) {
+	t.Helper()
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(tmp, mtime, mtime); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// jsonRecord is what the JSON lifecycle pin holds of one record: its msg,
+// level and sorted attribute keys.
+type jsonRecord struct {
+	msg, level string
+	keys       []string
+}
+
+// lifecycleRecords parses a JSON log and keeps the records whose msg is a
+// lifecycle line, in order.
+func lifecycleRecords(t *testing.T, log string) []jsonRecord {
+	t.Helper()
+	lifecycle := map[string]bool{
+		"debug server listening": true, "listening": true, "draining": true, "drained": true,
+		"drain timeout exceeded, aborted in-flight requests": true, "http shutdown": true,
+		"tenant registry reloaded": true, "tenant reload failed": true,
+	}
+	var out []jsonRecord
+	for _, line := range strings.Split(strings.TrimSpace(log), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line is not JSON: %q: %v", line, err)
+		}
+		msg, _ := rec["msg"].(string)
+		if !lifecycle[msg] {
+			continue
+		}
+		level, _ := rec["level"].(string)
+		r := jsonRecord{msg: msg, level: level}
+		for k := range rec {
+			r.keys = append(r.keys, k)
+		}
+		sort.Strings(r.keys)
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestLifecycleLines pins the daemon's own log lines: in text mode each
+// "mrserved: " line byte for byte (ADDR stands for a loopback address), in
+// JSON mode each lifecycle record's msg, level and keys. It covers the
+// debug listener, the listening line, a tenant reload that succeeds and one
+// that fails, and a clean drain.
+func TestLifecycleLines(t *testing.T) {
+	const (
+		alpha = `{"tenants":[{"name":"alpha","token":"tok-alpha"}]}`
+		both  = `{"tenants":[{"name":"alpha","token":"tok-alpha"},{"name":"bravo","token":"tok-bravo"}]}`
+		torn  = `{"tenants":`
+	)
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	writeTenantsAt(t, path, torn, time.Unix(1e9, 0))
+	_, tornErr := tenant.Load(path)
+	if tornErr == nil {
+		t.Fatal("a torn tenants file loads")
+	}
+	for _, tc := range []struct {
+		format                      string
+		listening, reloaded, failed string
+		text                        []string
+		records                     []jsonRecord
+	}{{
+		format:    "text",
+		listening: "mrserved: listening on ",
+		reloaded:  "mrserved: tenant registry reloaded (",
+		failed:    "mrserved: tenant reload (",
+		text: []string{
+			"mrserved: debug server on ADDR",
+			"mrserved: listening on ADDR (workers=1 parallel=2 queue=16 policy=fifo 1 tenants cache=256MiB ttl=0s in-memory)",
+			"mrserved: tenant registry reloaded (mtime change): 2 tenants",
+			"mrserved: tenant reload (mtime change): " + tornErr.Error(),
+			"mrserved: signal received, draining (timeout 10s)",
+			"mrserved: drained",
+		},
+	}, {
+		format:    "json",
+		listening: `"msg":"listening"`,
+		reloaded:  `"reason":"mtime change","tenants":2`,
+		failed:    `"msg":"tenant reload failed"`,
+		records: []jsonRecord{
+			{"debug server listening", "INFO", []string{"addr", "level", "msg", "time"}},
+			{"listening", "INFO", []string{"addr", "auth", "cache", "level", "mode", "msg", "parallel", "policy", "queue", "time", "ttl", "workers"}},
+			{"tenant registry reloaded", "INFO", []string{"level", "msg", "tenants", "time"}}, // the service's own line
+			{"tenant registry reloaded", "INFO", []string{"level", "msg", "reason", "tenants", "time"}},
+			{"tenant reload failed", "WARN", []string{"error", "level", "msg", "reason", "time"}},
+			{"draining", "INFO", []string{"level", "msg", "time", "timeout"}},
+			{"drained", "INFO", []string{"level", "msg", "time"}},
+		},
+	}} {
+		t.Run(tc.format, func(t *testing.T) {
+			mtime := time.Unix(1e9, 0)
+			next := func(body string) {
+				mtime = mtime.Add(time.Minute)
+				writeTenantsAt(t, path, body, mtime)
+			}
+			next(alpha)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			logw := &syncBuffer{first: make(chan struct{})}
+			errCh := make(chan error, 1)
+			go func() {
+				errCh <- run(ctx, []string{"-addr", "127.0.0.1:0", "-debug-addr", "127.0.0.1:0",
+					"-workers", "1", "-parallel", "2", "-drain-timeout", "10s",
+					"-tenants", path, "-tenants-poll", "10ms", "-log-format", tc.format}, logw)
+			}()
+			waitLog(t, logw, errCh, tc.listening)
+			next(both)
+			waitLog(t, logw, errCh, tc.reloaded)
+			next(torn)
+			waitLog(t, logw, errCh, tc.failed)
+			cancel()
+			select {
+			case err := <-errCh:
+				if err != nil {
+					t.Fatalf("drain: %v", err)
+				}
+			case <-time.After(15 * time.Second):
+				t.Fatal("daemon did not drain")
+			}
+
+			checkLifecycle(t, logw.String(), tc.format, tc.text, tc.records)
+		})
+	}
+}
+
+// checkLifecycle compares a daemon log with the lifecycle lines it must
+// hold: in text mode every "mrserved: " line byte for byte (ADDR in want
+// stands for a loopback address), in JSON mode every lifecycle record's
+// msg, level and keys.
+func checkLifecycle(t *testing.T, log, format string, text []string, records []jsonRecord) {
+	t.Helper()
+	if format == "json" {
+		if got := lifecycleRecords(t, log); !reflect.DeepEqual(got, records) {
+			t.Fatalf("JSON lifecycle records:\n got %v\nwant %v", got, records)
+		}
+		return
+	}
+	var got []string
+	for _, line := range strings.Split(log, "\n") {
+		if strings.HasPrefix(line, "mrserved: ") {
+			got = append(got, line)
+		}
+	}
+	if len(got) != len(text) {
+		t.Fatalf("lifecycle lines:\n got %q\nwant %q", got, text)
+	}
+	for i, want := range text {
+		re := "^" + strings.ReplaceAll(regexp.QuoteMeta(want), "ADDR", `127\.0\.0\.1:[0-9]+`) + "$"
+		if !regexp.MustCompile(re).MatchString(got[i]) {
+			t.Errorf("line %d:\n got %q\nwant %q", i, got[i], want)
+		}
+	}
+}
+
+// TestDrainRule holds the event stream of a long matrix open through the
+// drain. A second signal ends the drain long before -drain-timeout, and a
+// deadline logs "drain timeout exceeded"; either way the matrix still
+// running is cancelled, so run fails with the drain step's error and no
+// "drained" line is written.
+func TestDrainRule(t *testing.T) {
+	caught := make(chan os.Signal, 4)
+	signal.Notify(caught, syscall.SIGTERM)
+	defer signal.Stop(caught)
+	p := trace.GoogleParams()
+	p.Jobs = 300
+	body, err := json.Marshal(spec.Spec{
+		Version:    spec.Version,
+		Workload:   spec.Workload{Trace: &p},
+		Schedulers: []spec.Scheduler{{Name: "srptms+c"}},
+		Points:     []spec.Point{{X: 1000, Machines: 600}},
+		Runs:       20000, // minutes of work: only a cancel ends it
+		BaseSeed:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, timeout string
+		signal        bool
+		want          error
+		line          string
+	}{
+		{"second-signal", "1m", true, context.Canceled, "mrserved: http shutdown: context canceled"},
+		{"deadline", "200ms", false, context.DeadlineExceeded, "mrserved: drain timeout exceeded, aborted in-flight requests"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			logw := &syncBuffer{first: make(chan struct{})}
+			errCh := make(chan error, 1)
+			go func() {
+				errCh <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "1", "-parallel", "1",
+					"-drain-timeout", tc.timeout}, logw)
+			}()
+			waitLog(t, logw, errCh, "listening on ")
+			base := "http://" + regexp.MustCompile(`listening on ([0-9.:]+)`).FindStringSubmatch(logw.String())[1]
+			resp, err := http.Post(base+"/v1/matrices", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st service.JobStatus
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("submit: HTTP %d, %v", resp.StatusCode, err)
+			}
+			events, err := http.Get(base + "/v1/matrices/" + st.ID + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer events.Body.Close()
+
+			began := time.Now()
+			cancel()
+			if tc.signal {
+				waitLog(t, logw, errCh, "mrserved: signal received, draining")
+				signalSelf(t, syscall.SIGTERM)
+			}
+			select {
+			case err := <-errCh:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("run = %v, want the drain step's %v", err, tc.want)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("drain still running after %s; log: %q", time.Since(began), logw.String())
+			}
+			log := logw.String()
+			if !strings.Contains(log, tc.line+"\n") {
+				t.Errorf("log lacks %q:\n%s", tc.line, log)
+			}
+			if strings.Contains(log, "mrserved: drained") {
+				t.Errorf("a cut drain logged drained:\n%s", log)
+			}
+		})
+	}
 }

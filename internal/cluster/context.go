@@ -126,7 +126,7 @@ func (c *Context) BestProgress(t *job.Task) (best CopyProgress, ok bool) {
 	bestRem := 0.0
 	var bestFinish int64
 	for _, cp := range tr.copies {
-		if cp.gated {
+		if cp.started < 0 { // gated
 			continue
 		}
 		elapsed := c.engine.slot - cp.started
@@ -155,7 +155,7 @@ func (c *Context) BestProgress(t *job.Task) (best CopyProgress, ok bool) {
 	if ok && len(tr.copies) > 1 {
 		n := 0
 		for _, cp := range tr.copies {
-			if !cp.gated && cp.finish == bestFinish {
+			if cp.started >= 0 && cp.finish == bestFinish {
 				n++
 			}
 		}

@@ -174,9 +174,7 @@ type copyRecord struct {
 	seq      int64 // launch sequence, for deterministic ordering
 	workload float64
 	finish   int64 // completion slot; -1 while gated
-	started  int64 // slot at which the countdown began (-1 while gated)
-	launched int64 // slot at which the copy occupied its machine
-	gated    bool  // waiting for the owner's map phase to finish
+	started  int64 // slot at which the countdown began; -1 while gated
 }
 
 // JobRecord is the per-job outcome of a run.
@@ -541,7 +539,6 @@ func (e *Engine) openGate(j *job.Job) {
 		tr := t.Runtime.(*taskRun)
 		for idx := range tr.copies {
 			c := &tr.copies[idx]
-			c.gated = false
 			c.started = e.slot
 			c.finish = e.slot + e.durationSlots(c.workload)
 			e.activate(tr, idx)
@@ -652,10 +649,8 @@ func (e *Engine) launch(j *job.Job, t *job.Task, n int, gated bool) (int, error)
 		tr.copies = append(tr.copies, copyRecord{
 			seq:      e.seq,
 			workload: buf[i],
-			launched: e.slot,
 			started:  -1,
 			finish:   -1,
-			gated:    gated,
 		})
 		e.seq++
 		e.free--

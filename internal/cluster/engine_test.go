@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mrclone/internal/dist"
 	"mrclone/internal/job"
@@ -612,5 +613,13 @@ func TestMultiJobInterleaving(t *testing.T) {
 	}
 	if res.Jobs[1].Flowtime != 10 {
 		t.Errorf("job B flowtime = %d, want 10", res.Jobs[1].Flowtime)
+	}
+}
+
+// TestCopyRecordSize pins a copy record at four words: whether a copy is
+// gated is read off its started slot (-1 while gated), not stored apart.
+func TestCopyRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(copyRecord{}); got != 32 {
+		t.Fatalf("copyRecord is %d bytes, want 32", got)
 	}
 }

@@ -59,9 +59,6 @@ type Options struct {
 	// cores). Results are byte-identical at any parallelism level; see
 	// internal/runner.
 	Parallelism int
-	// Progress, when non-nil, receives (done, total) cell-completion
-	// callbacks from the underlying runner.
-	Progress func(done, total int)
 	// Ctx, when non-nil, cancels in-flight matrix runs (e.g. on SIGINT);
 	// nil means context.Background().
 	Ctx context.Context
@@ -102,7 +99,6 @@ func (o Options) normalize() Options {
 func (o Options) run(spec runner.Spec, keepRaw bool) (*runner.Result, error) {
 	return runner.Run(o.Ctx, spec, runner.Options{
 		Parallelism: o.Parallelism,
-		Progress:    o.Progress,
 		KeepRaw:     keepRaw,
 	})
 }

@@ -262,24 +262,6 @@ func TestParallelismInvariance(t *testing.T) {
 	}
 }
 
-// TestProgressCallback checks the runner progress plumbing through Options.
-func TestProgressCallback(t *testing.T) {
-	o := tinyOptions()
-	var last, calls int
-	o.Progress = func(done, total int) {
-		last, calls = done, calls+1
-		if total != 3 { // 3 algorithms x 1 point x 1 run
-			t.Errorf("total = %d, want 3", total)
-		}
-	}
-	if _, err := Fig6(o); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 || last != 3 {
-		t.Errorf("progress calls=%d last=%d, want 3/3", calls, last)
-	}
-}
-
 func TestRenderTable(t *testing.T) {
 	var buf bytes.Buffer
 	err := RenderTable(&buf, []string{"a", "bb"}, [][]string{{"1", "2"}, {"333", "4"}})

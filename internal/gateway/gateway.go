@@ -139,6 +139,7 @@ type Config struct {
 	// configured with their own registry re-authenticate (use the same
 	// file) and apply queue/cell quotas, which only they can see. Nil means
 	// the gateway forwards credentials without inspecting them.
+	// ReloadTenants swaps a non-nil registry at runtime.
 	Tenants *tenant.Registry
 	// Logger receives one structured line per request, stamped with the
 	// request ID, trace and span IDs, matched route, status, duration, and
@@ -159,7 +160,7 @@ type Gateway struct {
 	probeClient  *http.Client
 	replicas     int
 	probeTimeout time.Duration
-	tenants      *tenant.Registry
+	tenants      atomic.Pointer[tenant.Registry] // edge registry, nil = forward credentials
 	admin        bool
 	start        time.Time
 	log          *slog.Logger
@@ -251,7 +252,6 @@ func New(cfg Config) (*Gateway, error) {
 		probeClient:     probeClient,
 		replicas:        cfg.Replicas,
 		probeTimeout:    probe,
-		tenants:         cfg.Tenants,
 		admin:           cfg.EnableAdmin,
 		start:           time.Now(),
 		log:             log,
@@ -261,6 +261,7 @@ func New(cfg Config) (*Gateway, error) {
 		stopCh:          make(chan struct{}),
 		probeDone:       make(chan struct{}),
 	}
+	g.tenants.Store(cfg.Tenants)
 	g.view.Store(&poolView{
 		shards: byName,
 		order:  append([]Shard(nil), cfg.Shards...),
@@ -284,6 +285,22 @@ func New(cfg Config) (*Gateway, error) {
 
 // Ring exposes the current placement ring (for tests and diagnostics).
 func (g *Gateway) Ring() *ring.Ring { return g.currentView().ring }
+
+// ReloadTenants swaps in a new edge registry, under the service's rules
+// (service.ReloadTenants): the swap is atomic, so a request finishes on the
+// registry it loaded and the next one sees reg; a nil registry is rejected,
+// and a gateway started without one cannot take one, so a gateway never
+// switches between forwarding and admitting.
+func (g *Gateway) ReloadTenants(reg *tenant.Registry) error {
+	if reg == nil {
+		return errors.New("gateway: reload: nil registry (tenancy cannot be turned off at runtime)")
+	}
+	if g.tenants.Load() == nil {
+		return errors.New("gateway: reload: gateway started anonymous (tenancy cannot be turned on at runtime)")
+	}
+	g.tenants.Store(reg)
+	return nil
+}
 
 // Handler returns the gateway's HTTP API — the same surface a single
 // mrserved exposes (docs/API.md), with gateway job IDs namespaced by shard —
@@ -468,10 +485,11 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // 401 with a challenge, 403, or 429 with Retry-After), so clients cannot
 // tell which tier rejected them. Returns true when the request may proceed.
 func (g *Gateway) admit(w http.ResponseWriter, r *http.Request) bool {
-	if g.tenants == nil {
+	reg := g.tenants.Load()
+	if reg == nil {
 		return true
 	}
-	_, err := g.tenants.Admit(tenant.BearerToken(r), time.Now())
+	_, err := reg.Admit(tenant.BearerToken(r), time.Now())
 	if err == nil {
 		return true
 	}

@@ -11,6 +11,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -593,4 +594,71 @@ func TestGatewayEdgeRateLimit(t *testing.T) {
 	if metricValue(t, string(body), "mrclone_gateway_unauthorized_total") != 1 {
 		t.Fatal("edge auth rejection not counted")
 	}
+}
+
+// TestReloadTenantsRules holds the gateway's registry swap to the service's
+// rules: a nil registry is rejected, a gateway started without one cannot
+// take one, and a tenanted gateway admits by the registry it was last given.
+func TestReloadTenantsRules(t *testing.T) {
+	u, err := url.Parse("http://127.0.0.1:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newGateway := func(reg *tenant.Registry) *Gateway {
+		g, err := New(Config{Shards: []Shard{{Name: "s0", URL: u}}, ProbeInterval: -1, Tenants: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(g.Close)
+		return g
+	}
+	admits := func(g *Gateway, token string) bool {
+		req := httptest.NewRequest(http.MethodPost, "/v1/matrices", nil)
+		req.Header.Set("Authorization", "Bearer "+token)
+		return g.admit(httptest.NewRecorder(), req)
+	}
+
+	anon := newGateway(nil)
+	if err := anon.ReloadTenants(mustRegistry(t, tenantList())); err == nil {
+		t.Error("an anonymous gateway took a registry")
+	}
+	if !admits(anon, "tok-nobody") {
+		t.Error("an anonymous gateway rejected a submission after a refused reload")
+	}
+
+	g := newGateway(mustRegistry(t, tenantList()[:1]))
+	if err := g.ReloadTenants(nil); err == nil {
+		t.Error("a nil registry was accepted")
+	}
+	if admits(g, "tok-bravo") {
+		t.Fatal("bravo admitted before the reload")
+	}
+	if err := g.ReloadTenants(mustRegistry(t, tenantList())); err != nil {
+		t.Fatal(err)
+	}
+	if !admits(g, "tok-bravo") || !admits(g, "tok-alpha") {
+		t.Fatal("the reloaded registry does not admit its tenants")
+	}
+
+	// Swaps race admissions: alpha is in every registry swapped in, so each
+	// admission passes whichever registry it loaded.
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				if !admits(g, "tok-alpha") {
+					t.Error("alpha rejected during reloads")
+					return
+				}
+			}
+		}()
+	}
+	for i := range 100 {
+		if err := g.ReloadTenants(mustRegistry(t, tenantList()[:1+i%3])); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Wait()
 }

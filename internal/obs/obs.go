@@ -4,15 +4,14 @@
 // (traceparent) propagation so one trace ID follows a submission through
 // gateway → shard → queue → runner, fixed-bucket latency histograms with
 // dependency-free Prometheus text exposition (writer, strict parser, and a
-// bucket-wise cross-shard merge), Go runtime metrics, and a debug handler
-// bundling net/http/pprof and expvar.
+// bucket-wise cross-shard merge), and Go runtime metrics. The daemons'
+// pprof and expvar listener is internal/daemon's.
 //
 // Everything here is deliberately small and self-contained: no metric
-// client library, no tracing SDK. The service needs exactly four things —
-// lines it can grep by trace ID, distributions it can read tails off,
-// profiles it can pull when a tail misbehaves, and an exposition format
-// strict scrapers accept — and this package is the single place all four
-// are defined, so every tier emits them identically.
+// client library, no tracing SDK. The service needs lines it can grep by
+// trace ID, distributions it can read tails off, and an exposition format
+// strict scrapers accept, and this package is the single place they are
+// defined, so every tier emits them identically.
 package obs
 
 import (
@@ -57,8 +56,8 @@ func SpecPrefix(hash string) string {
 	return hash
 }
 
-// ParseLevel maps a -log-level flag value onto a slog level.
-func ParseLevel(s string) (slog.Level, error) {
+// parseLevel maps a -log-level flag value onto a slog level.
+func parseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "debug":
 		return slog.LevelDebug, nil
@@ -75,11 +74,12 @@ func ParseLevel(s string) (slog.Level, error) {
 // NewLogger builds the structured logger behind the -log-format and
 // -log-level flags: format is "text" (the default, human-oriented
 // logfmt-style) or "json" (one JSON object per line, machine-oriented);
-// level gates verbosity ("debug", "info", "warn", "error").
+// level gates verbosity ("debug", "info", "warn", "error"). An error names
+// the flag whose value it rejects.
 func NewLogger(w io.Writer, format, level string) (*slog.Logger, error) {
-	lv, err := ParseLevel(level)
+	lv, err := parseLevel(level)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("-log-level: %w", err)
 	}
 	opts := &slog.HandlerOptions{Level: lv}
 	switch strings.ToLower(strings.TrimSpace(format)) {
@@ -88,7 +88,7 @@ func NewLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	case "json":
 		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	}
-	return nil, fmt.Errorf("obs: unknown log format %q (want text or json)", format)
+	return nil, fmt.Errorf("-log-format: obs: unknown log format %q (want text or json)", format)
 }
 
 // Nop returns a logger that discards everything — the default when no

@@ -138,16 +138,16 @@ func TestParseLevel(t *testing.T) {
 		"": "INFO", "debug": "DEBUG", "INFO": "INFO", "warn": "WARN",
 		"warning": "WARN", "error": "ERROR",
 	} {
-		lv, err := ParseLevel(in)
+		lv, err := parseLevel(in)
 		if err != nil {
-			t.Fatalf("ParseLevel(%q): %v", in, err)
+			t.Fatalf("parseLevel(%q): %v", in, err)
 		}
 		if lv.String() != want {
-			t.Fatalf("ParseLevel(%q) = %s, want %s", in, lv, want)
+			t.Fatalf("parseLevel(%q) = %s, want %s", in, lv, want)
 		}
 	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Fatal("ParseLevel should reject unknown levels")
+	if _, err := parseLevel("loud"); err == nil {
+		t.Fatal("parseLevel should reject unknown levels")
 	}
 }
 

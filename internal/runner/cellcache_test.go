@@ -103,7 +103,7 @@ func TestCellCacheByteIdentical(t *testing.T) {
 			res, err := Run(context.Background(), spec, Options{
 				Parallelism: par,
 				CellCache:   partial,
-				CellProgress: func(done, cached, total int) {
+				Progress: func(done, cached, total int) {
 					lastDone, lastCached = done, cached
 				},
 			})

@@ -152,18 +152,14 @@ type Options struct {
 	// Parallelism bounds concurrently running cells. <= 0 means
 	// runtime.GOMAXPROCS(0). Results do not depend on it.
 	Parallelism int
-	// Progress, when non-nil, is called after each cell completes with the
-	// number of finished cells and the matrix size. Calls are serialized
-	// and monotone in done; keep the callback cheap.
-	Progress func(done, total int)
-	// CellProgress, when non-nil, is called after each cell lands with the
+	// Progress, when non-nil, is called after each cell lands with the
 	// counts of finished cells, cells resolved from CellCache, and the
 	// matrix size. Calls are serialized and monotone in done; keep the
 	// callback cheap.
-	CellProgress func(done, cached, total int)
+	Progress func(done, cached, total int)
 	// CellTime, when non-nil, is called after each cell lands with the
 	// wall-clock duration the cell took to resolve and whether it came from
-	// CellCache. Calls are serialized with Progress/CellProgress; keep the
+	// CellCache. Calls are serialized with Progress; keep the
 	// callback cheap. Durations are observational only — they depend on the
 	// machine and on cache state, never on matrix content.
 	CellTime func(d time.Duration, fromCache bool)
@@ -314,10 +310,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, error) {
 			cached++
 		}
 		if opts.Progress != nil {
-			opts.Progress(done, total)
-		}
-		if opts.CellProgress != nil {
-			opts.CellProgress(done, cached, total)
+			opts.Progress(done, cached, total)
 		}
 		if opts.CellTime != nil {
 			opts.CellTime(dur, fromCache)

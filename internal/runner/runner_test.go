@@ -228,7 +228,7 @@ func TestProgressMonotone(t *testing.T) {
 	total := len(spec.Schedulers) * len(spec.Points) * spec.Runs
 	_, err := Run(context.Background(), spec, Options{
 		Parallelism: 4,
-		Progress: func(done, tot int) {
+		Progress: func(done, _, tot int) {
 			if tot != total {
 				t.Errorf("total = %d, want %d", tot, total)
 			}
@@ -254,7 +254,7 @@ func TestCancellation(t *testing.T) {
 	calls := 0
 	_, err := Run(ctx, spec, Options{
 		Parallelism: 1,
-		Progress: func(done, total int) {
+		Progress: func(done, _, total int) {
 			calls++
 			if done == 2 {
 				cancel()

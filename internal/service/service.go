@@ -1189,9 +1189,9 @@ func (s *Service) runFlight(fl *flight) {
 		"cells", fl.total, "jobs", njobs)
 
 	res, err := s.runMatrix(fl.ctx, fl.rspec, runner.Options{
-		Parallelism:  s.cfg.CellParallelism,
-		CellProgress: func(done, cached, total int) { s.flightCells(fl, done, cached, total) },
-		CellCache:    s.cellCacheFor(fl),
+		Parallelism: s.cfg.CellParallelism,
+		Progress:    func(done, cached, total int) { s.flightCells(fl, done, cached, total) },
+		CellCache:   s.cellCacheFor(fl),
 		CellTime: func(d time.Duration, fromCache bool) {
 			if !fromCache {
 				s.obsv.cellDur.Observe(d.Seconds())

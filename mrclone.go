@@ -314,7 +314,10 @@ func WithParallelism(n int) MatrixOption {
 // completes with (done, total). Calls are serialized and monotone.
 func WithProgress(fn func(done, total int)) MatrixOption {
 	return func(o *runner.Options) error {
-		o.Progress = fn
+		o.Progress = nil
+		if fn != nil {
+			o.Progress = func(done, _, total int) { fn(done, total) }
+		}
 		return nil
 	}
 }
