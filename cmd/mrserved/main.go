@@ -62,7 +62,8 @@
 // The daemon drains gracefully on SIGINT/SIGTERM: the listener closes,
 // requests in flight finish, then queued and running matrices finish, then
 // the process exits. A second signal or the -drain-timeout deadline cuts
-// the drain short, cancels the remaining work and exits 1. The flags,
+// the drain short and cancels the matrices still queued or running; the
+// daemon exits 1 only when the drain cancelled work. The flags,
 // lifecycle lines, tenants watcher and drain are internal/daemon's, shared
 // with mrgated.
 package main

@@ -574,7 +574,6 @@ func TestLifecycleLines(t *testing.T) {
 		records: []jsonRecord{
 			{"debug server listening", "INFO", []string{"addr", "level", "msg", "time"}},
 			{"listening", "INFO", []string{"addr", "auth", "cache", "level", "mode", "msg", "parallel", "policy", "queue", "time", "ttl", "workers"}},
-			{"tenant registry reloaded", "INFO", []string{"level", "msg", "tenants", "time"}}, // the service's own line
 			{"tenant registry reloaded", "INFO", []string{"level", "msg", "reason", "tenants", "time"}},
 			{"tenant reload failed", "WARN", []string{"error", "level", "msg", "reason", "time"}},
 			{"draining", "INFO", []string{"level", "msg", "time", "timeout"}},

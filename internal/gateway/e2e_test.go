@@ -500,6 +500,41 @@ func TestGatewayRejectsOversizedMatrix(t *testing.T) {
 	}
 }
 
+// TestGatewayRejectsUnreachableTrace: a trace whose task-count mean the
+// generator cannot reach fails spec validation, so the gateway answers 400
+// at its edge and no shard counts a submission, a job or a flight.
+func TestGatewayRejectsUnreachableTrace(t *testing.T) {
+	c := newTestCluster(t, 2, 1, service.Config{Workers: 1, CellParallelism: 2})
+	p := trace.GoogleParams()
+	p.Jobs = 6
+	p.MeanTasksPerJob = 1.9
+	p.MaxTasksPerJob = 2
+	body, err := json.Marshal(spec.Spec{
+		Version:    spec.Version,
+		Workload:   spec.Workload{Trace: &p},
+		Schedulers: []spec.Scheduler{{Name: "fair"}},
+		Points:     []spec.Point{{X: 1, Machines: 10}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(c.gwURL(0)+"/v1/matrices", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unreachable") {
+		t.Errorf("unreachable trace: HTTP %d %s, want 400 naming it", resp.StatusCode, msg)
+	}
+	for _, svc := range c.shards {
+		if m := svc.Metrics(); m.Submissions != 0 || m.JobsFailed != 0 || m.Flights != 0 {
+			t.Errorf("a shard counted %d submissions, %d failed jobs and %d flights, want none",
+				m.Submissions, m.JobsFailed, m.Flights)
+		}
+	}
+}
+
 // TestPoolHealthAndMetrics checks the aggregation routes against a healthy
 // pool and again after one shard dies.
 func TestPoolHealthAndMetrics(t *testing.T) {

@@ -134,10 +134,10 @@ func (s *Service) cellCacheFor(fl *flight) runner.CellCache {
 	return &flightCellCache{svc: s, hasher: h, peer: fl.peer, ctx: fl.ctx}
 }
 
-// probeCellCache is the silent cousin of flightCellCache used by the
-// assembly fast path: lookups leave the hit-rate counters alone (a probe
-// that aborts on its first miss would otherwise skew them) and Publish is a
-// no-op — every cell it reads is already persisted.
+// probeCellCache is the silent cousin of flightCellCache used by assemble:
+// lookups leave the hit-rate counters alone (a probe that aborts on its
+// first miss would otherwise skew them) and Publish is a no-op — every cell
+// it reads is already persisted.
 type probeCellCache struct {
 	st     *store.Store
 	hasher *spec.CellHasher
@@ -150,57 +150,29 @@ func (c *probeCellCache) Lookup(si, pi, run int) (runner.CellPayload, bool) {
 
 func (c *probeCellCache) Publish(si, pi, run int, p runner.CellPayload) {}
 
-// tryAssemble attempts the worker-free completion path for a freshly
-// reserved flight: when every cell of the matrix is already in the cells
-// tier, the artifact is stitched together from them directly and the flight
-// completes without ever occupying a queue slot or a worker. Called off the
-// lock while s.reserved holds the flight's slot; on success (or a cancel
-// that raced the assembly) it settles the reservation itself and the caller
-// returns the status. On a miss it leaves the reservation for the caller's
-// normal enqueue path.
-func (s *Service) tryAssemble(fl *flight, j *jobState) (JobStatus, bool) {
-	if s.storeHandle == nil {
-		return JobStatus{}, false
-	}
-	h, err := fl.sp.CellHasher()
+// assemble builds a matrix's result from the cells tier when every one of
+// its cells is persisted, and persists it before returning, by the rule
+// runFlight follows: once a client sees done, a crash must not lose the
+// artifact it was promised. A cell that is missing or unreadable, like a
+// result that does not encode, is a miss (nil), and the matrix then runs
+// as a flight. The write's error is returned for the store counters. Runs
+// off the lock.
+func (s *Service) assemble(hash string, norm spec.Spec) (*CachedResult, error) {
+	h, err := norm.CellHasher()
 	if err != nil {
-		return JobStatus{}, false
+		return nil, nil
 	}
-	axes, err := fl.sp.Axes()
+	axes, err := norm.Axes()
 	if err != nil {
-		return JobStatus{}, false
+		return nil, nil
 	}
 	res, ok := runner.Assemble(axes, &probeCellCache{st: s.storeHandle, hasher: h})
 	if !ok {
-		return JobStatus{}, false
+		return nil, nil
 	}
-	cached, err := encodeResult(fl.hash, res)
+	cached, err := encodeResult(hash, res)
 	if err != nil {
-		// Deterministic encoding failing means the payloads are unusable;
-		// treat as a miss and recompute.
-		return JobStatus{}, false
+		return nil, nil
 	}
-	// Same persist-before-announce rule as runFlight: once a client sees
-	// done, a crash must not lose the artifact it was promised.
-	putErr := s.storeHandle.PutArtifacts(*cached)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.countStoreErr(putErr)
-	s.reserved--
-	if fl.cancelled {
-		// Cancel already detached every job and settled the flight; the
-		// assembled artifact stays persisted for the next submission.
-		return j.status(), true
-	}
-	s.m.Assembled++
-	s.m.CellsDone += int64(fl.total)
-	s.m.CellHits += int64(fl.total)
-	for _, jb := range fl.jobs {
-		jb.cached = true
-		jb.done, jb.cachedCells = jb.total, jb.total
-		jb.emit(Event{Type: EventCells, Done: jb.total, CachedCells: jb.total, Total: jb.total})
-	}
-	s.settle(fl, cached, nil, "cached", true, "source", "cells")
-	return j.status(), true
+	return cached, s.storeHandle.PutArtifacts(*cached)
 }

@@ -61,8 +61,8 @@ func TestSettledFlightReleasesContext(t *testing.T) {
 // tenant-enabled durable service — restart requeue and restart failure,
 // run done, run failed, dedup attach to a queued and to a running flight,
 // cancel of a queued and of a shared running job, a fully cancelled
-// flight, cell assembly, disk and memory hits, and workload-expansion
-// failure — and checks the books balance once every job has settled: the
+// flight, cell assembly, disk and memory hits, and a spec refused by
+// validation — and checks the books balance once every job has settled: the
 // tenant's gauges are back to zero, every job replays queued first and
 // exactly one terminal frame last, and the terminal counters add up to the
 // jobs that ended in this process.
@@ -179,7 +179,7 @@ func TestLifecycleInvariants(t *testing.T) {
 	bad.Workload.Trace.MeanTasksPerJob = 1.9
 	bad.Workload.Trace.MaxTasksPerJob = 2
 	if _, err := s.SubmitToken(tok, bad); err == nil || !strings.Contains(err.Error(), "unreachable") {
-		t.Fatalf("expansion failure: %v", err)
+		t.Fatalf("validation failure: %v", err)
 	}
 
 	m := s.Metrics()

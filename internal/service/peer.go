@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strings"
 
+	"mrclone/internal/obs"
 	"mrclone/internal/store"
 )
 
@@ -124,6 +125,29 @@ func (s *Service) fetchPeer(ctx context.Context, peer, path string) ([]byte, err
 		return nil, fmt.Errorf("peer response exceeds %d bytes", maxPeerFetchBytes)
 	}
 	return data, nil
+}
+
+// peerArtifacts adopts the previous ring owner's result record for hash:
+// the fetched record passes the store's own check (store.DecodeArtifacts)
+// before the crash-atomic install, and only then is it returned. Any
+// failure is counted and logged as a peer miss and returns nil.
+func (s *Service) peerArtifacts(ctx context.Context, peer, hash string) *CachedResult {
+	data, err := s.fetchPeer(ctx, peer, "/v1/peer/artifacts/"+hash)
+	var art store.Artifacts
+	if err == nil {
+		art, err = store.DecodeArtifacts(hash, data)
+	}
+	if err == nil {
+		err = s.storeHandle.PutArtifacts(art)
+	}
+	if err != nil {
+		s.countPeerFetch(false, 0)
+		s.obsv.log.Warn("peer fetch missed",
+			obs.KeySpec, obs.SpecPrefix(hash), "peer", peer, "error", err.Error())
+		return nil
+	}
+	s.countPeerFetch(true, int64(len(art.JSON)+len(art.CSV)+len(art.AggregateCSV)))
+	return &art
 }
 
 // countPeerFetch records one peer fetch outcome: a verified install (with

@@ -20,6 +20,16 @@
 // progress, and independent cancellation; a shared computation is cancelled
 // only when every job attached to it has been cancelled.
 //
+// A submission climbs one lookup ladder: the memory cache, an equal flight
+// to attach to, then (with a Store) the disk store, a peer shard, and the
+// cells tier, from which a matrix whose every cell is persisted is
+// assembled without a worker. Every cached result completes its job at
+// submission, before any flight exists. Only a miss creates a flight, and
+// a flight is born queued: its spec record and SRPT size are written
+// before it is pushed, and the worker that pops it is the only place its
+// workload is expanded, so an expansion error fails the flight like a run
+// error.
+//
 // With a Store configured, job state transitions are appended to a durable
 // job log: on startup the service replays it, keeping terminal-job history
 // visible across restarts. The store also backs a per-cell
@@ -80,9 +90,9 @@ const fairQueueSeed = 42
 // even when retention never removes a job.
 const compactAppendThreshold = 1024
 
-// Size bounds of one matrix, checked by submit before it registers a
-// flight, assembles cells or expands a workload, so a single small request
-// cannot make a shard allocate without limit.
+// Size bounds of one matrix, checked by submit before it reads the store,
+// assembles cells or queues a flight, so a single small request cannot
+// make a shard allocate without limit.
 const (
 	// maxMatrixCells bounds schedulers × points × runs.
 	maxMatrixCells = 65536
@@ -319,17 +329,16 @@ func (j *jobState) terminalEvent() Event {
 }
 
 // flight is one shared matrix computation: every job submitted with the
-// same spec hash while it is queued or running attaches to it.
+// same spec hash while it is queued or running attaches to it. A flight is
+// born queued (newFlight) and a worker starts it (nextFlight), so it is
+// only ever queued or running until it settles.
 type flight struct {
 	hash      string
-	tenant    string  // owner: the tenant that first submitted this matrix
-	size      float64 // estimated remaining work (SRPT dequeue key)
-	rspec     runner.Spec
-	sp        spec.Spec // normalized service spec, for cell hashing
+	tenant    string    // owner: the tenant that first submitted this matrix
+	sp        spec.Spec // normalized service spec: the worker expands it, cells hash by it
 	jobs      []*jobState
 	ctx       context.Context
 	cancel    context.CancelFunc
-	cancelled bool
 	state     State
 	startedAt time.Time // when a worker picked the flight up
 	traceID   string    // trace of the first submission; "" if untraced
@@ -367,10 +376,7 @@ type Service struct {
 	// dequeue policy (fifo, weighted-fair, or srpt). A policy queue rather
 	// than a channel so Cancel can remove a fully-cancelled queued flight
 	// immediately and free its slot for new submissions.
-	queue *tenant.Queue[*flight]
-	// reserved counts flights registered in inflight whose workload is
-	// still expanding; they hold a queue slot but are not yet in pending.
-	reserved int
+	queue    *tenant.Queue[*flight]
 	closed   bool
 	seq      int
 	jobs     map[string]*jobState
@@ -482,7 +488,6 @@ func (s *Service) ReloadTenants(reg *tenant.Registry) error {
 		return errors.New("service: reload: service started anonymous (tenancy cannot be turned on at runtime)")
 	}
 	s.tenants.Store(reg)
-	s.obsv.log.Info("tenant registry reloaded", "tenants", reg.Len())
 	return nil
 }
 
@@ -552,9 +557,8 @@ func (s *Service) recoverJobs() {
 
 // recoveredFlight returns the flight an interrupted job is requeued on: the
 // one an earlier interrupted job of the same matrix rebuilt, or a new one
-// built from the persisted spec record and pushed on the queue. It returns
-// nil — the caller then fails the job — when the record is missing,
-// corrupt, or no longer parses.
+// queued from the persisted spec record. It returns nil — the caller then
+// fails the job — when the record is missing, corrupt, or no longer parses.
 func (s *Service) recoveredFlight(j *jobState) *flight {
 	if fl, ok := s.inflight[j.hash]; ok {
 		return fl
@@ -564,18 +568,11 @@ func (s *Service) recoveredFlight(j *jobState) *flight {
 		s.countStoreErr(err)
 		return nil
 	}
-	sp, err := spec.Parse(canon)
+	sp, err := spec.Parse(canon) // normalized
 	if err != nil {
 		return nil
 	}
-	norm := sp.Normalize()
-	rspec, err := norm.Runner()
-	if err != nil {
-		return nil
-	}
-	fl := s.newFlight(j.hash, j.tenant, "", "", norm)
-	s.enqueue(fl, rspec, s.jobSize(norm, fl.total))
-	return fl
+	return s.newFlight(j.hash, j.tenant, "", "", sp, s.jobSize(sp))
 }
 
 // acct returns (creating if needed) a named tenant's accounting row.
@@ -666,9 +663,9 @@ func (s *Service) setState(j *jobState, to State, extra ...any) {
 // checkQuota enforces a tenant's admission quotas for a job that would
 // enter in state `state` with `total` matrix cells: MaxQueued bounds jobs
 // waiting in the queue, MaxCells bounds live cells across the tenant's
-// queued and running jobs. Cache and disk hits never reach here — they
-// complete immediately and hold neither a queue slot nor cells. Caller
-// holds mu.
+// queued and running jobs. Cached results (memory, disk, peer, assembled)
+// never reach here — they complete immediately and hold neither a queue
+// slot nor cells. Caller holds mu.
 func (s *Service) checkQuota(tn string, state State, total int) error {
 	reg := s.registry()
 	if tn == "" || reg == nil {
@@ -690,28 +687,21 @@ func (s *Service) checkQuota(tn string, state State, total int) error {
 	return nil
 }
 
-// jobSize estimates a matrix's remaining work for the SRPT dequeue policy:
-// uncached cells × workload jobs. The uncached count comes from cheap
-// existence probes against the cells tier (PR 6 content addressing), so a
-// mostly-cached matrix estimates small and jumps the queue; under other
-// policies — where nothing reads the size — the probes are skipped and the
-// full cell count is used. Runs off-lock: it does store I/O.
-func (s *Service) jobSize(norm spec.Spec, total int) float64 {
-	wsize := norm.WorkloadJobs()
-	if wsize < 1 {
-		wsize = 1
-	}
-	uncached := total
+// jobSize estimates a validated, normalized matrix's remaining work for
+// the SRPT dequeue policy: uncached cells × workload jobs. The uncached
+// count comes from cheap existence probes against the cells tier by cell
+// content address, so a mostly-cached matrix estimates small and jumps the
+// queue; under other policies — where nothing reads the size — the probes
+// are skipped and the full cell count is used. Runs off-lock: it does
+// store I/O.
+func (s *Service) jobSize(norm spec.Spec) float64 {
+	uncached := len(norm.Schedulers) * len(norm.Points) * norm.Runs
 	if s.cfg.QueuePolicy == tenant.PolicySRPT && s.storeHandle != nil {
 		if hasher, err := norm.CellHasher(); err == nil {
-			runs := norm.Runs
-			if runs < 1 {
-				runs = 1
-			}
 			uncached = 0
 			for si := range norm.Schedulers {
 				for pi := range norm.Points {
-					for run := 0; run < runs; run++ {
+					for run := 0; run < norm.Runs; run++ {
 						hash, herr := hasher.Hash(si, pi, run)
 						if herr != nil || !s.storeHandle.HasCell(hash) {
 							uncached++
@@ -721,7 +711,7 @@ func (s *Service) jobSize(norm spec.Spec, total int) float64 {
 			}
 		}
 	}
-	return float64(uncached) * float64(wsize)
+	return float64(uncached) * float64(norm.WorkloadJobs())
 }
 
 // parseJobSeq extracts the numeric sequence of a job ID ("m%06d").
@@ -737,13 +727,23 @@ func parseJobSeq(id string) (int, bool) {
 	return n, true
 }
 
-// nextFlight blocks until a flight is pending or the service has closed
-// and drained; the bool reports whether a flight was dequeued.
+// nextFlight blocks until a flight is queued and starts it: the flight and
+// every attached job enter running under the lock that pops it, so no
+// flight is ever off the queue and not running. The bool is false once the
+// service has closed and the queue is empty.
 func (s *Service) nextFlight() (*flight, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if fl, ok := s.queue.Pop(); ok {
+			fl.state = StateRunning
+			fl.startedAt = time.Now()
+			for _, j := range fl.jobs {
+				s.setState(j, StateRunning)
+			}
+			s.obsv.log.Info("flight running",
+				obs.KeySpec, obs.SpecPrefix(fl.hash), obs.KeyTraceID, fl.traceID,
+				"cells", fl.total, "jobs", len(fl.jobs))
 			return fl, true
 		}
 		if s.closed {
@@ -816,24 +816,25 @@ func traceIDFrom(ctx context.Context) string {
 }
 
 // submit registers a job for the spec on behalf of tenant tn ("" =
-// anonymous) and returns its initial status. The spec is validated and
-// content-hashed; a cache hit — from memory or, in persistent mode, from
-// the disk store or a peer shard — completes the job immediately, an equal
-// in-flight spec shares its computation, and otherwise the job is queued
-// (failing fast with ErrQueueFull when the queue is at capacity, or
-// ErrTenantQuota when the tenant is over its own limits). In persistent
-// mode, a matrix whose every cell is already persisted is assembled from
-// cells right here — completing without ever occupying a worker slot.
-// Only accepted submissions count toward the submissions metric.
+// anonymous) and returns its initial status. The spec is validated,
+// content-hashed and bounded, then looked up in one ladder: under the lock
+// the memory cache and the single-flight table (an equal queued or running
+// spec shares its flight), then off the lock the durable tiers (disk,
+// peer, cells; see probeStore). A cached result completes the job at once
+// through completeCached, before any flight exists, even when the queue is
+// full. On a miss the spec record and the SRPT size are written off the
+// lock, and one locked section checks again and queues a new flight for
+// the job: it fails fast with ErrQueueFull when the queue is at capacity,
+// or ErrTenantQuota when the tenant is over its own limits. Only accepted
+// submissions count toward the submissions metric.
 func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatus, error) {
 	trace := traceIDFrom(ctx)
 	hash, err := sp.Hash()
 	if err != nil {
 		return JobStatus{}, err
 	}
-	// The matrix size is known from the axes alone — no workload expansion
-	// needed — so it is bounded here and the flight can be registered
-	// before the slow part.
+	// The matrix size is known from the axes alone, so it is bounded before
+	// any store read or cell assembly.
 	norm := sp.Normalize()
 	if err := checkMatrixSize(norm); err != nil {
 		return JobStatus{}, err
@@ -841,115 +842,53 @@ func (s *Service) submit(ctx context.Context, tn string, sp spec.Spec) (JobStatu
 	total := len(norm.Schedulers) * len(norm.Points) * norm.Runs
 
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return JobStatus{}, ErrClosed
-	}
-	if st, ok, ferr := s.fastPath(tn, hash, trace); ok || ferr != nil {
-		s.mu.Unlock()
-		return st, ferr
-	}
-	if s.storeHandle != nil {
-		// Probe the disk store outside the lock (it reads whole artifact
-		// files); identical submissions racing the probe at worst read the
-		// same entry twice, which is idempotent.
-		s.mu.Unlock()
-		res, source, derr := s.probeStore(ctx, hash)
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return JobStatus{}, ErrClosed
-		}
-		if st, ok, ferr := s.fastPath(tn, hash, trace); ok || ferr != nil {
-			s.mu.Unlock()
-			return st, ferr
-		}
-		// A corrupt entry was quarantined and I/O trouble reads as a miss:
-		// the recompute below repopulates either. Expired entries fall
-		// through too, and the recompute overwrites them with a fresh
-		// CreatedAt (byte-identical artifacts).
-		s.countStoreErr(derr)
-		if derr == nil && (s.cfg.CacheTTL <= 0 || time.Since(res.CreatedAt) <= s.cfg.CacheTTL) {
-			s.cache.add(res)
-			if source == "disk" {
-				s.m.DiskHits++
-			}
-			st := s.completeCached(tn, hash, trace, res, source)
-			s.mu.Unlock()
-			return st, nil
-		}
-	}
-	if s.queue.Len()+s.reserved >= s.cfg.QueueDepth {
-		if tn != "" {
-			s.acct(tn).Rejected++
-		}
-		s.mu.Unlock()
-		s.obsv.log.Warn("submission rejected", "error", "queue full",
-			obs.KeySpec, obs.SpecPrefix(hash), obs.KeyTraceID, trace)
-		return JobStatus{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, s.cfg.QueueDepth)
-	}
-	if qerr := s.checkQuota(tn, StateQueued, total); qerr != nil {
-		s.acct(tn).Rejected++
-		s.mu.Unlock()
-		s.obsv.log.Warn("submission rejected", "error", qerr.Error(),
-			obs.KeySpec, obs.SpecPrefix(hash), obs.KeyTenant, tn, obs.KeyTraceID, trace)
-		return JobStatus{}, qerr
-	}
-	// Reserve the queue slot and register the flight in the single-flight
-	// table before expanding the workload (trace generation of a large job
-	// count is the slow part of submission): concurrent identical
-	// submissions attach to this flight instead of expanding the same
-	// trace again, and doomed-to-429 bursts are rejected before paying for
-	// an expansion.
-	fl := s.newFlight(hash, tn, trace, peerFrom(ctx), norm)
-	s.reserved++
-	j := s.newJob(hash, tn, trace)
-	s.attach(fl, j)
+	st, ok, err := s.fastPath(tn, hash, trace)
 	s.mu.Unlock()
-
-	// A matrix whose every cell is already persisted needs no worker at
-	// all: stitch the artifact together from the cell tier and complete
-	// the job without ever occupying a queue slot.
-	if st, ok := s.tryAssemble(fl, j); ok {
-		return st, nil
+	if ok || err != nil {
+		return st, err
 	}
-
-	rspec, rerr := norm.Runner()
-	// Persist the canonical spec under its matrix hash while the flight is
-	// alive: should this process die mid-matrix, the next one requeues the
-	// interrupted job from this record and refills from persisted cells
-	// instead of failing it. Best-effort — without the record, recovery
-	// degrades to the fail-on-restart behavior.
 	var specErr error
-	var size float64
-	if rerr == nil {
-		if s.storeHandle != nil {
-			if canon, cerr := norm.Canonical(); cerr == nil {
-				specErr = s.storeHandle.PutSpec(hash, canon)
-			}
+	if s.storeHandle != nil {
+		res, source, readErr, putErr := s.probeStore(ctx, hash, norm)
+		s.mu.Lock()
+		s.countStoreErr(readErr)
+		s.countStoreErr(putErr)
+		if res != nil && !s.closed {
+			st, ok = s.completeCached(tn, hash, trace, res, source), true
+		} else if st, ok, err = s.fastPath(tn, hash, trace); !ok && err == nil {
+			// Refuse a submission the queue or quota would refuse anyway
+			// before it pays for the spec record's fsync.
+			err = s.admitFlight(tn, hash, trace, total)
 		}
-		size = s.jobSize(norm, total)
+		s.mu.Unlock()
+		if ok || err != nil {
+			return st, err
+		}
+		// Persist the canonical spec under its matrix hash before the flight
+		// is queued: should this process die mid-matrix, the next one
+		// requeues the interrupted job from this record and refills from
+		// persisted cells instead of failing it. Best-effort — without the
+		// record, recovery degrades to the fail-on-restart behavior. A
+		// record left by a submission that is then refused or deduplicated
+		// is swept by GC like a crash orphan.
+		if canon, cerr := norm.Canonical(); cerr == nil {
+			specErr = s.storeHandle.PutSpec(hash, canon)
+		}
 	}
+	size := s.jobSize(norm)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.countStoreErr(specErr)
-	s.reserved--
-	if fl.cancelled {
-		// Every attached job was cancelled while the workload expanded;
-		// Cancel already detached them and settled the flight.
-		return j.status(), nil
+	if st, ok, err := s.fastPath(tn, hash, trace); ok || err != nil {
+		return st, err
 	}
-	if rerr == nil && s.closed {
-		// Close began after the reservation; its drain covers only flights
-		// that were already pending, so fail rather than strand the jobs.
-		rerr = ErrClosed
+	if err := s.admitFlight(tn, hash, trace, total); err != nil {
+		return JobStatus{}, err
 	}
-	if rerr != nil {
-		s.settle(fl, nil, rerr)
-		return JobStatus{}, rerr
-	}
-	s.enqueue(fl, rspec, size)
+	fl := s.newFlight(hash, tn, trace, peerFrom(ctx), norm, size)
+	j := s.newJob(hash, tn, trace)
+	s.attach(fl, j)
 	return j.status(), nil
 }
 
@@ -971,47 +910,44 @@ func checkMatrixSize(sp spec.Spec) error {
 	return nil
 }
 
-// probeStore reads a matrix's artifacts from the disk store, reporting
-// "disk" as their source. On a local miss for a hash the gateway says
-// relocated here, it adopts the previous ring owner's artifacts instead of
-// recomputing them (source "peer"): the fetched record passes the store's
-// own check before the crash-atomic install, and any failure reads as the
-// local miss. Runs off the lock.
-func (s *Service) probeStore(ctx context.Context, hash string) (*CachedResult, string, error) {
-	art, err := s.storeHandle.GetArtifacts(hash)
-	peer := peerFrom(ctx)
-	if !errors.Is(err, store.ErrNotFound) || peer == "" {
-		return &art, "disk", err
+// probeStore looks a matrix up in the durable tiers, off the lock, and
+// names the source of what it finds: its result record on disk ("disk");
+// on a local miss for a hash the gateway says relocated here, the previous
+// ring owner's record ("peer"); then its cells ("cells"), which assemble
+// into the result without a worker when every one of them is persisted. A
+// record past CacheTTL reads as a miss. res is nil on a miss; readErr is
+// the disk read's error and putErr the write of an assembled result, both
+// for the store counters.
+func (s *Service) probeStore(ctx context.Context, hash string, norm spec.Spec) (res *CachedResult, source string, readErr, putErr error) {
+	fresh := func(r *CachedResult) bool {
+		return s.cfg.CacheTTL <= 0 || time.Since(r.CreatedAt) <= s.cfg.CacheTTL
 	}
-	data, perr := s.fetchPeer(ctx, peer, "/v1/peer/artifacts/"+hash)
-	var part store.Artifacts
-	if perr == nil {
-		part, perr = store.DecodeArtifacts(hash, data)
+	art, readErr := s.storeHandle.GetArtifacts(hash)
+	if readErr == nil && fresh(&art) {
+		return &art, "disk", nil, nil
 	}
-	if perr == nil {
-		perr = s.storeHandle.PutArtifacts(part)
+	if peer := peerFrom(ctx); peer != "" && errors.Is(readErr, store.ErrNotFound) {
+		if res := s.peerArtifacts(ctx, peer, hash); res != nil && fresh(res) {
+			return res, "peer", nil, nil
+		}
 	}
-	if perr != nil {
-		s.countPeerFetch(false, 0)
-		s.obsv.log.Warn("peer fetch missed",
-			obs.KeySpec, obs.SpecPrefix(hash), "peer", peer, "error", perr.Error())
-		return &art, "disk", err
-	}
-	s.countPeerFetch(true, int64(len(part.JSON)+len(part.CSV)+len(part.AggregateCSV)))
-	return &part, "peer", nil
+	res, putErr = s.assemble(hash, norm)
+	return res, "cells", readErr, putErr
 }
 
 // fastPath serves a submission from the in-memory result cache or attaches
 // it to an in-flight computation, counting it as accepted. Caller holds mu;
 // the bool reports success. A non-nil error means the submission was
-// positively rejected (tenant quota) rather than missed.
+// positively rejected (closed service, tenant quota) rather than missed.
 func (s *Service) fastPath(tn, hash, trace string) (JobStatus, bool, error) {
+	if s.closed {
+		return JobStatus{}, false, ErrClosed
+	}
 	if res, ok := s.cache.get(hash); ok {
-		s.m.CacheHits++
 		return s.completeCached(tn, hash, trace, res, "memory"), true, nil
 	}
 	fl, ok := s.inflight[hash]
-	if !ok || fl.cancelled {
+	if !ok {
 		return JobStatus{}, false, nil
 	}
 	// Attaching still charges the tenant's gauges (the job occupies their
@@ -1027,15 +963,52 @@ func (s *Service) fastPath(tn, hash, trace string) (JobStatus, bool, error) {
 	return j.status(), true, nil
 }
 
-// completeCached completes a submission with a stored result: a memory,
-// disk or peer hit, named by source. Caller holds mu.
+// completeCached completes a submission with a stored result, counted by
+// its source: a memory hit, a disk or peer hit, or a matrix assembled from
+// cells, whose every cell counts as landed from the cell cache. A result
+// read from the store enters the memory cache. Caller holds mu.
 func (s *Service) completeCached(tn, hash, trace string, res *CachedResult, source string) JobStatus {
 	j := s.newJob(hash, tn, trace)
 	j.cached = true
 	j.result = res
 	j.done, j.total = res.Cells, res.Cells
+	switch source {
+	case "memory":
+		s.m.CacheHits++
+	case "disk":
+		s.m.DiskHits++
+	case "cells":
+		s.m.Assembled++
+		s.m.CellsDone += int64(res.Cells)
+		s.m.CellHits += int64(res.Cells)
+		j.cachedCells = res.Cells
+	}
+	if source != "memory" {
+		s.cache.add(res)
+	}
 	s.setState(j, StateDone, "cached", true, "source", source)
 	return j.status()
+}
+
+// admitFlight checks that a new flight may be queued for tenant tn: the
+// queue has a free slot and the tenant stays within its quotas. A refusal
+// is counted against the tenant and logged. Caller holds mu.
+func (s *Service) admitFlight(tn, hash, trace string, total int) error {
+	if s.queue.Len() >= s.cfg.QueueDepth {
+		if tn != "" {
+			s.acct(tn).Rejected++
+		}
+		s.obsv.log.Warn("submission rejected", "error", "queue full",
+			obs.KeySpec, obs.SpecPrefix(hash), obs.KeyTraceID, trace)
+		return fmt.Errorf("%w (depth %d)", ErrQueueFull, s.cfg.QueueDepth)
+	}
+	if err := s.checkQuota(tn, StateQueued, total); err != nil {
+		s.acct(tn).Rejected++
+		s.obsv.log.Warn("submission rejected", "error", err.Error(),
+			obs.KeySpec, obs.SpecPrefix(hash), obs.KeyTenant, tn, obs.KeyTraceID, trace)
+		return err
+	}
+	return nil
 }
 
 // attach joins a job to a queued or running flight: the job takes the
@@ -1052,9 +1025,11 @@ func (s *Service) attach(fl *flight, j *jobState) {
 	}
 }
 
-// newFlight registers a queued flight for the normalized spec in the
-// single-flight table. Caller holds mu (or runs single-threaded from New).
-func (s *Service) newFlight(hash, tn, trace, peer string, norm spec.Spec) *flight {
+// newFlight registers a flight for the normalized spec in the
+// single-flight table and pushes it on the queue with its estimated size
+// (the SRPT dequeue key): a flight is born queued. Caller holds mu (or runs
+// single-threaded from New).
+func (s *Service) newFlight(hash, tn, trace, peer string, norm spec.Spec, size float64) *flight {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	fl := &flight{
 		hash:    hash,
@@ -1068,16 +1043,10 @@ func (s *Service) newFlight(hash, tn, trace, peer string, norm spec.Spec) *fligh
 		total:   len(norm.Schedulers) * len(norm.Points) * norm.Runs,
 	}
 	s.inflight[hash] = fl
-	return fl
-}
-
-// enqueue hands a flight with its expanded workload to the workers. Caller
-// holds mu (or runs single-threaded from New).
-func (s *Service) enqueue(fl *flight, rspec runner.Spec, size float64) {
-	fl.rspec, fl.size = rspec, size
-	s.queue.Push(fl.tenant, fl.size, fl)
+	s.queue.Push(tn, size, fl)
 	s.m.Flights++
 	s.cond.Signal()
+	return fl
 }
 
 // settle is the only way a flight ends: it leaves the single-flight table,
@@ -1170,34 +1139,24 @@ func (s *Service) countStoreErr(err error) {
 	}
 }
 
-// runFlight executes one shared computation on the calling worker.
+// runFlight expands a started flight's workload and runs the matrix on the
+// calling worker. The worker is the only place a workload is expanded, and
+// an expansion error fails the flight like a run error.
 func (s *Service) runFlight(fl *flight) {
-	s.mu.Lock()
-	if fl.cancelled {
-		s.mu.Unlock()
-		return
+	matrix, err := fl.sp.Runner()
+	var res *runner.Result
+	if err == nil {
+		res, err = s.runMatrix(fl.ctx, matrix, runner.Options{
+			Parallelism: s.cfg.CellParallelism,
+			Progress:    func(done, cached, total int) { s.flightCells(fl, done, cached, total) },
+			CellCache:   s.cellCacheFor(fl),
+			CellTime: func(d time.Duration, fromCache bool) {
+				if !fromCache {
+					s.obsv.cellDur.Observe(d.Seconds())
+				}
+			},
+		})
 	}
-	fl.state = StateRunning
-	fl.startedAt = time.Now()
-	for _, j := range fl.jobs {
-		s.setState(j, StateRunning)
-	}
-	njobs := len(fl.jobs)
-	s.mu.Unlock()
-	s.obsv.log.Info("flight running",
-		obs.KeySpec, obs.SpecPrefix(fl.hash), obs.KeyTraceID, fl.traceID,
-		"cells", fl.total, "jobs", njobs)
-
-	res, err := s.runMatrix(fl.ctx, fl.rspec, runner.Options{
-		Parallelism: s.cfg.CellParallelism,
-		Progress:    func(done, cached, total int) { s.flightCells(fl, done, cached, total) },
-		CellCache:   s.cellCacheFor(fl),
-		CellTime: func(d time.Duration, fromCache bool) {
-			if !fromCache {
-				s.obsv.cellDur.Observe(d.Seconds())
-			}
-		},
-	})
 	runDur := time.Since(fl.startedAt)
 	s.obsv.runDur.Observe(runDur.Seconds())
 
@@ -1227,7 +1186,7 @@ func (s *Service) runFlight(fl *flight) {
 		// the slot was occupied either way.
 		s.acct(fl.tenant).CellSeconds += time.Since(fl.startedAt).Seconds()
 	}
-	njobs = len(fl.jobs)
+	njobs := len(fl.jobs)
 	s.settle(fl, cached, err)
 	if err != nil {
 		s.obsv.log.Warn("flight failed",
@@ -1387,10 +1346,8 @@ func (s *Service) Cancel(id string) (bool, error) {
 	if fl != nil {
 		fl.jobs = slices.DeleteFunc(fl.jobs, func(o *jobState) bool { return o == j })
 		if len(fl.jobs) == 0 {
-			// A fully-cancelled queued flight frees its queue slot right
-			// away instead of riding along as a tombstone until a worker
-			// would have skipped it.
-			fl.cancelled = true
+			// A fully-cancelled flight settles now: a queued one frees its
+			// queue slot, a running one has its context cancelled.
 			s.queue.Remove(fl)
 			s.settle(fl, nil, nil)
 		}
@@ -1574,7 +1531,7 @@ func (s *Service) Health() Health {
 	return Health{
 		Status:        status,
 		UptimeSeconds: time.Since(s.start).Seconds(),
-		QueueDepth:    s.queue.Len() + s.reserved,
+		QueueDepth:    s.queue.Len(),
 		QueueCapacity: s.cfg.QueueDepth,
 		JobsTracked:   len(s.jobs),
 		Persistent:    s.storeHandle != nil,
@@ -1639,7 +1596,7 @@ func (s *Service) Metrics() Metrics {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m := s.m
-	m.QueueDepth = s.queue.Len() + s.reserved
+	m.QueueDepth = s.queue.Len()
 	m.QueueCapacity = s.cfg.QueueDepth
 	m.CacheEntries = s.cache.len()
 	m.CacheBytes = s.cache.sizeBytes()
@@ -1662,8 +1619,10 @@ func (s *Service) Metrics() Metrics {
 // running matrices are completed, and Close returns once the workers and the
 // garbage collector exit. If ctx expires first, all remaining computations
 // are cancelled (their jobs fail with the cancellation error) and the
-// context error is returned. In persistent mode the store — which the
-// service owns — is closed last, after every worker that could touch it.
+// context error is returned. A service with no flight when Close begins
+// has nothing to cancel, so its Close returns nil whatever ctx says. In
+// persistent mode the store — which the service owns — is closed last,
+// after every worker that could touch it.
 func (s *Service) Close(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -1671,8 +1630,9 @@ func (s *Service) Close(ctx context.Context) error {
 		return ErrClosed
 	}
 	s.closed = true
+	idle := len(s.inflight) == 0
 	close(s.gcStop)
-	s.cond.Broadcast() // wake idle workers so they drain pending and exit
+	s.cond.Broadcast() // wake idle workers so they drain the queue and exit
 	s.mu.Unlock()
 
 	done := make(chan struct{})
@@ -1680,17 +1640,18 @@ func (s *Service) Close(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
-	select {
-	case <-done:
-		s.baseCancel()
-		s.closeStore()
-		return nil
-	case <-ctx.Done():
-		s.baseCancel()
-		<-done
-		s.closeStore()
-		return ctx.Err()
+	var err error
+	if !idle {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
 	}
+	s.baseCancel()
+	<-done
+	s.closeStore()
+	return err
 }
 
 func (s *Service) closeStore() {

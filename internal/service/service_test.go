@@ -362,29 +362,29 @@ func TestSubmitErrors(t *testing.T) {
 	}
 }
 
-// TestSubmitExpansionFailure covers specs that pass validation but whose
-// workload cannot be generated (trace calibration failure): the submission
-// is accepted, then the job fails with the expansion error.
+// TestSubmitExpansionFailure: a trace whose workload cannot be generated
+// (a task-count mean the calibration cannot reach) fails validation, so its
+// submission is refused before it is counted, and no job or flight exists
+// for the worker to fail.
 func TestSubmitExpansionFailure(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer closeService(t, s)
 	sp := testSpec(70)
-	// Valid per Params.Validate, but the bounded-Pareto task-count mean
-	// 1.9 is unreachable with a cap of 2, so trace.Generate fails.
+	// The bounded-Pareto task-count mean 1.9 is unreachable with a cap of 2.
 	sp.Workload.Trace.MeanTasksPerJob = 1.9
 	sp.Workload.Trace.MaxTasksPerJob = 2
-	_, err := s.Submit(sp)
-	if err == nil || !strings.Contains(err.Error(), "unreachable") {
-		t.Fatalf("submit: %v", err)
+	for _, attempt := range []string{"submit", "retry"} {
+		if _, err := s.Submit(sp); err == nil || !strings.Contains(err.Error(), "unreachable") {
+			t.Fatalf("%s: %v", attempt, err)
+		}
 	}
-	m := s.Metrics()
-	if m.Submissions != 1 || m.JobsFailed != 1 || m.QueueDepth != 0 {
-		t.Fatalf("metrics after expansion failure: %+v", m)
+	if m := s.Metrics(); m.Submissions != 0 || m.Flights != 0 || m.JobsFailed != 0 || m.JobsTracked != 0 {
+		t.Fatalf("metrics after a refused spec: %+v", m)
 	}
-	// The flight was removed from the single-flight table, so a retry is
-	// a fresh attempt, not a dedup against the corpse.
-	if _, err := s.Submit(sp); err == nil || !strings.Contains(err.Error(), "unreachable") {
-		t.Fatalf("retry: %v", err)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.jobs) != 0 || len(s.inflight) != 0 {
+		t.Fatalf("%d jobs and %d flights after a refused spec, want none", len(s.jobs), len(s.inflight))
 	}
 }
 

@@ -100,7 +100,9 @@ func GoogleParams() Params {
 	}
 }
 
-// Validate checks generator parameters.
+// Validate checks generator parameters. The task-count target must lie
+// between the means at the two ends of calibrateCountAlpha's bracket, so a
+// target the calibration cannot reach is a validation error.
 func (p Params) Validate() error {
 	switch {
 	case p.Jobs <= 0:
@@ -111,6 +113,10 @@ func (p Params) Validate() error {
 		return fmt.Errorf("trace: mean tasks %v", p.MeanTasksPerJob)
 	case p.MaxTasksPerJob < 2:
 		return fmt.Errorf("trace: max tasks %d", p.MaxTasksPerJob)
+	case countMean(countAlphaLo, p.MaxTasksPerJob) < p.MeanTasksPerJob:
+		return fmt.Errorf("trace: mean tasks %v unreachable with max %d", p.MeanTasksPerJob, p.MaxTasksPerJob)
+	case countMean(countAlphaHi, p.MaxTasksPerJob) > p.MeanTasksPerJob:
+		return fmt.Errorf("trace: mean tasks %v below the bounded-Pareto floor", p.MeanTasksPerJob)
 	case p.MeanTaskDuration <= 0 || p.MinTaskDuration <= 0:
 		return fmt.Errorf("trace: durations mean=%v min=%v", p.MeanTaskDuration, p.MinTaskDuration)
 	case p.MaxTaskDuration <= p.MinTaskDuration:
@@ -225,10 +231,7 @@ func Generate(p Params) (*Trace, error) {
 
 	// Task-count distribution: bounded Pareto on [1, MaxTasks] with alpha
 	// calibrated by bisection so the (rounded) mean hits MeanTasksPerJob.
-	countAlpha, err := calibrateCountAlpha(p.MeanTasksPerJob, p.MaxTasksPerJob)
-	if err != nil {
-		return nil, err
-	}
+	countAlpha := calibrateCountAlpha(p.MeanTasksPerJob, p.MaxTasksPerJob)
 	countDist, err := dist.NewBoundedPareto(1, float64(p.MaxTasksPerJob), countAlpha)
 	if err != nil {
 		return nil, err
@@ -361,32 +364,31 @@ func samplePriority(src *rng.Source, bias float64) int {
 	return GoogleMaxPriority
 }
 
+// The tail-index bracket of the task-count distribution: its mean falls
+// as the index grows, and task counts need an index below 1 to reach
+// Table II's mean (the support is bounded, so the mean stays finite).
+const countAlphaLo, countAlphaHi = 0.02, 10.0
+
+// countMean is the mean task count of the bounded Pareto on [1, maxTasks]
+// with tail index alpha.
+func countMean(alpha float64, maxTasks int) float64 {
+	return dist.BoundedPareto{Lo: 1, Hi: float64(maxTasks), Alpha: alpha}.Mean()
+}
+
 // calibrateCountAlpha bisects the bounded-Pareto tail index so that the mean
-// task count matches the target.
-func calibrateCountAlpha(target float64, maxTasks int) (float64, error) {
-	hi := float64(maxTasks)
-	meanAt := func(alpha float64) float64 {
-		b := dist.BoundedPareto{Lo: 1, Hi: hi, Alpha: alpha}
-		return b.Mean()
-	}
-	// Mean decreases in alpha; bracket the target. Task counts need a tail
-	// index below 1 (the support is bounded, so the mean stays finite).
-	loA, hiA := 0.02, 10.0
-	if meanAt(loA) < target {
-		return 0, fmt.Errorf("trace: mean tasks %v unreachable with max %d", target, maxTasks)
-	}
-	if meanAt(hiA) > target {
-		return 0, fmt.Errorf("trace: mean tasks %v below the bounded-Pareto floor", target)
-	}
+// task count matches the target. Validate has checked that the target lies
+// between the means at the ends of the bracket.
+func calibrateCountAlpha(target float64, maxTasks int) float64 {
+	loA, hiA := countAlphaLo, countAlphaHi
 	for i := 0; i < 200; i++ {
 		mid := (loA + hiA) / 2
-		if meanAt(mid) > target {
+		if countMean(mid, maxTasks) > target {
 			loA = mid
 		} else {
 			hiA = mid
 		}
 	}
-	return (loA + hiA) / 2, nil
+	return (loA + hiA) / 2
 }
 
 // Specs converts a trace into engine-ready job specs.

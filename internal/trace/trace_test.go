@@ -44,6 +44,29 @@ func TestParamsValidation(t *testing.T) {
 	}
 }
 
+// TestParamsValidateCountTarget: a task-count mean outside what the
+// calibration bracket reaches is a validation error, and Generate refuses
+// it with the same message.
+func TestParamsValidateCountTarget(t *testing.T) {
+	for _, tc := range []struct {
+		mean float64
+		max  int
+		want string
+	}{
+		{1.9, 2, "trace: mean tasks 1.9 unreachable with max 2"},
+		{1.05, 500, "trace: mean tasks 1.05 below the bounded-Pareto floor"},
+	} {
+		p := GoogleParams()
+		p.MeanTasksPerJob, p.MaxTasksPerJob = tc.mean, tc.max
+		if err := p.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("Validate(mean %v, max %d) = %v, want %q", tc.mean, tc.max, err, tc.want)
+		}
+		if _, err := Generate(p); err == nil || err.Error() != tc.want {
+			t.Errorf("Generate(mean %v, max %d) = %v, want %q", tc.mean, tc.max, err, tc.want)
+		}
+	}
+}
+
 // TestTableIICalibration: the generated trace must reproduce the Table II
 // statistics within tolerance. This is experiment T2.
 func TestTableIICalibration(t *testing.T) {
