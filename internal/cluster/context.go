@@ -112,6 +112,10 @@ type CopyProgress struct {
 // reported progress are returned only when no copy has made progress. ok is
 // false when t has no observable live copy.
 //
+// A scan over many tasks can read the same report for a task whose one copy
+// is active from its job's progress view (job.Job.RunningSpans), and needs
+// BestProgress only for the tasks the view leaves uncovered.
+//
 // Reported progress is linear in time, so the estimate equals the copy's
 // true remaining slots. Copies that will finish on the same slot therefore
 // have equal estimates in exact arithmetic, and floating-point rounding picks

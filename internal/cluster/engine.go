@@ -14,9 +14,10 @@
 // for unique IDs, sorted by arrival and given their phase moments, once for
 // any number of runs, and shared read-only by engines on any goroutine. It
 // runs in a Storage its caller owns, from which it takes its jobs, task
-// records and lists, task-run freelist, calendar, alive set and scratch
-// buffers, so a caller that runs many engines one after another, as a
-// matrix runner's worker does, allocates them once. A Storage belongs to
+// records and lists, progress views, task runs (a freelist, and blocks new
+// ones are carved from), calendar, alive set and scratch buffers, so a
+// caller that runs many engines one after another, as a matrix runner's
+// worker does, allocates them once. A Storage belongs to
 // one goroutine and serves one engine at a time. A Result never references
 // the Storage it was computed in and does not depend on what ran in it
 // before; TestStorageReuseIsInvisible pins that. New does both steps, on a
@@ -39,6 +40,17 @@
 //     changed or whose slot came due. A scheduler that is neither
 //     EventDriven nor calls WakeAt is visited on the next slot, so
 //     time-based rules observe every tick.
+//
+// The progress reports come from a view the engine keeps per job phase
+// (job.Job.RunningSpans): beside each running task, in running order and
+// moved by the same swap-remove, the (start, finish) slots of its copy when
+// it has exactly one and that copy is active. The engine writes an entry at
+// launch, when the job's map gate opens and when the task gets a second
+// copy, which uncovers it; a scan reads the view in one loop over
+// contiguous memory and falls back to Context.BestProgress for an uncovered
+// task, one with several copies or only a gated one. The oracle in
+// view_test.go checks every entry against BestProgress on every call of
+// every registered scheduler.
 //
 // An EventDriven scheduler is not invoked at all while no launchable work
 // remains. The naive slot-by-slot reference loop (Config.Loop = LoopNaive)
@@ -217,13 +229,15 @@ type Engine struct {
 	// w is the job set, shared read-only; its first arrived jobs have been
 	// admitted. The runtime state of w's jobs lives in memory taken from
 	// the engine's Storage: job k of w is jobs[k], its task records start
-	// at tasks[w.jobs[k].firstTask] and its three task lists at
-	// lists[3*w.jobs[k].firstTask].
+	// at tasks[w.jobs[k].firstTask], its three task lists at
+	// lists[3*w.jobs[k].firstTask] and its progress views at
+	// spans[w.jobs[k].firstTask].
 	w       *Workload
 	arrived int
 	jobs    []job.Job
 	tasks   []job.Task
 	lists   []*job.Task
+	spans   []job.Span
 
 	// alive holds arrived-and-unfinished jobs in arrival order. A retired
 	// job stays in place, as a hole that iteration skips (job.Done), until
@@ -257,13 +271,17 @@ type Engine struct {
 	err error   // first fatal error raised inside a scheduler callback
 
 	// Scratch and pooling for the hot paths: the AliveJobs backing array,
-	// the batched workload-sample buffer, and a freelist of task-run records
+	// the batched workload-sample buffer, a freelist of task-run records
 	// (each carrying its grown copies backing) to keep the per-launch path
-	// allocation-free in steady state. Like the job state, they come from
-	// the engine's Storage and outlive the run.
+	// allocation-free in steady state, and the uncarved rest of the blocks
+	// that new task runs and their first copy records are cut from. Like
+	// the job state, they come from the engine's Storage and outlive the
+	// run.
 	aliveScratch []*job.Job
 	sampleBuf    []float64
 	runFree      []*taskRun
+	runBlock     []taskRun
+	copyBlock    []copyRecord
 
 	busy         int64
 	totalCopies  int64
@@ -322,6 +340,7 @@ func NewEngine(cfg Config, sched Scheduler, w *Workload, st *Storage) (*Engine, 
 		jobs:          fit(e.jobs, len(w.jobs)),
 		tasks:         fit(e.tasks, w.tasks),
 		lists:         fit(e.lists, 3*w.tasks),
+		spans:         fit(e.spans, w.tasks),
 		alive:         e.alive[:0],
 		cal:           calendar{a: e.cal.a[:0]},
 		durations:     rng.Derive(cfg.Seed, "durations"),
@@ -329,6 +348,8 @@ func NewEngine(cfg Config, sched Scheduler, w *Workload, st *Storage) (*Engine, 
 		aliveScratch:  e.aliveScratch[:0],
 		sampleBuf:     e.sampleBuf,
 		runFree:       e.runFree,
+		runBlock:      e.runBlock,
+		copyBlock:     e.copyBlock,
 	}
 	e.ctx = Context{engine: e}
 	return e, nil
@@ -460,7 +481,7 @@ func (e *Engine) admitArrivals() {
 		e.arrived++
 		first, n := wj.firstTask, wj.spec.TotalTasks()
 		j.Init(wj.spec, wj.mapStats, wj.reduceStats,
-			e.tasks[first:first+n], e.lists[3*first:3*(first+n)])
+			e.tasks[first:first+n], e.lists[3*first:3*(first+n)], e.spans[first:first+n])
 		e.alive = append(e.alive, j)
 		e.aliveCount++
 		e.unschedMap += wj.spec.MapTasks
@@ -530,7 +551,8 @@ func (e *Engine) completeTask(tr *taskRun) {
 // when j's map phase completes, and until then every reduce copy of j was
 // launched gated, so the copies to start are exactly those of j's running
 // reduce tasks. Their order does not matter: the calendar orders tasks by
-// their unique (finish, seq) keys.
+// their unique (finish, seq) keys. A task with one copy joins j's progress
+// view.
 func (e *Engine) openGate(j *job.Job) {
 	for _, t := range j.Tasks[j.Spec.MapTasks:] {
 		if t.State != job.TaskRunning {
@@ -542,6 +564,9 @@ func (e *Engine) openGate(j *job.Job) {
 			c.started = e.slot
 			c.finish = e.slot + e.durationSlots(c.workload)
 			e.activate(tr, idx)
+		}
+		if len(tr.copies) == 1 {
+			j.SetSpan(t, job.Span{Start: e.slot, Finish: tr.copies[0].finish})
 		}
 	}
 }
@@ -607,6 +632,9 @@ func (e *Engine) durationSlots(workload float64) int64 {
 // to n successive Sample calls on the same stream — and validated before
 // any engine state changes; a non-finite sample fails the run with
 // ErrNonFiniteWorkload.
+//
+// j's progress view covers t once its only copy is active, and uncovers it
+// when it gets a second copy.
 func (e *Engine) launch(j *job.Job, t *job.Task, n int, gated bool) (int, error) {
 	if n <= 0 {
 		return 0, nil
@@ -634,12 +662,16 @@ func (e *Engine) launch(j *job.Job, t *job.Task, n int, gated bool) (int, error)
 		}
 	}
 	wasUnscheduled := t.State == job.TaskUnscheduled
+	tr, _ := t.Runtime.(*taskRun)
+	var before int // copies t had before this launch
+	if tr != nil {
+		before = len(tr.copies)
+	}
 	launched := 0
 	for i := 0; i < n; i++ {
 		if err := j.MarkLaunched(t, e.slot); err != nil {
 			return launched, err
 		}
-		tr, _ := t.Runtime.(*taskRun)
 		if tr == nil {
 			tr = e.newRun()
 			tr.task, tr.owner = t, j
@@ -666,6 +698,12 @@ func (e *Engine) launch(j *job.Job, t *job.Task, n int, gated bool) (int, error)
 		}
 		launched++
 	}
+	switch {
+	case before == 0 && n == 1 && !gated:
+		j.SetSpan(t, job.Span{Start: e.slot, Finish: tr.copies[0].finish})
+	case before == 1:
+		j.SetSpan(t, job.Span{Start: -1})
+	}
 	if wasUnscheduled && launched > 0 {
 		e.running++
 		switch {
@@ -689,9 +727,17 @@ func (e *Engine) fail(err error) error {
 	return err
 }
 
+// Fresh task runs are carved runsPerBlock at a time from one block of
+// records and one of copy records, copiesPerRun of them each.
+const (
+	runsPerBlock = 256
+	copiesPerRun = 8
+)
+
 // newRun returns a recycled or fresh task-run record. Fresh records start
 // with room for a handful of copies so the common clone counts never grow
-// the slice (recycled records keep their grown backing).
+// the slice (recycled records keep their grown backing); a record that
+// outgrows its copiesPerRun slots moves to a backing of its own.
 func (e *Engine) newRun() *taskRun {
 	if k := len(e.runFree) - 1; k >= 0 {
 		tr := e.runFree[k]
@@ -699,7 +745,15 @@ func (e *Engine) newRun() *taskRun {
 		e.runFree = e.runFree[:k]
 		return tr
 	}
-	return &taskRun{pos: -1, best: -1, copies: make([]copyRecord, 0, 8)}
+	if len(e.runBlock) == 0 {
+		e.runBlock = make([]taskRun, runsPerBlock)
+		e.copyBlock = make([]copyRecord, runsPerBlock*copiesPerRun)
+	}
+	tr := &e.runBlock[0]
+	e.runBlock = e.runBlock[1:]
+	*tr = taskRun{pos: -1, best: -1, copies: e.copyBlock[:0:copiesPerRun]}
+	e.copyBlock = e.copyBlock[copiesPerRun:]
+	return tr
 }
 
 // releaseRun recycles a completed task's run record, keeping its grown

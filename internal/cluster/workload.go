@@ -58,9 +58,10 @@ func NewWorkload(specs []job.Spec) (*Workload, error) {
 	return w, nil
 }
 
-// Storage is the memory an engine runs in: its jobs, task records and task
-// lists, the freelist of task runs with their copy records, the calendar,
-// the alive set and scratch buffers. The zero value is ready to use.
+// Storage is the memory an engine runs in: its jobs, task records, task
+// lists and progress views, the task runs with their copy records (a
+// freelist, and the blocks new ones are carved from), the calendar, the
+// alive set and scratch buffers. The zero value is ready to use.
 //
 // An engine built on a Storage takes that memory over, and the next engine
 // built on it takes it back, so the earlier engine must not be used again:

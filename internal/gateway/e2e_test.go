@@ -504,11 +504,29 @@ func TestGatewayRejectsOversizedMatrix(t *testing.T) {
 // generator cannot reach fails spec validation, so the gateway answers 400
 // at its edge and no shard counts a submission, a job or a flight.
 func TestGatewayRejectsUnreachableTrace(t *testing.T) {
-	c := newTestCluster(t, 2, 1, service.Config{Workers: 1, CellParallelism: 2})
 	p := trace.GoogleParams()
-	p.Jobs = 6
 	p.MeanTasksPerJob = 1.9
 	p.MaxTasksPerJob = 2
+	rejectsTraceAtEdge(t, p, "unreachable")
+}
+
+// TestGatewayRejectsOverflowingTrace: a duration CV and mean whose product
+// overflows fail spec validation the same way, instead of failing the job
+// on a shard when its workload is expanded.
+func TestGatewayRejectsOverflowingTrace(t *testing.T) {
+	p := trace.GoogleParams()
+	p.MeanTaskDuration = 1e308
+	p.DurationCV = 10
+	rejectsTraceAtEdge(t, p, "overflows")
+}
+
+// rejectsTraceAtEdge submits a 6-job spec over trace params p through a
+// gateway and wants a 400 whose body contains want, with no shard counting
+// a submission, a failed job or a flight.
+func rejectsTraceAtEdge(t *testing.T, p trace.Params, want string) {
+	t.Helper()
+	c := newTestCluster(t, 2, 1, service.Config{Workers: 1, CellParallelism: 2})
+	p.Jobs = 6
 	body, err := json.Marshal(spec.Spec{
 		Version:    spec.Version,
 		Workload:   spec.Workload{Trace: &p},
@@ -524,8 +542,8 @@ func TestGatewayRejectsUnreachableTrace(t *testing.T) {
 	}
 	msg, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unreachable") {
-		t.Errorf("unreachable trace: HTTP %d %s, want 400 naming it", resp.StatusCode, msg)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), want) {
+		t.Errorf("HTTP %d %s, want 400 containing %q", resp.StatusCode, msg, want)
 	}
 	for _, svc := range c.shards {
 		if m := svc.Metrics(); m.Submissions != 0 || m.JobsFailed != 0 || m.Flights != 0 {

@@ -173,6 +173,35 @@ type Task struct {
 	Runtime any
 }
 
+// Span is a running task's entry in its phase's progress view: the slots at
+// which the task's only copy started its countdown and will finish. The view
+// covers a task with exactly one copy, once that copy is active; a task with
+// several copies, or with only a gated one, has an entry with Start < 0,
+// and its progress is read through cluster.Context.BestProgress instead.
+//
+// A scheduler reads from an entry what a progress report of the copy gives:
+// its start, Elapsed and Fraction, never its finish slot by itself.
+type Span struct {
+	Start, Finish int64
+}
+
+// Covered reports whether the entry describes the task's only, active copy.
+func (s Span) Covered() bool { return s.Start >= 0 }
+
+// Elapsed returns the slots the copy has run by slot now.
+func (s Span) Elapsed(now int64) int64 { return now - s.Start }
+
+// Fraction returns the completed fraction of the copy after elapsed slots,
+// as cluster.Context.BestProgress reports it: elapsed over the copy's
+// duration, at most 1.
+func (s Span) Fraction(elapsed int64) float64 {
+	frac := float64(elapsed) / float64(s.Finish-s.Start)
+	if frac > 1 {
+		frac = 1
+	}
+	return frac
+}
+
 // Job is the runtime state of a job inside the cluster engine.
 type Job struct {
 	Spec Spec
@@ -181,6 +210,7 @@ type Job struct {
 
 	pending    [2][]*Task // per-phase unscheduled tasks (order not stable)
 	running    [2][]*Task // per-phase tasks with at least one live copy
+	spans      [2][]Span  // per-phase progress view, parallel to running
 	unfinished [2]int     // per-phase count of not-Done tasks
 	stats      [2]Stats   // cached per-phase workload moments (hot path)
 	changes    uint64     // bumped by every copy launch, copy stop and task completion
@@ -199,18 +229,19 @@ func New(spec Spec) (*Job, error) {
 	n := spec.TotalTasks()
 	j := new(Job)
 	j.Init(spec, spec.PhaseStats(PhaseMap), spec.PhaseStats(PhaseReduce),
-		make([]Task, n), make([]*Task, 3*n))
+		make([]Task, n), make([]*Task, 3*n), make([]Span, n))
 	return j, nil
 }
 
 // Init makes j the runtime state of a newly arrived job of spec, in place and
 // without allocating. With n = spec.TotalTasks(), the task records are
-// tasks[:n] and the Tasks, pending and running lists are carved from
-// lists[:3n]. Every field of j and of those records is overwritten, so a
+// tasks[:n], the Tasks, pending and running lists are carved from
+// lists[:3n] and the progress views from spans[:n]. Every field of j and of
+// those records is overwritten, or written before it is read, so a
 // simulation engine can run job after job on the same memory. mapStats and
 // reduceStats must be spec.PhaseStats of the two phases; a caller that runs
 // one spec many times computes them once. Init does not validate spec.
-func (j *Job) Init(spec Spec, mapStats, reduceStats Stats, tasks []Task, lists []*Task) {
+func (j *Job) Init(spec Spec, mapStats, reduceStats Stats, tasks []Task, lists []*Task, spans []Span) {
 	total := spec.TotalTasks()
 	m := spec.MapTasks
 	tasks = tasks[:total]
@@ -223,6 +254,8 @@ func (j *Job) Init(spec Spec, mapStats, reduceStats Stats, tasks []Task, lists [
 	runb := lists[2*total : 3*total : 3*total]
 	j.pending[0], j.pending[1] = pend[:m:m], pend[m:]
 	j.running[0], j.running[1] = runb[:0:m], runb[m:m:total]
+	spans = spans[:total:total]
+	j.spans[0], j.spans[1] = spans[:0:m], spans[m:m:total]
 	for i := range tasks {
 		t := &tasks[i]
 		phase, index := PhaseMap, i
@@ -276,19 +309,20 @@ func (j *Job) removePending(t *Task) {
 	t.pendingPos = -1
 }
 
-// removeRunning drops t from its phase's running list in O(1).
+// removeRunning drops t from its phase's running list in O(1), moving the
+// progress view's entries the same way.
 func (j *Job) removeRunning(t *Task) {
 	idx := phaseIdx(t.ID.Phase)
 	pos := t.runningPos
 	if pos < 0 {
 		return
 	}
-	list := j.running[idx]
+	list, view := j.running[idx], j.spans[idx]
 	last := len(list) - 1
-	list[pos] = list[last]
+	list[pos], view[pos] = list[last], view[last]
 	list[pos].runningPos = pos
 	list[last] = nil
-	j.running[idx] = list[:last]
+	j.running[idx], j.spans[idx] = list[:last], view[:last]
 	t.runningPos = -1
 }
 
@@ -376,6 +410,7 @@ func (j *Job) MarkLaunched(t *Task, slot int64) error {
 		idx := phaseIdx(t.ID.Phase)
 		t.runningPos = len(j.running[idx])
 		j.running[idx] = append(j.running[idx], t)
+		j.spans[idx] = append(j.spans[idx], Span{Start: -1})
 	}
 	t.Copies++
 	t.TotalCopies++
@@ -463,6 +498,19 @@ func (j *Job) RunningTasks(p Phase) []*Task {
 // RunningTasks for scheduler scratch buffers.
 func (j *Job) AppendRunning(dst []*Task, p Phase) []*Task {
 	return append(dst, j.running[phaseIdx(p)]...)
+}
+
+// RunningSpans returns the progress view of phase p: entry i describes the
+// i-th task AppendRunning appends. The slice is the job's own and read-only;
+// it is valid until the job's next copy launch or task completion.
+func (j *Job) RunningSpans(p Phase) []Span { return j.spans[phaseIdx(p)] }
+
+// SetSpan sets running task t's progress-view entry; an entry with
+// Start < 0 uncovers the task. Only the simulation engine calls it, when a
+// task's only copy starts its countdown and when a task gains a second copy;
+// a task joins the running list uncovered.
+func (j *Job) SetSpan(t *Task, s Span) {
+	j.spans[phaseIdx(t.ID.Phase)][t.runningPos] = s
 }
 
 // Flowtime returns f_i - a_i, or -1 if the job has not finished.

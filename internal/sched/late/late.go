@@ -24,6 +24,15 @@
 // schedutil.ScanCache keeps each phase's result in between. The budget of
 // speculative copies comes from cluster.Context.SpeculativeCopies and is
 // checked before any scan.
+//
+// A rescan reads the phase's progress view (job.Job.RunningSpans): one
+// pointer-free (start, finish) entry per running task, in running order, for
+// every task whose one copy is active. It works out each such task's
+// elapsed slots, fraction and rate exactly as from a
+// cluster.Context.BestProgress report, and asks BestProgress only for the
+// tasks the view does not cover: those with a speculative copy. The phase
+// mean sums the same fractions in the same order, so it is bit-identical to
+// a scan that asks BestProgress for every task.
 package late
 
 import (
@@ -75,12 +84,14 @@ type Scheduler struct {
 
 var _ cluster.Scheduler = (*Scheduler)(nil)
 
-// observed is a running task whose best copy has completed its observation
-// window.
+// observed is a running task with one copy whose copy has completed its
+// observation window. It holds no pointer, so scanPhase writes it field by
+// field into reused scratch.
 type observed struct {
-	t    *job.Task
-	prog cluster.CopyProgress
-	rate float64 // growth of prog.Fraction per slot
+	i       int     // index of the task in the phase's running order
+	elapsed int64   // slots the copy has run
+	frac    float64 // its reported progress fraction
+	rate    float64 // growth of frac per slot
 }
 
 // New returns a LATE-style scheduler.
@@ -148,55 +159,85 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 
 // scanPhase appends the phase's candidate stragglers to s.cands, in running
 // order, and reports the first slot at which another task could become one.
+//
+// It reads each task's progress from the phase's progress view and asks
+// BestProgress only for a task the view does not cover, one with several
+// copies or a gated one. A covered task's copy is the task's only one, so
+// its report is never tied.
 func (s *Scheduler) scanPhase(ctx *cluster.Context, j *job.Job, p job.Phase, _ schedutil.PhaseScan) schedutil.PhaseScan {
 	now := ctx.Now()
+	minObs := s.cfg.MinObservationSlots
 	scan := schedutil.PhaseScan{Wake: math.MaxInt64}
+	view := j.RunningSpans(p)
 	s.tasks = j.AppendRunning(s.tasks[:0], p)
+	obs := s.obs[:cap(s.obs)]
+	if len(obs) < len(view) {
+		obs = make([]observed, len(view))
+	}
 	// Phase-average progress across observed running tasks, and the average
-	// rate at which their fractions grow.
+	// rate at which their fractions grow. A task with more than one copy
+	// counts towards both but is no candidate, so it gets no record.
 	var sum, rates float64
-	obs := s.obs[:0]
-	for _, t := range s.tasks {
-		pr, ok := ctx.BestProgress(t)
-		if !ok {
-			continue
+	var count, n int
+	for i, sp := range view {
+		var elapsed int64
+		var frac float64
+		single := true
+		if sp.Covered() {
+			elapsed = sp.Elapsed(now)
+			if wait := minObs - elapsed; wait > 0 {
+				// Joining the observed set moves the phase mean.
+				scan.Wake = min(scan.Wake, now+wait)
+				continue
+			}
+			frac = sp.Fraction(elapsed)
+		} else {
+			t := s.tasks[i]
+			pr, ok := ctx.BestProgress(t)
+			if !ok {
+				continue
+			}
+			if pr.Tied {
+				// The report can switch between tied copies with no event
+				// between.
+				scan.Wake = min(scan.Wake, now+1)
+			}
+			if wait := minObs - pr.Elapsed; wait > 0 {
+				scan.Wake = min(scan.Wake, now+wait)
+				continue
+			}
+			elapsed, frac, single = pr.Elapsed, pr.Fraction, t.Copies <= 1
 		}
-		if pr.Tied {
-			// The report can switch between tied copies with no event
-			// between.
-			scan.Wake = min(scan.Wake, now+1)
-		}
-		if wait := s.cfg.MinObservationSlots - pr.Elapsed; wait > 0 {
-			// Joining the observed set moves the phase mean.
-			scan.Wake = min(scan.Wake, now+wait)
-			continue
-		}
-		rate := pr.Fraction / float64(pr.Elapsed)
-		sum += pr.Fraction
+		rate := frac / float64(elapsed)
+		sum += frac
 		rates += rate
-		obs = append(obs, observed{t: t, prog: pr, rate: rate})
-	}
-	s.obs = obs
-	if len(obs) == 0 {
-		return scan
-	}
-	mean := sum / float64(len(obs))
-	cut := mean - s.cfg.SlowTaskThreshold
-	meanRate := rates / float64(len(obs))
-	for _, o := range obs {
-		if o.t.Copies > 1 {
+		count++
+		if !single {
 			continue // one speculative copy per task
 		}
-		if o.prog.Fraction >= cut {
+		o := &obs[n]
+		o.i, o.elapsed, o.frac, o.rate = i, elapsed, frac, rate
+		n++
+	}
+	s.obs = obs
+	if count == 0 {
+		return scan
+	}
+	mean := sum / float64(count)
+	cut := mean - s.cfg.SlowTaskThreshold
+	meanRate := rates / float64(count)
+	for k := range obs[:n] {
+		o := &obs[k]
+		if o.frac >= cut {
 			// Not slow enough relative to the phase, yet.
 			scan.Wake = min(scan.Wake, fallsBelow(now, o, cut, meanRate))
 			continue
 		}
-		if o.prog.Fraction <= 0 {
+		if o.frac <= 0 {
 			continue
 		}
-		tte := float64(o.prog.Elapsed) * (1 - o.prog.Fraction) / o.prog.Fraction
-		s.cands = append(s.cands, schedutil.Straggler{J: j, T: o.t, Rem: tte})
+		tte := float64(o.elapsed) * (1 - o.frac) / o.frac
+		s.cands = append(s.cands, schedutil.Straggler{J: j, T: s.tasks[o.i], Rem: tte})
 		scan.Again = true
 	}
 	return scan
@@ -206,18 +247,22 @@ func (s *Scheduler) scanPhase(ctx *cluster.Context, j *job.Job, p job.Phase, _ s
 // or above the slow cut could fall below it, while its phase's observed set
 // stays as it is; math.MaxInt64 means never. The task's fraction grows at
 // its own rate and the cut at meanRate, so the gap closes linearly.
-func fallsBelow(now int64, o observed, cut, meanRate float64) int64 {
-	gap := o.prog.Fraction - cut - wakeSlack
-	if gap <= 0 {
-		return now + 1
-	}
+func fallsBelow(now int64, o *observed, cut, meanRate float64) int64 {
+	gap := o.frac - cut - wakeSlack
 	closing := meanRate - o.rate
-	if closing <= 0 {
-		return math.MaxInt64
-	}
+	// Every case is computed and the last that applies wins, which the
+	// compiler turns into conditional moves: in running order the sign of
+	// closing is a coin toss, too random for a branch.
 	d := gap / closing
+	wake := now + max(1, int64(d))
 	if d >= 1<<62 {
-		return math.MaxInt64
+		wake = math.MaxInt64
 	}
-	return now + max(1, int64(d))
+	if closing <= 0 {
+		wake = math.MaxInt64
+	}
+	if gap <= 0 {
+		wake = now + 1
+	}
+	return wake
 }

@@ -32,6 +32,13 @@
 // earliest such slot has come, or whose last scan found candidates or saw
 // a copy with no progress yet (its slot is provisional until the copy's
 // rate shows); schedutil.ScanCache keeps each phase's result in between.
+//
+// A rescan reads the phase's progress view (job.Job.RunningSpans): one
+// pointer-free (start, finish) entry per running task, in running order, for
+// every task whose one copy is active. It works out such a task's progress
+// report exactly as cluster.Context.BestProgress would, and asks
+// BestProgress only for the tasks the view does not cover: those with a
+// backup copy.
 package mantri
 
 import (
@@ -160,31 +167,44 @@ func (s *Scheduler) Schedule(ctx *cluster.Context) {
 // s.cands, in running order, and reports the first check slot at which
 // another could qualify.
 //
-// If the phase's last scan found no candidates, it skips every task with
-// one copy ever that had been observed by then: that task qualified for no
-// backup at the last scan, its estimate has only shrunk since, so it
-// qualifies neither now nor later, and its nextChance is math.MaxInt64.
-// Mantri launches no gated copies, so a task's first copy started at its
-// LaunchSlot.
+// It reads each task's progress from the phase's progress view and asks
+// BestProgress only for a task the view does not cover, one with several
+// copies or a gated one. A covered task has had one copy ever, and its
+// report is never tied.
+//
+// If the phase's last scan found no candidates, it skips every covered task
+// whose copy had been observed by then: that task qualified for no backup at
+// the last scan, its estimate has only shrunk since, so it qualifies neither
+// now nor later, and its nextChance is math.MaxInt64.
 func (s *Scheduler) scanPhase(ctx *cluster.Context, j *job.Job, p job.Phase, last schedutil.PhaseScan) schedutil.PhaseScan {
 	now := ctx.Now()
 	stats := j.PhaseStats(p)
-	settled := int64(-1) // a task with one copy ever launched by this slot is skipped
+	settled := int64(-1) // a covered task whose copy started by this slot is skipped
 	if !last.Again && last.At >= 0 {
 		settled = last.At - s.cfg.MinObservationSlots
 	}
 	scan := schedutil.PhaseScan{Wake: math.MaxInt64}
+	view := j.RunningSpans(p)
 	s.tasks = j.AppendRunning(s.tasks[:0], p)
-	for _, t := range s.tasks {
-		if t.Copies >= 1+s.cfg.MaxBackupsPerTask || (t.TotalCopies == 1 && t.LaunchSlot <= settled) {
-			continue
-		}
-		pr, ok := ctx.BestProgress(t)
-		if !ok {
-			continue
+	for i, sp := range view {
+		var pr cluster.CopyProgress
+		if sp.Covered() {
+			if sp.Start <= settled {
+				continue
+			}
+			pr.Elapsed = sp.Elapsed(now)
+			pr.Fraction = sp.Fraction(pr.Elapsed)
+		} else {
+			if s.tasks[i].Copies >= 1+s.cfg.MaxBackupsPerTask {
+				continue
+			}
+			var ok bool
+			if pr, ok = ctx.BestProgress(s.tasks[i]); !ok {
+				continue
+			}
 		}
 		if trem, ok := s.estimateRemaining(pr); ok && s.shouldBackup(trem, stats) {
-			s.cands = append(s.cands, schedutil.Straggler{J: j, T: t, Rem: trem})
+			s.cands = append(s.cands, schedutil.Straggler{J: j, T: s.tasks[i], Rem: trem})
 			scan.Again = true
 		} else {
 			scan.Wake = min(scan.Wake, s.nextChance(now, pr, stats))

@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"fmt"
+	"slices"
 
 	"mrclone/internal/rng"
 )
@@ -108,8 +109,10 @@ func (q *Queue[T]) Remove(v T) bool {
 	return false
 }
 
+// removeAt deletes item i. slices.Delete zeroes the vacated last slot, so
+// the backing array keeps no reference to a popped or removed item.
 func (q *Queue[T]) removeAt(i int) {
-	q.items = append(q.items[:i], q.items[i+1:]...)
+	q.items = slices.Delete(q.items, i, i+1)
 	// Shrink the backing array occasionally so a drained queue doesn't pin
 	// a large slab.
 	if len(q.items) == 0 && cap(q.items) > 64 {

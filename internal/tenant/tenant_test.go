@@ -266,6 +266,28 @@ func TestQueueRemove(t *testing.T) {
 	}
 }
 
+// TestQueueDropsPoppedItems pushes two items under each policy, pops both
+// and checks the whole backing array: no slot may still reference either
+// item, or the queue would keep finished work reachable.
+func TestQueueDropsPoppedItems(t *testing.T) {
+	for _, policy := range []Policy{PolicyFIFO, PolicyFair, PolicySRPT} {
+		q := NewQueue[*int](policy, nil, 1)
+		a, b := new(int), new(int)
+		q.Push("a", 2, a)
+		q.Push("b", 1, b)
+		for range 2 {
+			if _, ok := q.Pop(); !ok {
+				t.Fatalf("%s: Pop on a queue of two reported empty", policy)
+			}
+		}
+		for i, it := range q.items[:cap(q.items)] {
+			if it.v != nil {
+				t.Errorf("%s: slot %d of the drained queue still references a popped item", policy, i)
+			}
+		}
+	}
+}
+
 func TestParsePolicy(t *testing.T) {
 	for in, want := range map[string]Policy{
 		"": PolicyFIFO, "fifo": PolicyFIFO, "fair": PolicyFair, "srpt": PolicySRPT,

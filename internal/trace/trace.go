@@ -127,6 +127,9 @@ func (p Params) Validate() error {
 		return fmt.Errorf("trace: within-job ratio %v must exceed 1", p.WithinJobRatio)
 	case p.DurationCV <= 0:
 		return fmt.Errorf("trace: duration CV %v", p.DurationCV)
+	case math.IsInf(p.DurationCV*p.MeanTaskDuration, 0) || math.IsNaN(p.DurationCV*p.MeanTaskDuration):
+		// Generate draws per-job means with this standard deviation.
+		return fmt.Errorf("trace: duration CV %v times mean %v overflows", p.DurationCV, p.MeanTaskDuration)
 	case p.CountDurationExponent < 0 || p.CountDurationExponent > 2:
 		return fmt.Errorf("trace: count-duration exponent %v outside [0, 2]", p.CountDurationExponent)
 	case p.ReduceFraction < 0 || p.ReduceFraction >= 1:

@@ -67,6 +67,22 @@ func TestParamsValidateCountTarget(t *testing.T) {
 	}
 }
 
+// TestParamsValidateOverflowingSpread: a duration CV and mean that are
+// finite each but whose product, the per-job standard deviation, overflows
+// are a validation error, and Generate refuses them with the same message
+// instead of failing later inside the duration distribution.
+func TestParamsValidateOverflowingSpread(t *testing.T) {
+	p := GoogleParams()
+	p.MeanTaskDuration, p.DurationCV = 1e308, 10
+	const want = "trace: duration CV 10 times mean 1e+308 overflows"
+	if err := p.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate = %v, want %q", err, want)
+	}
+	if _, err := Generate(p); err == nil || err.Error() != want {
+		t.Errorf("Generate = %v, want %q", err, want)
+	}
+}
+
 // TestTableIICalibration: the generated trace must reproduce the Table II
 // statistics within tolerance. This is experiment T2.
 func TestTableIICalibration(t *testing.T) {
